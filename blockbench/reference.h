@@ -50,13 +50,15 @@ struct Verdict {
   uint64_t different = 0;
   /// Rows for keys the reference never emits (invented output).
   uint64_t extra = 0;
-  /// Keys whose rows, merged with the aggregate's own merge rule, still do
-  /// not equal the reference: data lost or corrupted, not merely split.
-  /// An average split over several rows cannot be merged and counts here.
+  /// Diagnostic only: keys whose rows, merged with the aggregate's own
+  /// merge rule, still do not equal the reference (data lost or corrupted,
+  /// not merely split). An average split over several rows cannot be
+  /// merged and counts here.
   uint64_t merged_mismatch = 0;
 
   uint64_t failed() const { return missing + duplicated + different; }
-  bool correct() const { return extra == 0 && merged_mismatch == 0; }
+  /// Every key emitted exactly once and equal, and no invented rows.
+  bool correct() const { return failed() == 0 && extra == 0; }
 };
 
 /// Streams result rows to a file while a run is timed, so the harness's

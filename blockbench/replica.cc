@@ -105,9 +105,7 @@ Replica::Replica(const Workload& w, const Inputs& in)
   counts_.assign(n, EpochCounters{});
   retained_.resize(n);
   handoff_ = std::make_unique<core::ShardedHandoff<Envelope>>(n);
-  if (!w.fault_tolerant && w.threads > 1 && n > 1) {
-    pool_ = std::make_unique<core::ExecPool>(static_cast<size_t>(w.threads));
-  }
+  pool_ = std::make_unique<core::ExecPool>(static_cast<size_t>(kWorkers));
 }
 
 Replica::~Replica() {
@@ -125,13 +123,8 @@ Status Replica::RunEpoch(RecordBatch* results, EpochCounters* c) {
   Status st;
   {
     ScopedSpan root(Layer::kEpoch, epoch_, 0);
-    if (w_.fault_tolerant) {
-      st = RunFaultTolerant(results, root.id(), c);
-    } else if (pool_) {
-      st = RunParallel(results, root.id(), c);
-    } else {
-      st = RunSerial(results, root.id(), c);
-    }
+    st = w_.fault_tolerant ? RunFaultTolerant(results, root.id(), c)
+                           : RunParallel(results, root.id(), c);
   }
   for (const EpochCounters& x : counts_) *c += x;
   ++epoch_;
@@ -160,47 +153,6 @@ void Replica::Decide(size_t s, const core::EpochObservation& obs) {
   sources_[s]->SetLoadFactors(d.load_factors);
   if (d.flush_pending) sources_[s]->RequestFlush();
   profile_next_[s] = d.request_profile ? 1 : 0;
-}
-
-Status Replica::RunSerial(RecordBatch* results, uint64_t root,
-                          EpochCounters* c) {
-  const Micros from = now_;
-  const Micros to = now_ + Seconds(1);
-  now_ = to;
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    JARVIS_ASSIGN_OR_RETURN(core::SourceEpochOutput out,
-                            RunSource(s, from, to, root));
-    Book(out, &counts_[s]);
-    core::WireByteProfile profile;
-    const bool profiled = out.observation.profiles_valid;
-    {
-      core::WireDrain wire;
-      {
-        ScopedSpan span(Layer::kWireEncode, epoch_, root, Id(s));
-        wire = core::SerializeDrain(&out, &next_seq_[s], codec_,
-                                    profiled ? &profile : nullptr);
-      }
-      counts_[s].frames += wire.frame_count;
-      counts_[s].wire_bytes += wire.wire_bytes;
-      ScopedSpan span(Layer::kWireDecode, epoch_, root, Id(s));
-      JARVIS_RETURN_IF_ERROR(core::DecodeDrain(wire, &out.to_sp));
-    }
-    core::EpochObservation obs;
-    {
-      ScopedSpan span(Layer::kControl, epoch_, root, Id(s));
-      FoldWireRatios(profile, 0, &out.observation);
-      obs = out.observation;
-    }
-    c->sp_records += out.DrainedRecords();
-    {
-      ScopedSpan span(Layer::kSpConsume, epoch_, root, Id(s));
-      JARVIS_RETURN_IF_ERROR(sp_->Consume(s, std::move(out), results));
-    }
-    ScopedSpan span(Layer::kControl, epoch_, root, Id(s));
-    Decide(s, obs);
-  }
-  ScopedSpan span(Layer::kSpEndEpoch, epoch_, root);
-  return sp_->EndEpoch(results);
 }
 
 void Replica::SourceTask(size_t s, Micros from, Micros to, uint64_t parent) {
@@ -238,8 +190,11 @@ void Replica::SourceTask(size_t s, Micros from, Micros to, uint64_t parent) {
     FoldWireRatios(profile, 0, &out->observation);
     obs = out->observation;
   }
-  env.out = std::move(*out);
-  handoff_->Put(s, std::move(env));
+  {
+    ScopedSpan span(Layer::kPoolHandoff, epoch_, parent, Id(s));
+    env.out = std::move(*out);
+    handoff_->Put(s, std::move(env));
+  }
   ScopedSpan span(Layer::kControl, epoch_, parent, Id(s));
   Decide(s, obs);
 }
@@ -286,6 +241,9 @@ Status Replica::RunParallel(RecordBatch* results, uint64_t root,
     c->sp_records += env.out.DrainedRecords();
     ScopedSpan span(Layer::kSpConsume, epoch_, root, Id(s));
     st = sp_->Consume(s, std::move(env.out), results);
+    // Freeing what the SP leaves of the envelope (buffers a worker
+    // allocated) is part of consuming it.
+    env = Envelope();
   }
   {
     ScopedSpan span(Layer::kPoolBarrier, epoch_, root);
@@ -356,6 +314,7 @@ void Replica::SourceTaskFT(size_t s, Micros from, Micros to,
     Decide(s, out->observation);
     env.profile_next = profile_next_[s] != 0;
   }
+  ScopedSpan span(Layer::kPoolHandoff, epoch_, parent, Id(s));
   handoff_->Put(s, std::move(env));
 }
 
@@ -401,13 +360,25 @@ Status Replica::RunFaultTolerant(RecordBatch* results, uint64_t root,
   handoff_->EnsureCapacity(n);
   for (size_t s = 0; s < n; ++s) {
     handoff_->ClearSlot(s);
-    SourceTaskFT(s, from, to, root);
+    ++c->pool_tasks;
+    pool_->Submit(s, [this, s, from, to, root] {
+      ScopedSpan task(Layer::kTask, epoch_, root);
+      SourceTaskFT(s, from, to, task.id());
+    });
   }
   Status st;
   for (size_t s = 0; s < n; ++s) {
-    Envelope env = handoff_->Take(s);
+    Envelope env;
+    {
+      ScopedSpan span(Layer::kPoolWait, epoch_, root, Id(s));
+      env = handoff_->Take(s);
+    }
     if (!st.ok()) continue;
     st = Deliver(s, &env, results, root, c);
+  }
+  {
+    ScopedSpan span(Layer::kPoolBarrier, epoch_, root);
+    pool_->WaitIdle();
   }
   JARVIS_RETURN_IF_ERROR(st);
   ScopedSpan span(Layer::kSpEndEpoch, epoch_, root);

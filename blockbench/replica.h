@@ -30,10 +30,11 @@ struct EpochCounters {
 };
 
 /// BuildingBlock's epoch rebuilt from the public calls it makes, with a span
-/// around every call into a layer. Three paths, as in building_block.cc:
-/// the serial default loop, the ExecPool loop (tiny-source grouping,
-/// ShardedHandoff, WaitIdle barrier) and the serial fault-tolerant loop
-/// (checkpoint frames, ConsumeFrame). Two private behaviours are copied:
+/// around every call into a layer. The two pool paths of building_block.cc
+/// that the workloads run (kWorkers workers, more than one source): the
+/// default ExecPool loop (tiny-source grouping, ShardedHandoff, WaitIdle
+/// barrier) and the fault-tolerant loop (one task per source, checkpoint
+/// frames, ConsumeFrame). Two private behaviours are copied:
 /// the wire-ratio fold the LP prices and the tiny-source grouping. Without
 /// a fault plan its results equal the block's bit for bit; the benchmark
 /// checks that on every traced run.
@@ -83,8 +84,6 @@ class Replica {
   /// The runtime's decision for the next epoch, installed on the source.
   void Decide(size_t s, const jarvis::core::EpochObservation& obs);
 
-  jarvis::Status RunSerial(jarvis::stream::RecordBatch* results,
-                           uint64_t root, EpochCounters* c);
   jarvis::Status RunParallel(jarvis::stream::RecordBatch* results,
                              uint64_t root, EpochCounters* c);
   jarvis::Status RunFaultTolerant(jarvis::stream::RecordBatch* results,

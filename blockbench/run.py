@@ -15,10 +15,14 @@ Workloads (all closed loop: epoch e+1 starts when RunEpoch(e) returns; event
 time is simulated, 1 s epochs and 10 s tumbling windows):
   s2s_fleet  S2SProbe, 1,024 sources x 32 probe pairs, ExecPool path on 2
              workers, budget never binds: per-source fixed cost.
-  t2t_split  T2TProbe, 8 sources x 4,000 pairs, serial path, ~2x CPU budget
-             with a scripted budget step: data-level partitioning is live.
-  log_ckpt   LogAnalytics, 4 sources x 500 lines/s, fault-tolerant path,
-             a checkpoint every epoch, LZ4, a scripted crash every 3 windows.
+  t2t_split  T2TProbe, 8 sources x 4,000 pairs, ExecPool path on 2 workers,
+             ~2x CPU budget with a scripted budget step: data-level
+             partitioning is live.
+  log_ckpt   LogAnalytics, 4 sources x 500 lines/s, fault-tolerant path on
+             2 workers, a checkpoint every epoch, LZ4, a scripted crash every
+             3 windows; the budget never binds (a binding one splits some
+             keys into two rows, a known source-executor defect that the
+             traced mode counts as source.split_keys).
 
 Why each metric exists, why latency is split by epoch kind with no p95, and
 the host-noise numbers the bounds come from: see the header of main.cc.
@@ -56,13 +60,6 @@ def main():
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args()
 
-    # The block reads JARVIS_* knobs (faults, overload, traffic, checkpoint,
-    # codec, threads, SIMD); any of them would change the workload.
-    knobs = sorted(k for k in os.environ if k.startswith("JARVIS_"))
-    if knobs:
-        print("refusing to run with " + ", ".join(knobs) + " set",
-              file=sys.stderr)
-        return 2
     if not build():
         print("build failed", file=sys.stderr)
         return 1

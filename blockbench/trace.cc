@@ -47,6 +47,7 @@ const char* LayerName(Layer layer) {
     case Layer::kControl: return "control";
     case Layer::kPoolWait: return "pool.wait";
     case Layer::kPoolBarrier: return "pool.barrier";
+    case Layer::kPoolHandoff: return "pool.handoff";
     case Layer::kCkptExport: return "ckpt.export";
     case Layer::kCkptStore: return "ckpt.store";
     case Layer::kNumLayers: break;

@@ -34,6 +34,7 @@ enum class Layer : uint8_t {
   kControl,      // core/runtime: wire-ratio fold, OnEpochEnd, plan install
   kPoolWait,     // core/exec_pool: consumer blocked on the next envelope
   kPoolBarrier,  // core/exec_pool: WaitIdle
+  kPoolHandoff,  // core/exec_pool: ShardedHandoff::Put of a task's envelope
   kCkptExport,   // core/checkpoint: ExportCheckpointBody, seal, frame
   kCkptStore,    // core/checkpoint: ConsumeFrame of checkpoint frames
   kNumLayers,

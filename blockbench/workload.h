@@ -21,6 +21,12 @@ inline constexpr int64_t kWindowEpochs = 10;
 /// Two window periods before the first timed epoch: the control loop of
 /// every workload has left its start-up phase by then.
 inline constexpr int64_t kWarmupEpochs = 2 * kWindowEpochs;
+/// Every workload runs the ExecPool paths on 2 workers (3 threads on 4
+/// vCPUs). A serial epoch rides one vCPU of a shared host: on the serial
+/// path t2t_split's run medians spread 28-36% (IQR/median, 10 seeds) and
+/// log_ckpt's set-up time moved 31% between two sets, against about 5-10%
+/// on the pool in the same minutes.
+inline constexpr int kWorkers = 2;
 
 /// T2T IP -> ToR mapping: 40 servers per ToR, one table covering every
 /// source's and peer's address (sources sit kT2tSourceSpacing apart).
@@ -37,8 +43,6 @@ struct Workload {
   /// Probe pairs per source (Pingmesh, one probe round per 1 s epoch) or
   /// log lines per second per source (LogAnalytics).
   int64_t per_source;
-  /// 2: the ExecPool epoch path; 1: the serial loop.
-  int threads;
   /// The fault-tolerant path: per-epoch checkpoints, LZ4 wire, crash plan.
   bool fault_tolerant;
   /// CPU budget as a fraction of one core; the cost model is scaled so the

@@ -99,11 +99,12 @@ WireDrain SerializeDrain(SourceEpochOutput* out, uint32_t* next_seq,
       records = static_cast<uint32_t>(chunk.columns.num_rows());
       stream::SerializeColumnar(chunk.columns, &payload);
     } else {
-      // Row-lane frames use an empty schema: every record takes the
-      // inline-tagged fallback section, which round-trips any record —
-      // checkpoint state, watermark emissions — losslessly.
+      // Row-lane frames pack by the first row's field types: raw rows and
+      // kPartial accumulator rows ship as schema-elided columns, and only
+      // rows of another shape take the inline-tagged fallback section.
       records = static_cast<uint32_t>(chunk.rows.size());
-      stream::SerializeBatch(chunk.rows, stream::Schema(), &payload);
+      stream::SerializeBatch(chunk.rows, stream::FirstRowSchema(chunk.rows),
+                             &payload);
     }
     WireFrame f = BuildFrame((*next_seq)++, chunk.sp_entry_op,
                              columnar ? WireLane::kColumnar : WireLane::kRows,

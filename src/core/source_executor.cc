@@ -574,12 +574,12 @@ Status SourceExecutor::ExportCheckpointBody(ser::BufferWriter* w,
   ser::BufferWriter scratch;
   stream::RecordBatch rows;
   for (size_t i = 0; i < proxies_.size(); ++i) {
-    // Pending row queue, snapshotted non-destructively. The empty schema
-    // routes every record through the inline-tagged fallback section, which
-    // round-trips any record losslessly.
+    // Pending row queue, snapshotted non-destructively. Queue sections pack
+    // by their first row's field types, like row-lane drain frames; rows of
+    // another shape still round-trip through the inline-tagged fallback.
     rows.assign(proxies_[i].queue().begin(), proxies_[i].queue().end());
     scratch.Clear();
-    stream::SerializeBatch(rows, stream::Schema(), &scratch);
+    stream::SerializeBatch(rows, stream::FirstRowSchema(rows), &scratch);
     w->PutVarU64(scratch.size());
     w->PutBytes(scratch.data().data(), scratch.size());
     // Pending columnar queue: copy, then materialize the copy to rows.
@@ -589,7 +589,7 @@ Status SourceExecutor::ExportCheckpointBody(ser::BufferWriter* w,
       copy.MoveToRows(&rows);
     }
     scratch.Clear();
-    stream::SerializeBatch(rows, stream::Schema(), &scratch);
+    stream::SerializeBatch(rows, stream::FirstRowSchema(rows), &scratch);
     w->PutVarU64(scratch.size());
     w->PutBytes(scratch.data().data(), scratch.size());
     rows.clear();
@@ -606,7 +606,7 @@ Status SourceExecutor::ExportCheckpointBody(ser::BufferWriter* w,
     rows.assign(input_buffer_.begin(), input_buffer_.end());
   }
   scratch.Clear();
-  stream::SerializeBatch(rows, stream::Schema(), &scratch);
+  stream::SerializeBatch(rows, stream::FirstRowSchema(rows), &scratch);
   w->PutVarU64(scratch.size());
   w->PutBytes(scratch.data().data(), scratch.size());
   return Status::OK();

@@ -546,8 +546,7 @@ void WriteStringColumn(const std::vector<std::string>& values,
   for (const std::string& s : values) w->String(s);
 }
 
-/// Decodes the version-independent frame body (everything after the version
-/// byte / integrity header). Shared by the v3 and legacy-v2 read paths.
+/// Decodes the frame body (everything after the integrity header).
 Status DecodeColumnarBody(ser::BufferReader* in, RecordBatch* out);
 
 }  // namespace
@@ -645,10 +644,6 @@ size_t SerializeColumnar(const ColumnarBatch& batch, ser::BufferWriter* out) {
 Status DeserializeColumnar(ser::BufferReader* in, RecordBatch* out) {
   uint8_t version;
   JARVIS_RETURN_IF_ERROR(in->GetU8(&version));
-  if (version == kColumnarFormatVersionLegacy) {
-    // Pre-checksum frames: decode the bare body (rolling-upgrade path).
-    return DecodeColumnarBody(in, out);
-  }
   if (version != kColumnarFormatVersion) {
     return Status::SerializationError("bad columnar format version");
   }
@@ -861,11 +856,10 @@ Status DecodeColumnarBody(ser::BufferReader* in, RecordBatch* out) {
 }  // namespace
 
 Status DeserializeColumnarBatch(ser::BufferReader* in, ColumnarBatch* out) {
-  // Decodes the version-independent body straight into column form. The
-  // grammar walk mirrors DecodeColumnarBody exactly (same order, same
-  // guards); only the destination differs: dense values land in the typed
-  // column vectors / packed time arrays in bulk instead of fanning out to
-  // one Record per row.
+  // Decodes the frame body straight into column form. The grammar walk
+  // mirrors DecodeColumnarBody exactly (same order, same guards); only the
+  // destination differs: dense values land in the typed column vectors /
+  // packed time arrays in bulk instead of fanning out to one Record per row.
   const auto decode_body = [out](ser::BufferReader* in) -> Status {
     uint64_t n;
     JARVIS_RETURN_IF_ERROR(in->GetVarU64(&n));
@@ -1049,9 +1043,6 @@ Status DeserializeColumnarBatch(ser::BufferReader* in, ColumnarBatch* out) {
 
   uint8_t version;
   JARVIS_RETURN_IF_ERROR(in->GetU8(&version));
-  if (version == kColumnarFormatVersionLegacy) {
-    return decode_body(in);
-  }
   if (version != kColumnarFormatVersion) {
     return Status::SerializationError("bad columnar format version");
   }

@@ -218,14 +218,13 @@ class ColumnarBatch {
 // The format is self-describing; the read side needs no schema and produces
 // row records (the stream processor consumes rows).
 //
-// Version 3 wraps the v2 body in an integrity header:
+// Version 3 wraps the body in an integrity header:
 //   [u8 version=3][u32 payload_len][u32 FrameChecksum(payload)][payload]
 // so the consuming stream processor detects bit flips, truncation, and
-// splices before any decode work touches the payload. Version-2 frames
-// (no header) still decode — old sources keep working across a rollout.
+// splices before any decode work touches the payload. It is the only version
+// the decoders accept.
 
 inline constexpr uint8_t kColumnarFormatVersion = 3;
-inline constexpr uint8_t kColumnarFormatVersionLegacy = 2;
 
 /// Serializes the batch column-wise and returns the bytes written.
 size_t SerializeColumnar(const ColumnarBatch& batch, ser::BufferWriter* out);
@@ -233,7 +232,7 @@ size_t SerializeColumnar(const ColumnarBatch& batch, ser::BufferWriter* out);
 /// Decodes a batch previously written by SerializeColumnar into row records.
 /// Verifies the v3 integrity header (checksum + exact payload length) and
 /// fails with SerializationError — never UB — on any corrupt, truncated, or
-/// bit-flipped input; legacy v2 frames decode through the same body path.
+/// bit-flipped input.
 Status DeserializeColumnar(ser::BufferReader* in, RecordBatch* out);
 
 /// Decodes a SerializeColumnar frame straight into column form: dense values
@@ -243,8 +242,7 @@ Status DeserializeColumnar(ser::BufferReader* in, RecordBatch* out);
 /// decoded batch carries an unnamed schema reconstructed from the wire's
 /// type tags (the format is name-free); MoveToRows() on the result is
 /// bit-identical to DeserializeColumnar's row output. Same integrity
-/// guarantees and corruption hardening as DeserializeColumnar, legacy v2
-/// frames included.
+/// guarantees and corruption hardening as DeserializeColumnar.
 Status DeserializeColumnarBatch(ser::BufferReader* in, ColumnarBatch* out);
 
 }  // namespace jarvis::stream

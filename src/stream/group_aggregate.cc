@@ -47,6 +47,23 @@ void GroupAggregateOp::Acc::Merge(const Acc& other) {
   sum += other.sum;
 }
 
+void GroupAggregateOp::Acc::AppendPartial(std::vector<Value>* fields) const {
+  fields->emplace_back(count);
+  fields->emplace_back(sum);
+  fields->emplace_back(min);
+  fields->emplace_back(max);
+}
+
+GroupAggregateOp::Acc GroupAggregateOp::Acc::FromPartial(
+    const std::vector<Value>& fields, size_t at) {
+  Acc acc;
+  acc.count = std::get<int64_t>(fields[at]);
+  acc.sum = std::get<double>(fields[at + 1]);
+  acc.min = std::get<double>(fields[at + 2]);
+  acc.max = std::get<double>(fields[at + 3]);
+  return acc;
+}
+
 Value GroupAggregateOp::Acc::Finalize(AggKind kind) const {
   switch (kind) {
     case AggKind::kCount:
@@ -87,7 +104,18 @@ GroupAggregateOp::GroupAggregateOp(std::string name,
       key_fields_(std::move(key_fields)),
       aggs_(std::move(aggs)),
       window_width_(window_width),
-      emit_partials_(emit_partials) {}
+      emit_partials_(emit_partials) {
+  std::vector<Schema::Field> fields;
+  fields.reserve(key_fields_.size() + 4 * aggs_.size());
+  for (size_t k = 0; k < key_fields_.size(); ++k) {
+    fields.push_back({"", output_schema().field(k).type});
+  }
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    fields.push_back({"", ValueType::kInt64});
+    for (int j = 0; j < 3; ++j) fields.push_back({"", ValueType::kDouble});
+  }
+  state_schema_ = Schema(std::move(fields));
+}
 
 void GroupAggregateOp::AppendKeyValue(const Value& v) {
   key_buf_.PutU8(static_cast<uint8_t>(TypeOf(v)));
@@ -149,6 +177,7 @@ Status GroupAggregateOp::UpdateFromData(const Record& rec,
     for (size_t k : key_fields_) keys.push_back(rec.fields[k]);
     return keys;
   });
+  g.dirty = true;
   for (size_t i = 0; i < aggs_.size(); ++i) {
     const AggSpec& a = aggs_[i];
     if (a.kind == AggKind::kCount) {
@@ -182,13 +211,9 @@ Status GroupAggregateOp::MergeFromPartial(const Record& rec,
   Group& g = FindOrCreateGroup(*cursor->groups, [&] {
     return std::vector<Value>(rec.fields.begin(), rec.fields.begin() + nk);
   });
+  g.dirty = true;
   for (size_t i = 0; i < aggs_.size(); ++i) {
-    Acc other;
-    other.count = std::get<int64_t>(rec.fields[nk + 4 * i]);
-    other.sum = std::get<double>(rec.fields[nk + 4 * i + 1]);
-    other.min = std::get<double>(rec.fields[nk + 4 * i + 2]);
-    other.max = std::get<double>(rec.fields[nk + 4 * i + 3]);
-    g.accs[i].Merge(other);
+    g.accs[i].Merge(Acc::FromPartial(rec.fields, nk + 4 * i));
   }
   return Status::OK();
 }
@@ -237,12 +262,7 @@ void GroupAggregateOp::EmitWindow(Micros window_start, GroupMap& groups,
     r.fields.reserve(arity);
     if (emit_partials_) {
       r.kind = RecordKind::kPartial;
-      for (const Acc& acc : group.accs) {
-        r.fields.emplace_back(acc.count);
-        r.fields.emplace_back(acc.sum);
-        r.fields.emplace_back(acc.min);
-        r.fields.emplace_back(acc.max);
-      }
+      for (const Acc& acc : group.accs) acc.AppendPartial(&r.fields);
     } else {
       r.kind = RecordKind::kData;
       for (size_t i = 0; i < aggs_.size(); ++i) {
@@ -287,20 +307,57 @@ Status GroupAggregateOp::ExportPartialState(RecordBatch* out) {
 
 void GroupAggregateOp::WriteWindowSection(ser::BufferWriter* w,
                                           Micros window_start,
-                                          const GroupMap& groups) {
-  section_buf_.Clear();
-  section_buf_.PutVarU64(groups.size());
-  for (const auto& [key, group] : groups) {
-    section_buf_.PutVarU64(key.size());
-    section_buf_.PutBytes(reinterpret_cast<const uint8_t*>(key.data()),
-                          key.size());
-    for (const Acc& acc : group.accs) {
-      section_buf_.PutVarI64(acc.count);
-      section_buf_.PutDouble(acc.sum);
-      section_buf_.PutDouble(acc.min);
-      section_buf_.PutDouble(acc.max);
+                                          GroupMap& groups, bool dirty_only) {
+  // Values go straight into the reused columns: building a Record per
+  // group for ColumnarBatch::AppendRow made a 3,000-group export ~2.5x
+  // slower (4-vCPU x86-64 guest). Only groups whose keys are off their
+  // declared types take that path.
+  section_.Reset(state_schema_);
+  const size_t nk = key_fields_.size();
+  for (auto& [key, group] : groups) {
+    if (dirty_only && !group.dirty) continue;
+    group.dirty = false;
+    bool dense = true;
+    for (size_t k = 0; k < nk; ++k) {
+      dense = dense && TypeOf(group.keys[k]) == state_schema_.field(k).type;
     }
+    if (!dense) {
+      Record r;
+      r.event_time = window_start + window_width_;
+      r.window_start = window_start;
+      r.fields = group.keys;
+      for (const Acc& acc : group.accs) acc.AppendPartial(&r.fields);
+      section_.AppendRow(std::move(r));
+      continue;
+    }
+    for (size_t k = 0; k < nk; ++k) {
+      Column& col = section_.column_mut(k);
+      const Value& v = group.keys[k];
+      switch (col.type) {
+        case ValueType::kInt64:
+          col.i64.push_back(*std::get_if<int64_t>(&v));
+          break;
+        case ValueType::kDouble:
+          col.f64.push_back(*std::get_if<double>(&v));
+          break;
+        case ValueType::kString:
+          col.str.push_back(*std::get_if<std::string>(&v));
+          break;
+      }
+    }
+    for (size_t i = 0; i < group.accs.size(); ++i) {
+      const Acc& acc = group.accs[i];
+      section_.column_mut(nk + 4 * i).i64.push_back(acc.count);
+      section_.column_mut(nk + 4 * i + 1).f64.push_back(acc.sum);
+      section_.column_mut(nk + 4 * i + 2).f64.push_back(acc.min);
+      section_.column_mut(nk + 4 * i + 3).f64.push_back(acc.max);
+    }
+    section_.event_times().push_back(window_start + window_width_);
+    section_.window_starts().push_back(window_start);
+    section_.CommitDenseRows(1);
   }
+  section_buf_.Clear();
+  SerializeColumnar(section_, &section_buf_);
   w->PutVarI64(window_start);
   w->PutVarU64(section_buf_.size());
   w->PutBytes(section_buf_.data().data(), section_buf_.size());
@@ -315,10 +372,13 @@ Status GroupAggregateOp::ExportStateDelta(ser::BufferWriter* w,
   if (full) {
     w->PutVarU64(0);  // a keyframe re-encodes everything; no tombstones
     w->PutVarU64(windows_.size());
-    for (const auto& [start, groups] : windows_) {
-      WriteWindowSection(w, start, groups);
+    for (auto& [start, groups] : windows_) {
+      WriteWindowSection(w, start, groups, /*dirty_only=*/false);
     }
   } else {
+    // A window flushed and reopened since the previous export is both a
+    // tombstone and a section: restore erases it, then rebuilds it from the
+    // groups the new records created.
     w->PutVarU64(flushed_windows_.size());
     for (Micros start : flushed_windows_) w->PutVarI64(start);
     size_t n_sections = 0;
@@ -328,7 +388,9 @@ Status GroupAggregateOp::ExportStateDelta(ser::BufferWriter* w,
     w->PutVarU64(n_sections);
     for (Micros start : dirty_windows_) {
       auto it = windows_.find(start);
-      if (it != windows_.end()) WriteWindowSection(w, start, it->second);
+      if (it != windows_.end()) {
+        WriteWindowSection(w, start, it->second, /*dirty_only=*/true);
+      }
     }
   }
   flushed_windows_.clear();
@@ -336,45 +398,45 @@ Status GroupAggregateOp::ExportStateDelta(ser::BufferWriter* w,
   return Status::OK();
 }
 
-namespace {
-
-/// Decodes the AppendKeyValue byte encoding back into key column values
-/// ([u8 type][payload] per component).
-Status DecodeEncodedKeys(const uint8_t* data, size_t len,
-                         std::vector<Value>* keys) {
-  ser::BufferReader kr(data, len);
-  while (!kr.AtEnd()) {
-    uint8_t type = 0;
-    JARVIS_RETURN_IF_ERROR(kr.GetU8(&type));
-    switch (static_cast<ValueType>(type)) {
-      case ValueType::kInt64: {
-        uint64_t v = 0;
-        JARVIS_RETURN_IF_ERROR(kr.GetU64(&v));
-        keys->emplace_back(static_cast<int64_t>(v));
-        break;
-      }
-      case ValueType::kDouble: {
-        double v = 0.0;
-        JARVIS_RETURN_IF_ERROR(kr.GetDouble(&v));
-        keys->emplace_back(v);
-        break;
-      }
-      case ValueType::kString: {
-        std::string v;
-        JARVIS_RETURN_IF_ERROR(kr.GetString(&v));
-        keys->emplace_back(std::move(v));
-        break;
-      }
-      default:
-        return Status::SerializationError("bad key type tag in checkpoint");
+Status GroupAggregateOp::RestoreWindowSection(Micros window_start) {
+  if (!(section_.schema() == state_schema_)) {
+    return Status::SerializationError(
+        "checkpoint section does not match the group keys and aggregates");
+  }
+  // Dense rows match state_schema_ by the check above; rows from the
+  // inline-tagged lane are checked one by one.
+  RecordBatch rows;
+  section_.MoveToRows(&rows);
+  const size_t nk = key_fields_.size();
+  GroupMap& groups = windows_[window_start];
+  for (Record& rec : rows) {
+    if (rec.fields.size() != state_schema_.num_fields()) {
+      return Status::SerializationError("group row arity mismatch");
     }
+    for (size_t j = nk; j < rec.fields.size(); ++j) {
+      if (TypeOf(rec.fields[j]) != state_schema_.field(j).type) {
+        return Status::SerializationError("accumulator type mismatch");
+      }
+    }
+    std::vector<Acc> accs;
+    accs.reserve(aggs_.size());
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      accs.push_back(Acc::FromPartial(rec.fields, nk + 4 * i));
+    }
+    rec.fields.resize(nk);
+    key_buf_.Clear();
+    for (const Value& v : rec.fields) AppendKeyValue(v);
+    Group& g =
+        FindOrCreateGroup(groups, [&] { return std::move(rec.fields); });
+    g.accs = std::move(accs);
+    g.dirty = false;
   }
   return Status::OK();
 }
 
-}  // namespace
-
 Status GroupAggregateOp::RestoreState(ser::BufferReader* r) {
+  // The restored state is what the exporter's next delta is taken against.
+  delta_tracking_ = true;
   uint64_t n_tombstones = 0;
   JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_tombstones));
   for (uint64_t i = 0; i < n_tombstones; ++i) {
@@ -396,37 +458,11 @@ Status GroupAggregateOp::RestoreState(ser::BufferReader* r) {
     }
     ser::BufferReader section(r->cursor(), len);
     r->Advance(len);
-    uint64_t n_groups = 0;
-    JARVIS_RETURN_IF_ERROR(section.GetVarU64(&n_groups));
-    GroupMap groups;
-    for (uint64_t gi = 0; gi < n_groups; ++gi) {
-      uint64_t klen = 0;
-      JARVIS_RETURN_IF_ERROR(section.GetVarU64(&klen));
-      if (klen > section.remaining()) {
-        return Status::SerializationError("group key overruns window section");
-      }
-      std::string key(reinterpret_cast<const char*>(section.cursor()), klen);
-      section.Advance(klen);
-      Group group;
-      JARVIS_RETURN_IF_ERROR(
-          DecodeEncodedKeys(reinterpret_cast<const uint8_t*>(key.data()),
-                            key.size(), &group.keys));
-      if (group.keys.size() != key_fields_.size()) {
-        return Status::SerializationError("group key arity mismatch");
-      }
-      group.accs.resize(aggs_.size());
-      for (Acc& acc : group.accs) {
-        JARVIS_RETURN_IF_ERROR(section.GetVarI64(&acc.count));
-        JARVIS_RETURN_IF_ERROR(section.GetDouble(&acc.sum));
-        JARVIS_RETURN_IF_ERROR(section.GetDouble(&acc.min));
-        JARVIS_RETURN_IF_ERROR(section.GetDouble(&acc.max));
-      }
-      groups.emplace(std::move(key), std::move(group));
-    }
+    JARVIS_RETURN_IF_ERROR(DeserializeColumnarBatch(&section, &section_));
     if (!section.AtEnd()) {
       return Status::SerializationError("trailing bytes in window section");
     }
-    windows_[start] = std::move(groups);
+    JARVIS_RETURN_IF_ERROR(RestoreWindowSection(start));
     dirty_windows_.erase(start);
     flushed_windows_.erase(start);
   }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ser/buffer.h"
+#include "stream/columnar.h"
 #include "stream/operator.h"
 
 namespace jarvis::stream {
@@ -50,12 +51,17 @@ class GroupAggregateOp : public Operator {
   Status OnWatermark(Micros wm, RecordBatch* out) override;
   Status ExportPartialState(RecordBatch* out) override;
 
-  /// Checkpoint state API. Sections are keyed by window_start: a section
-  /// replaces that window's whole group map (min/max accumulators are not
-  /// arithmetically delta-able, so deltas work at window granularity);
-  /// tombstones name windows flushed since the previous export. Delta
-  /// tracking starts at the first export — before that, a delta degenerates
-  /// to a full export, and non-checkpointed runs pay nothing.
+  /// Checkpoint state API. Tombstones name windows flushed since the
+  /// previous export; sections are keyed by window_start and carry the
+  /// groups updated since then (a keyframe carries every group). Each group
+  /// ships its whole accumulator, and restore overwrites the group with it:
+  /// nothing is added in, so restored sums are bit-identical. A section is
+  /// one columnar frame (SerializeColumnar) laid out like a kPartial row:
+  /// one column per key field, then count/sum/min/max per aggregate.
+  /// Restore rejects a section whose column types are not this operator's.
+  /// Delta tracking starts at the first export or restore — before that, a
+  /// delta degenerates to a full export, and non-checkpointed runs pay
+  /// nothing.
   Status ExportStateDelta(ser::BufferWriter* w, StateExport mode) override;
   Status RestoreState(ser::BufferReader* r) override;
 
@@ -83,11 +89,17 @@ class GroupAggregateOp : public Operator {
     void AddValue(double v);
     void Merge(const Acc& other);
     Value Finalize(AggKind kind) const;
+    /// kPartial row layout: count (i64), sum, min, max (f64).
+    void AppendPartial(std::vector<Value>* fields) const;
+    /// Reads the kPartial layout at fields[at, at + 4); the types must
+    /// already be checked.
+    static Acc FromPartial(const std::vector<Value>& fields, size_t at);
   };
 
   struct Group {
     std::vector<Value> keys;
     std::vector<Acc> accs;  // one per AggSpec
+    bool dirty = false;     // updated since the previous checkpoint export
   };
 
   // window_start -> (encoded key -> group). std::map keeps window flush order
@@ -108,10 +120,14 @@ class GroupAggregateOp : public Operator {
   Status MergeFromPartial(const Record& rec, WindowCursor* cursor);
   void EmitWindow(Micros window_start, GroupMap& groups, RecordBatch* out);
 
-  /// Appends one window's section ([zigzag window_start][varint len][groups])
-  /// to `w` via the reused section scratch buffer.
+  /// Appends one window's section ([zigzag window_start][varint len]
+  /// [columnar frame]) to `w`: every group, or only the dirty ones. Clears
+  /// the dirty flag of each group it writes.
   void WriteWindowSection(ser::BufferWriter* w, Micros window_start,
-                          const GroupMap& groups);
+                          GroupMap& groups, bool dirty_only);
+  /// Overwrites (or creates) the groups of `window_start` with the rows of
+  /// the decoded section in section_ (consuming them).
+  Status RestoreWindowSection(Micros window_start);
   /// Records that `window_start`'s contents changed (delta bookkeeping).
   void MarkDirty(Micros window_start) {
     if (delta_tracking_) dirty_windows_.insert(window_start);
@@ -133,12 +149,17 @@ class GroupAggregateOp : public Operator {
   std::map<Micros, GroupMap> windows_;
   ser::BufferWriter key_buf_;  // reused across records; never shrinks
 
-  // Checkpoint delta bookkeeping, active only once ExportStateDelta has been
-  // called (no cost and no unbounded growth in non-checkpointed runs).
+  // Checkpoint delta bookkeeping, active only once ExportStateDelta or
+  // RestoreState has been called (no cost and no unbounded growth in
+  // non-checkpointed runs).
   bool delta_tracking_ = false;
   std::set<Micros> dirty_windows_;    // changed since the previous export
   std::set<Micros> flushed_windows_;  // discarded since the previous export
-  ser::BufferWriter section_buf_;     // reused section scratch
+  // Unnamed column types of a checkpoint section: the key fields' input
+  // types, then i64 count and f64 sum/min/max per aggregate.
+  Schema state_schema_;
+  ColumnarBatch section_;          // reused section rows (export and restore)
+  ser::BufferWriter section_buf_;  // reused encoded section
 };
 
 }  // namespace jarvis::stream

@@ -201,6 +201,14 @@ Status ReadTaggedValue(ser::BufferReader* in, Value* out) {
   }
 }
 
+Schema FirstRowSchema(const RecordBatch& rows) {
+  if (rows.empty()) return Schema();
+  std::vector<Schema::Field> fields;
+  fields.reserve(rows.front().fields.size());
+  for (const Value& v : rows.front().fields) fields.push_back({"", TypeOf(v)});
+  return Schema(std::move(fields));
+}
+
 size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
                       ser::BufferWriter* out) {
   const size_t start = out->size();
@@ -279,8 +287,7 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
 
 namespace {
 
-/// Decodes the version-independent batch body (everything after the version
-/// byte / integrity header). Shared by the v2 and legacy-v1 read paths.
+/// Decodes the batch body (everything after the integrity header).
 Status DecodeBatchBody(ser::BufferReader* in, RecordBatch* out) {
   uint64_t n;
   JARVIS_RETURN_IF_ERROR(in->GetVarU64(&n));
@@ -378,10 +385,6 @@ Status DecodeBatchBody(ser::BufferReader* in, RecordBatch* out) {
 Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out) {
   uint8_t version;
   JARVIS_RETURN_IF_ERROR(in->GetU8(&version));
-  if (version == kBatchFormatVersionLegacy) {
-    // Pre-checksum frames: decode the bare body (rolling-upgrade path).
-    return DecodeBatchBody(in, out);
-  }
   if (version != kBatchFormatVersion) {
     return Status::SerializationError("bad batch format version");
   }

@@ -148,17 +148,16 @@ Status DeserializeRecord(ser::BufferReader* in, Record* out);
 // the schema's type tags once per batch and the payload as packed columns
 // (zigzag varints for int64, 8-byte LE doubles, length-prefixed strings), so
 // the per-record overhead drops to one flag byte plus the two time varints.
-// Records that do not match the schema — kPartial accumulator rows have a
-// different arity — are flagged and serialized with inline tags after the
-// columns, so any batch round-trips losslessly.
+// Records that do not match the schema — a kPartial accumulator row among
+// raw rows has a different arity — are flagged and serialized with inline
+// tags after the columns, so any batch round-trips losslessly.
 //
-// Version 2 wraps the v1 body in the same integrity header as the columnar
+// Version 2 wraps the body in the same integrity header as the columnar
 // format — [u8 version=2][u32 payload_len][u32 FrameChecksum(payload)] — so
-// every drain wire frame is corruption-checked before decode. Version-1
-// frames (no header) still decode.
+// every drain wire frame is corruption-checked before decode. It is the only
+// version the decoder accepts.
 
 inline constexpr uint8_t kBatchFormatVersion = 2;
-inline constexpr uint8_t kBatchFormatVersionLegacy = 1;
 
 /// True when the record's fields match the schema's arity and types exactly
 /// (such records serialize tag-free in the columnar section). Inline: called
@@ -170,6 +169,12 @@ inline bool ConformsToSchema(const Record& rec, const Schema& schema) {
   }
   return true;
 }
+
+/// The unnamed schema of the first record's field types (empty for an empty
+/// batch). Row lanes serialize by it: a batch of same-shaped rows — raw
+/// records and kPartial accumulator rows alike — packs schema-elided, and
+/// only rows of another shape fall back to inline tags.
+Schema FirstRowSchema(const RecordBatch& rows);
 
 /// Serializes a whole batch in the schema-elided format and returns the
 /// number of bytes written, so callers get network-byte accounting from the

@@ -222,6 +222,39 @@ TEST(BatchSerdeTest, PartialAndDivergentRecordsRoundTrip) {
   EXPECT_EQ(out[2].kind, RecordKind::kPartial);
 }
 
+TEST(BatchSerdeTest, FirstRowSchemaPacksPartialRowsWithoutTags) {
+  // A drained window: kPartial accumulator rows of one shape, then a row of
+  // another. Packed by the first row's field types, the partial rows ship
+  // without inline tags, and the odd row still round-trips.
+  RecordBatch batch;
+  for (int i = 0; i < 8; ++i) {
+    Record p;
+    p.kind = RecordKind::kPartial;
+    p.event_time = 2000000;
+    p.window_start = 1000000;
+    p.fields = {Value(std::string("t") + std::to_string(i)),
+                Value(int64_t{i}), Value(1.5 * i), Value(0.5), Value(9.0)};
+    batch.push_back(std::move(p));
+  }
+  batch.push_back(MakeRecord());
+  const Schema schema = FirstRowSchema(batch);
+  ASSERT_EQ(schema.num_fields(), 5u);
+  EXPECT_EQ(schema.field(0).type, ValueType::kString);
+  EXPECT_EQ(schema.field(1).type, ValueType::kInt64);
+  EXPECT_EQ(schema.field(4).type, ValueType::kDouble);
+  EXPECT_EQ(FirstRowSchema(RecordBatch{}).num_fields(), 0u);
+
+  ser::BufferWriter typed, tagged;
+  SerializeBatch(batch, schema, &typed);
+  SerializeBatch(batch, Schema(), &tagged);
+  EXPECT_LT(typed.size(), tagged.size());
+  ser::BufferReader r(typed.data());
+  RecordBatch out;
+  ASSERT_TRUE(DeserializeBatch(&r, &out).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(out, batch);
+}
+
 TEST(BatchSerdeTest, EmptyBatchRoundTrips) {
   const Schema schema = TestSchema();
   ser::BufferWriter w;

@@ -3,7 +3,8 @@
 // wrong bytes — on truncated or bit-flipped input. The suite runs a corpus
 // of batch (v2) and columnar (v3) frames through exhaustive truncation and
 // seeded bit-flips; the ASan/UBSan CI leg is the real judge of the "no UB"
-// half of the contract. Legacy (pre-checksum) frames must keep decoding.
+// half of the contract. Only the checksummed versions decode: a flipped
+// version byte is rejected outright.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "core/source_executor.h"
 #include "ser/buffer.h"
 #include "stream/columnar.h"
+#include "stream/group_aggregate.h"
 #include "stream/record.h"
 #include "testing/test_util.h"
 
@@ -89,13 +91,11 @@ struct Format {
   const char* name;
   std::vector<uint8_t> (*encode)(const Corpus&);
   Status (*decode)(ser::BufferReader*, RecordBatch*);
-  uint8_t legacy_version;
 };
 
 constexpr Format kFormats[] = {
-    {"batch", &EncodeBatch, &DeserializeBatch, kBatchFormatVersionLegacy},
-    {"columnar", &EncodeColumnar, &DeserializeColumnar,
-     kColumnarFormatVersionLegacy},
+    {"batch", &EncodeBatch, &DeserializeBatch},
+    {"columnar", &EncodeColumnar, &DeserializeColumnar},
 };
 
 Status DecodeBytes(const Format& fmt, const std::vector<uint8_t>& bytes,
@@ -124,25 +124,6 @@ TEST(SerCorruptionTest, RoundTripsAndStopsAtFrameBoundary) {
       ASSERT_TRUE(fmt.decode(&r, &again).ok());
       EXPECT_EQ(again, c.rows);
       EXPECT_EQ(r.remaining(), 1u);
-    }
-  }
-}
-
-TEST(SerCorruptionTest, LegacyUnchecksummedFramesStillDecode) {
-  // A v3 columnar / v2 batch frame is [version][u32 len][u32 crc][body]
-  // where the body is byte-identical to the previous format version; strip
-  // the integrity header and rewrite the version byte to fabricate frames
-  // from before the format bump.
-  for (const Corpus& c : BuildCorpus()) {
-    for (const Format& fmt : kFormats) {
-      SCOPED_TRACE(c.name + std::string("/") + fmt.name);
-      const std::vector<uint8_t> framed = fmt.encode(c);
-      ASSERT_GE(framed.size(), 9u);
-      std::vector<uint8_t> legacy{fmt.legacy_version};
-      legacy.insert(legacy.end(), framed.begin() + 9, framed.end());
-      RecordBatch out;
-      ASSERT_TRUE(DecodeBytes(fmt, legacy, &out).ok());
-      EXPECT_EQ(out, c.rows);
     }
   }
 }
@@ -184,8 +165,12 @@ TEST(SerCorruptionTest, SingleBitFlipsNeverCrash) {
           // The contract under sanitizers: a Status comes back — ok only
           // in the astronomically unlikely event of a checksum collision
           // or when the flip lands in redundant header space — and the
-          // process neither crashes nor reads out of bounds.
-          (void)DecodeBytes(fmt, bad, &out);
+          // process neither crashes nor reads out of bounds. The version
+          // byte has no redundant space: every flip of it is rejected.
+          const Status st = DecodeBytes(fmt, bad, &out);
+          if (i == 0) {
+            EXPECT_FALSE(st.ok()) << "version flip bit " << bit << " decoded";
+          }
         }
       }
     }
@@ -258,6 +243,97 @@ TEST(SerCorruptionTest, CheckpointBitFlipsAreDetectedNeverUB) {
   }
 }
 
+/// G+R over (host, id) keys, whose checkpoint bodies the sweep below
+/// corrupts.
+GroupAggregateOp MakeHostAgg() {
+  return GroupAggregateOp(
+      "g",
+      Schema::Of({{"host", ValueType::kString},
+                  {"id", ValueType::kInt64},
+                  {"v", ValueType::kDouble}}),
+      {0, 1},
+      {{AggKind::kCount, 0, "cnt"}, {AggKind::kSum, 2, "sum"},
+       {AggKind::kMax, 2, "max"}},
+      Seconds(10), /*emit_partials=*/false);
+}
+
+/// Real G+R checkpoint bodies: a keyframe, and a delta after it that holds
+/// a tombstone, a reopened window, a partly updated window, and a group
+/// whose id key is a double (it rides the section's inline-tagged lane).
+std::pair<std::vector<uint8_t>, std::vector<uint8_t>> HostAggBodies() {
+  GroupAggregateOp op = MakeHostAgg();
+  RecordBatch rows;
+  for (int i = 0; i < 12; ++i) {
+    const Micros ws = Seconds(10) * (i % 3);
+    rows.push_back(MakeWindowedRecord(ws + i, ws,
+                                      "host-" + std::to_string(i % 4),
+                                      int64_t{i % 5}, 0.5 * i));
+  }
+  rows.push_back(
+      MakeWindowedRecord(Seconds(21), Seconds(20), "stray", 2.5, 1.0));
+  RecordBatch out;
+  EXPECT_TRUE(op.ProcessBatch(std::move(rows), &out).ok());
+  ser::BufferWriter key;
+  EXPECT_TRUE(op.ExportStateDelta(&key, StateExport::kFull).ok());
+  EXPECT_TRUE(op.OnWatermark(Seconds(10), &out).ok());
+  EXPECT_TRUE(
+      op.Process(MakeWindowedRecord(5, 0, "late", int64_t{9}, 4.0), &out).ok());
+  EXPECT_TRUE(op.Process(MakeWindowedRecord(Seconds(11), Seconds(10), "host-1",
+                                            int64_t{1}, 8.0),
+                         &out)
+                  .ok());
+  ser::BufferWriter delta;
+  EXPECT_TRUE(op.ExportStateDelta(&delta, StateExport::kDelta).ok());
+  return {key.Release(), delta.Release()};
+}
+
+/// Restores `body` into a fresh operator (after the pristine keyframe when
+/// `key` is non-null).
+Status RestoreHostAgg(const std::vector<uint8_t>* key,
+                      const std::vector<uint8_t>& body, size_t len) {
+  GroupAggregateOp op = MakeHostAgg();
+  if (key != nullptr) {
+    ser::BufferReader kr(key->data(), key->size());
+    EXPECT_TRUE(op.RestoreState(&kr).ok());
+  }
+  ser::BufferReader r(body.data(), len);
+  return op.RestoreState(&r);
+}
+
+TEST(SerCorruptionTest, GroupAggregateStateSurvivesTruncationAndFlips) {
+  const auto [key, delta] = HostAggBodies();
+  for (const bool is_delta : {false, true}) {
+    SCOPED_TRACE(is_delta ? "delta" : "keyframe");
+    const std::vector<uint8_t>& body = is_delta ? delta : key;
+    const std::vector<uint8_t>* base = is_delta ? &key : nullptr;
+    ASSERT_TRUE(RestoreHostAgg(base, body, body.size()).ok());
+    for (size_t len = 0; len < body.size(); ++len) {
+      EXPECT_FALSE(RestoreHostAgg(base, body, len).ok())
+          << "prefix length " << len << " of " << body.size() << " restored";
+    }
+    // Flips land in counts, window starts, section lengths or a section's
+    // checksummed columnar frame: a Status comes back, and sanitizers judge
+    // the no-UB half.
+    for (size_t i = 0; i < body.size(); ++i) {
+      for (const int bit : {0, 3, 7}) {
+        std::vector<uint8_t> bad = body;
+        bad[i] ^= static_cast<uint8_t>(1u << bit);
+        (void)RestoreHostAgg(base, bad, bad.size());
+      }
+    }
+    for (const uint64_t seed : FuzzSeeds()) {
+      Rng rng(seed ^ 0x6a7e);
+      std::vector<uint8_t> bad = body;
+      const size_t flips = 1 + rng.NextBounded(8);
+      for (size_t f = 0; f < flips; ++f) {
+        bad[rng.NextBounded(bad.size())] ^=
+            static_cast<uint8_t>(1 + rng.NextBounded(255));
+      }
+      (void)RestoreHostAgg(base, bad, bad.size());
+    }
+  }
+}
+
 /// Corruption of the SP's retained ring: PlanRestore re-verifies every
 /// entry, so a corrupt newest entry degrades to the previous epoch's chain
 /// while a corrupt keyframe invalidates the whole ring.
@@ -322,17 +398,6 @@ TEST(SerCorruptionTest, ColumnarBatchDecodeMatchesRowDecode) {
     batch.MoveToRows(&batch_decoded);
     EXPECT_EQ(batch_decoded, row_decoded);
     EXPECT_EQ(batch_decoded, c.rows);
-
-    // Legacy (pre-checksum) body: both decoders accept it identically.
-    ASSERT_GE(bytes.size(), 9u);
-    std::vector<uint8_t> legacy{kColumnarFormatVersionLegacy};
-    legacy.insert(legacy.end(), bytes.begin() + 9, bytes.end());
-    ColumnarBatch legacy_batch;
-    ser::BufferReader r(legacy.data(), legacy.size());
-    ASSERT_TRUE(DeserializeColumnarBatch(&r, &legacy_batch).ok());
-    RecordBatch legacy_rows;
-    legacy_batch.MoveToRows(&legacy_rows);
-    EXPECT_EQ(legacy_rows, c.rows);
   }
 }
 
@@ -353,7 +418,11 @@ TEST(SerCorruptionTest, ColumnarBatchDecodeSurvivesTruncationAndFlips) {
         bad[i] ^= static_cast<uint8_t>(1u << bit);
         ColumnarBatch out;
         ser::BufferReader r(bad.data(), bad.size());
-        (void)DeserializeColumnarBatch(&r, &out);  // Status; sanitizers judge
+        // Status; sanitizers judge. A version-byte flip is always rejected.
+        const Status st = DeserializeColumnarBatch(&r, &out);
+        if (i == 0) {
+          EXPECT_FALSE(st.ok()) << "version flip bit " << bit << " decoded";
+        }
       }
     }
   }

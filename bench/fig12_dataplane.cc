@@ -21,8 +21,8 @@
 //       under both settings.
 //   (g) wire_compress: the LZ4 drain wire (v5 compressed framing) — raw vs
 //       compressed bytes per record on numeric and log-text drains, codec
-//       throughput, SP decode-worker scaling, and the measured wire ratios
-//       fed to the LP's bandwidth term.
+//       throughput, and the measured wire ratios fed to the LP's bandwidth
+//       term.
 //
 // Output lines are machine-parseable ("op ...", "pipeline ...", "wire ...",
 // "columnar ...", "kernel ..."); scripts/run_benches.sh folds them into the
@@ -53,7 +53,6 @@
 #include "common/rng.h"
 #include "core/building_block.h"
 #include "core/drain_wire.h"
-#include "core/exec_pool.h"
 #include "query/compile.h"
 #include "query/query_builder.h"
 #include "ser/buffer.h"
@@ -904,67 +903,6 @@ void BenchWireCompressConfig(
       name, best_enc_plain, best_enc_lz4, best_dec_plain, best_dec_lz4);
 }
 
-/// SP-side frame decode as the executor runs it: per-source decode tasks on
-/// ExecPool workers vs the serial loop, over identical pre-serialized
-/// compressed drains. Records/sec of the full decode (header verify + LZ4 +
-/// columnar batch decode).
-void BenchSpDecodeScaling(const Config& cfg) {
-  namespace core = jarvis::core;
-  const size_t kSources = 8;
-  const int decode_threads =
-      std::max(2, std::min(4, core::HardwareThreads()));
-  const int reps = cfg.trials <= 1 ? 1 : 4;
-
-  std::vector<core::WireDrain> wires(kSources);
-  uint64_t total_records = 0;
-  for (size_t s = 0; s < kSources; ++s) {
-    workloads::PingmeshConfig pcfg;
-    pcfg.seed = 100 + s;
-    pcfg.source_ip = static_cast<int64_t>(s + 1) * 100000;
-    pcfg.num_pairs = static_cast<int64_t>(cfg.records / kSources + 1);
-    pcfg.probe_interval = Seconds(1);
-    workloads::PingmeshGenerator gen(pcfg);
-    ColumnarBatch cb(workloads::PingmeshGenerator::Schema());
-    gen.GenerateColumnar(0, Seconds(1), &cb);
-    core::SourceEpochOutput out = MakeDrain(std::move(cb));
-    total_records += out.DrainedRecords();
-    uint32_t seq = 0;
-    wires[s] = core::SerializeDrain(&out, &seq, {.compress = true});
-  }
-
-  std::vector<std::vector<core::DrainChunk>> slots(kSources);
-  double serial_s = 1e300, parallel_s = 1e300;
-  core::ExecPool pool(static_cast<size_t>(decode_threads));
-  for (int t = 0; t < cfg.trials; ++t) {
-    double t0 = NowSeconds();
-    for (int rep = 0; rep < reps; ++rep) {
-      for (size_t s = 0; s < kSources; ++s) {
-        slots[s].clear();
-        if (!core::DecodeDrain(wires[s], &slots[s]).ok()) std::abort();
-      }
-    }
-    serial_s = std::min(serial_s, (NowSeconds() - t0) / reps);
-
-    t0 = NowSeconds();
-    for (int rep = 0; rep < reps; ++rep) {
-      for (size_t s = 0; s < kSources; ++s) {
-        pool.Submit(s, [&wires, &slots, s] {
-          slots[s].clear();
-          if (!core::DecodeDrain(wires[s], &slots[s]).ok()) std::abort();
-        });
-      }
-      pool.WaitIdle();
-    }
-    parallel_s = std::min(parallel_s, (NowSeconds() - t0) / reps);
-  }
-  const double rps_1 = static_cast<double>(total_records) / serial_s;
-  const double rps_n = static_cast<double>(total_records) / parallel_s;
-  std::printf(
-      "wire_compress sp_decode_scaling threads_1 %.6g threads_%d %.6g "
-      "speedup %.2f\n",
-      rps_1, decode_threads, rps_n, rps_1 > 0 ? rps_n / rps_1 : 0.0);
-}
-
 /// Measured bandwidth ratios reaching the planner: a small S2S deployment
 /// with compression on, reporting the folded OperatorProfile::wire_ratio of
 /// the last profiling epoch — exactly the numbers WirePrices feeds the LP's
@@ -999,13 +937,11 @@ void BenchLpWireRatio(const Config& cfg) {
   if (!block.Init().ok()) std::abort();
   block.SetWireCodec({.compress = true});
   std::vector<double> ratios;
-  block.SetEpochTap([&ratios](size_t source,
-                              const core::SourceEpochOutput& o) {
-    if (source != 0 || !o.observation.profiles_valid) return;
+  block.SetEpochTap([&ratios](size_t source, const core::EpochObservation& obs,
+                              Micros) {
+    if (source != 0 || !obs.profiles_valid) return;
     ratios.clear();
-    for (const auto& p : o.observation.profiles) {
-      ratios.push_back(p.wire_ratio);
-    }
+    for (const auto& p : obs.profiles) ratios.push_back(p.wire_ratio);
   });
   RecordBatch results;
   const int epochs = cfg.trials <= 1 ? 4 : 8;
@@ -1023,9 +959,8 @@ void RunWireCompressSection(const Config& cfg) {
   std::printf(
       "\n(g) wire_compress: LZ4 drain wire (v5 compressed framing,\n"
       "    store-wins; JARVIS_WIRE_COMPRESS=1 at runtime). Bytes per record\n"
-      "    raw (v1 frames) vs compressed, codec MB/s, SP decode-worker\n"
-      "    scaling, and the measured wire ratios the LP's bandwidth term\n"
-      "    prices.\n");
+      "    raw (v1 frames) vs compressed, codec MB/s, and the measured\n"
+      "    wire ratios the LP's bandwidth term prices.\n");
   const bool smoke = cfg.trials <= 1;
   const int rounds = smoke ? 2 : 8;
 
@@ -1056,7 +991,6 @@ void RunWireCompressSection(const Config& cfg) {
           return cb;
         });
   }
-  BenchSpDecodeScaling(cfg);
   BenchLpWireRatio(cfg);
 }
 
@@ -1195,8 +1129,7 @@ void BenchKernels(const Config& cfg) {
     };
   });
   // Multi-byte-dominated deltas (zigzag lands in two varint bytes): the
-  // masked-VByte wide window's home turf, where the all-one-byte fast path
-  // never fires.
+  // all-one-byte fast path never fires, so every ISA decodes byte by byte.
   std::vector<int64_t> times_wide(n);
   int64_t tw_acc = 0;
   for (size_t i = 0; i < n; ++i) {

@@ -18,22 +18,19 @@ BuildingBlock::BuildingBlock(const query::CompiledQuery& query,
     : runtime_config_(runtime_config),
       query_(query),
       threads_(ResolveThreads(threads)) {
-  // JARVIS_FAULTS switches every building block onto the fault-tolerant
-  // path with the scripted plan installed — the chaos CI legs run the whole
-  // suite this way without any test opting in.
+  // JARVIS_FAULTS installs a scripted fault plan in every building block —
+  // the chaos CI legs run the whole suite this way without any test opting
+  // in.
   auto injector = FaultInjector::FromEnv();
   if (!injector.ok()) {
     init_status_ = injector.status();
     return;
   }
-  if (*injector != nullptr) {
-    injector_ = std::move(*injector);
-    ft_.enabled = true;
-  }
+  if (*injector != nullptr) injector_ = std::move(*injector);
   // JARVIS_TRAFFIC layers a scripted traffic plan over every generator;
-  // JARVIS_OVERLOAD=1 arms the overload controller (and with it the FT
-  // path). Both reject malformed values loudly instead of running a benign
-  // shape the operator did not ask for.
+  // JARVIS_OVERLOAD=1 arms the overload controller. Both reject malformed
+  // values loudly instead of running a benign shape the operator did not
+  // ask for.
   auto shaper = TrafficShaper::FromEnv();
   if (!shaper.ok()) {
     init_status_ = shaper.status();
@@ -80,7 +77,6 @@ BuildingBlock::BuildingBlock(const query::CompiledQuery& query,
 
 void BuildingBlock::EnableOverloadControl(OverloadOptions opts) {
   overload_ = std::make_unique<OverloadController>(opts, state_.size());
-  ft_.enabled = true;
 }
 
 const OverloadStats& BuildingBlock::overload_stats() const {
@@ -96,7 +92,7 @@ stream::RecordBatch BuildingBlock::GenerateShaped(size_t s, Micros from,
                                                   Micros to) {
   stream::RecordBatch batch = state_[s].generate(from, to);
   if (shaper_) {
-    // Epoch index from event time, not the FT epoch counter: crash replay
+    // Epoch index from event time, not the epoch counter: crash replay
     // re-generates by interval and must reshape identically.
     shaper_->Shape(s, static_cast<int64_t>(from / epoch_length_), &batch);
   }
@@ -105,86 +101,6 @@ stream::RecordBatch BuildingBlock::GenerateShaped(size_t s, Micros from,
 
 BuildingBlock::~BuildingBlock() {
   if (pool_) pool_->Stop();
-}
-
-Status BuildingBlock::RunEpoch(stream::RecordBatch* results) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  if (ft_.enabled) return RunEpochFaultTolerant(results);
-  if (threads_ <= 1 || sources_.size() <= 1) return RunEpochSerial(results);
-  return RunEpochParallel(results);
-}
-
-Status BuildingBlock::RunEpochSerial(stream::RecordBatch* results) {
-  const Micros from = now_;
-  const Micros to = now_ + epoch_length_;
-  now_ = to;
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    if (!state_[s].alive) continue;
-    sources_[s]->Ingest(GenerateShaped(s, from, to));
-    JARVIS_ASSIGN_OR_RETURN(
-        SourceEpochOutput out,
-        sources_[s]->RunEpoch(to, state_[s].profile_next));
-    WireByteProfile wire_profile;
-    JARVIS_RETURN_IF_ERROR(RoundTripDrain(
-        s, &out, out.observation.profiles_valid ? &wire_profile : nullptr));
-    FoldWireRatios(wire_profile, 0, &out.observation);
-    const EpochObservation obs = out.observation;
-    if (tap_) tap_(s, out);
-    JARVIS_RETURN_IF_ERROR(sp_->Consume(s, std::move(out), results));
-    JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(obs);
-    sources_[s]->SetLoadFactors(d.load_factors);
-    if (d.flush_pending) sources_[s]->RequestFlush();
-    state_[s].profile_next = d.request_profile;
-  }
-  return sp_->EndEpoch(results);
-}
-
-void BuildingBlock::RunSourceEpoch(size_t s, Micros from, Micros to) {
-  // Everything here is owned by source s — its executor, generator, and
-  // runtime — except the Put into the sharded hand-off. The runtime decision
-  // deliberately runs after the hand-off: the SP can already be consuming
-  // this source's drain while its control loop deliberates.
-  sources_[s]->Ingest(GenerateShaped(s, from, to));
-  Result<SourceEpochOutput> out =
-      sources_[s]->RunEpoch(to, state_[s].profile_next);
-  if (!out.ok()) {
-    EpochEnvelope env;
-    env.status = out.status();
-    handoff_->Put(s, std::move(env));
-    return;
-  }
-  // Encode and decode the drain here, on the pool worker: this is the
-  // decode-worker half of the bytes path, running concurrently across
-  // sources before the single consuming thread takes over.
-  WireByteProfile wire_profile;
-  Status wire_st = RoundTripDrain(
-      s, &*out, out->observation.profiles_valid ? &wire_profile : nullptr);
-  if (!wire_st.ok()) {
-    EpochEnvelope env;
-    env.status = wire_st;
-    handoff_->Put(s, std::move(env));
-    return;
-  }
-  FoldWireRatios(wire_profile, 0, &out->observation);
-  const EpochObservation obs = out->observation;
-  EpochEnvelope env;
-  env.out = std::move(*out);
-  handoff_->Put(s, std::move(env));
-  JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(obs);
-  sources_[s]->SetLoadFactors(d.load_factors);
-  if (d.flush_pending) sources_[s]->RequestFlush();
-  state_[s].profile_next = d.request_profile;
-}
-
-Status BuildingBlock::RoundTripDrain(size_t s, SourceEpochOutput* out,
-                                     WireByteProfile* profile) {
-  // The default path ships bytes end to end: every chunk is encoded to the
-  // wire frame format (compressed when the codec says so) and decoded back,
-  // so what SpExecutor::Consume sees is exactly what a real wire would have
-  // carried. SerializeDrain consumes the chunks; DecodeDrain rebuilds them.
-  WireDrain wire =
-      SerializeDrain(out, &state_[s].next_seq, wire_codec_, profile);
-  return DecodeDrain(wire, &out->to_sp);
 }
 
 void BuildingBlock::FoldWireRatios(const WireByteProfile& profile,
@@ -223,78 +139,6 @@ void BuildingBlock::FoldWireRatios(const WireByteProfile& profile,
   }
 }
 
-Status BuildingBlock::RunEpochParallel(stream::RecordBatch* results) {
-  const Micros from = now_;
-  const Micros to = now_ + epoch_length_;
-  now_ = to;
-  if (!pool_) pool_ = std::make_unique<ExecPool>(threads_);
-  if (!handoff_) {
-    handoff_ = std::make_unique<ShardedHandoff<EpochEnvelope>>(
-        sources_.size());
-  }
-  handoff_->Reset(sources_.size());  // quiescent: pool idle between epochs
-
-  // Tiny-source batching: with thousands of near-empty sources the
-  // per-task dispatch cost dominates the epoch, so consecutive sources
-  // whose previous epoch stayed under the threshold share one pool task.
-  // Each member still runs its own RunSourceEpoch in ascending order and
-  // Puts its own envelope, so the hand-off contents — and therefore the
-  // consumed results — are bit-identical to one-task-per-source.
-  constexpr uint64_t kSmallSourceRecords = 1024;
-  constexpr size_t kMaxGroup = 32;
-  for (size_t s = 0; s < sources_.size();) {
-    if (!state_[s].alive) {
-      ++s;
-      continue;
-    }
-    size_t end = s;
-    size_t members = 0;
-    while (end < sources_.size() && members < kMaxGroup) {
-      if (!state_[end].alive) {
-        ++end;
-        continue;
-      }
-      if (state_[end].last_input_records >= kSmallSourceRecords) break;
-      ++end;
-      ++members;
-    }
-    if (members >= 2) {
-      pool_->Submit(s, [this, s, end, from, to] {
-        for (size_t x = s; x < end; ++x) {
-          if (state_[x].alive) RunSourceEpoch(x, from, to);
-        }
-      });
-      s = end;
-    } else {
-      pool_->Submit(s, [this, s, from, to] { RunSourceEpoch(s, from, to); });
-      ++s;
-    }
-  }
-
-  // Consume on this thread in ascending source order — the serial loop's
-  // merge order — overlapping with still-running sources. On a source
-  // error, keep taking the remaining envelopes (so no task blocks) but
-  // consume nothing further.
-  Status st;
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    if (!state_[s].alive) continue;
-    EpochEnvelope env = handoff_->Take(s);
-    if (!st.ok()) continue;
-    if (!env.status.ok()) {
-      st = env.status;
-      continue;
-    }
-    if (tap_) tap_(s, env.out);
-    state_[s].last_input_records = env.out.observation.input_records;
-    st = sp_->Consume(s, std::move(env.out), results);
-  }
-  // Epoch barrier: every source finished its pipeline AND its adaptation
-  // decision before the watermark advances or the next round begins.
-  pool_->WaitIdle();
-  JARVIS_RETURN_IF_ERROR(st);
-  return sp_->EndEpoch(results);
-}
-
 Result<size_t> BuildingBlock::CheckpointSource(size_t source_id,
                                                stream::RecordBatch* results) {
   JARVIS_RETURN_IF_ERROR(init_status_);
@@ -314,24 +158,22 @@ Status BuildingBlock::FailSource(size_t source_id) {
     return Status::OutOfRange("unknown source");
   }
   PerSource& ps = state_[source_id];
+  // Permanent quarantine: an externally failed source never re-admits, and
+  // whatever it had in flight is gone with it.
   ps.alive = false;
-  if (ft_.enabled) {
-    // Permanent quarantine: an externally failed source never re-admits,
-    // and whatever it had in flight is gone with it.
-    ps.health = SourceHealth::kQuarantined;
-    ps.readmit_at = -1;
-    for (const Delivery& d : ps.inbox) {
-      stats_.records_lost += d.records - d.delivered;
-    }
-    ps.inbox.clear();
-    ps.retained.clear();
-    // A pending checkpoint recovery dies with the source: its replayable
-    // in-flight becomes genuine loss.
-    stats_.records_lost += ps.replay_outstanding;
-    ps.replay_outstanding = 0;
-    ps.ckpt_recover = false;
-    ps.trace.clear();
+  ps.health = SourceHealth::kQuarantined;
+  ps.readmit_at = -1;
+  for (const Delivery& d : ps.inbox) {
+    stats_.records_lost += d.records - d.delivered;
   }
+  ps.inbox.clear();
+  ps.retained.clear();
+  // A pending checkpoint recovery dies with the source: its replayable
+  // in-flight becomes genuine loss.
+  stats_.records_lost += ps.replay_outstanding;
+  ps.replay_outstanding = 0;
+  ps.ckpt_recover = false;
+  ps.trace.clear();
   // Remove its watermark input so surviving sources' windows are not held
   // open forever.
   return sp_->RemoveSource(source_id);
@@ -339,15 +181,13 @@ Status BuildingBlock::FailSource(size_t source_id) {
 
 Result<size_t> BuildingBlock::AddSource(SourceSpec spec) {
   JARVIS_RETURN_IF_ERROR(init_status_);
-  if (ft_.enabled) {
-    // Growing sources_/state_ reallocates vectors an in-flight epoch task
-    // still indexes into; only the barrier (all envelopes collected)
-    // guarantees quiescence on the fault-tolerant path.
-    for (const PerSource& ps : state_) {
-      if (ps.outstanding) {
-        return Status::FailedPrecondition(
-            "cannot add a source while an epoch task is still in flight");
-      }
+  // Growing sources_/state_ reallocates vectors an in-flight epoch task
+  // still indexes into; only the barrier (all envelopes collected)
+  // guarantees quiescence.
+  for (const PerSource& ps : state_) {
+    if (ps.outstanding) {
+      return Status::FailedPrecondition(
+          "cannot add a source while an epoch task is still in flight");
     }
   }
   PerSource ps;
@@ -369,41 +209,38 @@ Result<size_t> BuildingBlock::AddSource(SourceSpec spec) {
 
 Status BuildingBlock::Finish(stream::RecordBatch* results) {
   JARVIS_RETURN_IF_ERROR(init_status_);
-  if (ft_.enabled) {
-    // Land every straggling or stalled delivery before the final flush. A
-    // quarantined source's in-flight stays unconsumed (it is counted in
-    // records_in_flight, not lost — nothing forced its loss).
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      PerSource& ps = state_[s];
-      if (!ps.alive || ps.health == SourceHealth::kQuarantined) continue;
-      if (ps.outstanding) {
-        std::optional<EpochEnvelope> env = handoff_->TryTakeFor(
-            s,
-            std::chrono::milliseconds(std::max(1, ft_.take_deadline_ms) * 64));
-        if (!env.has_value()) continue;  // still wedged: give up on it
-        ps.outstanding = false;
-        JARVIS_RETURN_IF_ERROR(
-            ProcessEnvelope(s, ft_epoch_, std::move(*env), results));
-      }
-      JARVIS_RETURN_IF_ERROR(DeliverReleasable(
-          s, std::numeric_limits<int64_t>::max(), results));
+  // Land every straggling or stalled delivery before the final flush. A
+  // quarantined source's in-flight stays unconsumed (it is counted in
+  // records_in_flight, not lost — nothing forced its loss).
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    PerSource& ps = state_[s];
+    if (!ps.alive || ps.health == SourceHealth::kQuarantined) continue;
+    if (ps.outstanding) {
+      std::optional<EpochEnvelope> env = handoff_->TryTakeFor(
+          s, std::chrono::milliseconds(std::max(1, ft_.take_deadline_ms) * 64));
+      if (!env.has_value()) continue;  // still wedged: give up on it
+      ps.outstanding = false;
+      JARVIS_RETURN_IF_ERROR(
+          ProcessEnvelope(s, epoch_, std::move(*env), results));
     }
-    for (const auto& [qs, keep] : pending_quarantine_) {
-      ApplyQuarantine(qs, ft_epoch_, keep);
-    }
-    pending_quarantine_.clear();
-    // End-of-run recovery: a source still waiting out its checkpoint
-    // re-admission backoff recovers now — the final flush must not close
-    // windows missing records that replay can still deliver.
-    for (size_t s = 0; s < sources_.size(); ++s) {
-      PerSource& ps = state_[s];
-      if (!ps.alive || !ps.ckpt_recover) continue;
-      JARVIS_RETURN_IF_ERROR(RestoreAndReplay(s, ft_epoch_, results));
-      ps.health = SourceHealth::kHealthy;
-      ps.misses = 0;
-      ps.readmit_at = -1;
-      ++stats_.readmissions;
-    }
+    JARVIS_RETURN_IF_ERROR(
+        DeliverReleasable(s, std::numeric_limits<int64_t>::max(), results));
+  }
+  for (const auto& [qs, keep] : pending_quarantine_) {
+    ApplyQuarantine(qs, epoch_, keep);
+  }
+  pending_quarantine_.clear();
+  // End-of-run recovery: a source still waiting out its checkpoint
+  // re-admission backoff recovers now — the final flush must not close
+  // windows missing records that replay can still deliver.
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    PerSource& ps = state_[s];
+    if (!ps.alive || !ps.ckpt_recover) continue;
+    JARVIS_RETURN_IF_ERROR(RestoreAndReplay(s, epoch_, results));
+    ps.health = SourceHealth::kHealthy;
+    ps.misses = 0;
+    ps.readmit_at = -1;
+    ++stats_.readmissions;
   }
   const Micros far = now_ + Seconds(3600);
   for (size_t s = 0; s < sources_.size(); ++s) {
@@ -421,14 +258,76 @@ Status BuildingBlock::Finish(stream::RecordBatch* results) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-tolerant epoch path
+// The epoch loop
 // ---------------------------------------------------------------------------
 
-void BuildingBlock::RunSourceEpochFT(size_t s, int64_t epoch, Micros from,
-                                     Micros to, bool profile,
-                                     IngressDirective ing) {
+Status BuildingBlock::ProduceEpoch(size_t s, int64_t epoch, bool profile,
+                                   const IngressDirective& ing,
+                                   EpochEnvelope* env) {
+  const Micros from = static_cast<Micros>(epoch) * epoch_length_;
+  const Micros to = from + epoch_length_;
+  env->epoch = epoch;
+  // The overload directive decided at the last barrier governs this epoch:
+  // admission and deferral caps apply inside RunEpoch, the drain cap right
+  // after it — no cross-thread controller access.
+  sources_[s]->SetIngressLimits({ing.admit_cap, ing.defer_cap});
+  sources_[s]->Ingest(GenerateShaped(s, from, to));
+  JARVIS_ASSIGN_OR_RETURN(SourceEpochOutput out,
+                          sources_[s]->RunEpoch(to, profile));
+  if (ing.drain_cap != IngressDirective::kUnlimited) {
+    env->shed_drain = ShedDrainChunks(ing.drain_cap, &out, &env->chunks_shed);
+  }
+  env->watermark = out.watermark;
+  env->records = out.DrainedRecords();
+  env->shed = out.ingress_shed;
+  env->sample.offered = out.ingress_offered;
+  env->sample.admitted = out.ingress_admitted;
+  env->sample.deferred = out.ingress_deferred;
+  env->sample.shed = out.ingress_shed + env->shed_drain;
+  env->sample.drained = env->records;
+  // Pending = deferred ingress plus records parked in stage queues when the
+  // epoch's CPU budget ran out — the budget-starvation half of the backlog,
+  // which admission caps alone cannot see.
+  env->sample.pending = sources_[s]->buffered_input();
+  for (const ProxyObservation& po : out.observation.proxies) {
+    env->sample.pending += po.pending;
+  }
+  const bool profiled = out.observation.profiles_valid;
+  WireByteProfile wire_profile;
+  env->wire = SerializeDrain(&out, &state_[s].next_seq, wire_codec_,
+                             profiled ? &wire_profile : nullptr);
+  // Checkpoint barriers append the sealed state frame as the epoch's last
+  // wire frame — before the pristine copy (so it is retransmittable) and
+  // before the injector's pass (so faults get a shot at it like any frame).
+  CkptFrameOut ck;
+  JARVIS_RETURN_IF_ERROR(
+      MaybeBuildCheckpointFrame(s, epoch, &state_[s].next_seq, &ck));
+  if (ck.emitted) {
+    env->ckpt_fence = ck.fence;
+    env->ckpt_bytes = ck.frame.bytes.size();
+    env->wire.wire_bytes += ck.frame.bytes.size();
+    ++env->wire.frame_count;
+    env->wire.frames.push_back(std::move(ck.frame));
+  }
+  // Fold the measured wire bytes (checkpoint frame included) into this
+  // epoch's profiles before the adaptation decision sees them: the LP's
+  // bandwidth term prices the frames that actually ship.
+  FoldWireRatios(wire_profile, env->ckpt_bytes, &out.observation);
+  // Degrade before dropping: overload pressure inflates the LP's bandwidth
+  // price, so a profiling epoch under pressure re-plans toward the source
+  // before (or while) the shedder fires.
+  if (ing.pressure > 0.0 && out.observation.profiles_valid) {
+    for (OperatorProfile& p : out.observation.profiles) {
+      p.pressure = ing.pressure;
+    }
+  }
+  env->observation = std::move(out.observation);
+  return Status::OK();
+}
+
+void BuildingBlock::RunSourceTask(size_t s, int64_t epoch, bool profile,
+                                  IngressDirective ing) {
   EpochEnvelope env;
-  env.epoch = epoch;
   if (injector_ && injector_->ShouldCrash(s, epoch)) {
     // The epoch task dies before producing anything: no ingest, no drain,
     // no decision — the generator's records for this interval are gone.
@@ -436,100 +335,34 @@ void BuildingBlock::RunSourceEpochFT(size_t s, int64_t epoch, Micros from,
     handoff_->Put(s, std::move(env));
     return;
   }
-  // The overload directive decided at the last barrier governs this epoch:
-  // admission and deferral caps apply inside RunEpoch, the drain cap right
-  // after it, all on this task — no cross-thread controller access.
-  sources_[s]->SetIngressLimits({ing.admit_cap, ing.defer_cap});
-  sources_[s]->Ingest(GenerateShaped(s, from, to));
-  Result<SourceEpochOutput> out = sources_[s]->RunEpoch(to, profile);
-  if (!out.ok()) {
-    env.status = out.status();
-    handoff_->Put(s, std::move(env));
-    return;
-  }
-  if (ing.drain_cap != IngressDirective::kUnlimited) {
-    env.shed_drain = ShedDrainChunks(ing.drain_cap, &*out, &env.chunks_shed);
-  }
-  env.watermark = out->watermark;
-  env.records = out->DrainedRecords();
-  env.shed = out->ingress_shed;
-  env.sample.offered = out->ingress_offered;
-  env.sample.admitted = out->ingress_admitted;
-  env.sample.deferred = out->ingress_deferred;
-  env.sample.shed = out->ingress_shed + env.shed_drain;
-  env.sample.drained = env.records;
-  // Pending = deferred ingress plus records parked in stage queues when the
-  // epoch's CPU budget ran out — the budget-starvation half of the backlog,
-  // which admission caps alone cannot see.
-  env.sample.pending = sources_[s]->buffered_input();
-  for (const ProxyObservation& po : out->observation.proxies) {
-    env.sample.pending += po.pending;
-  }
-  const bool profiled = out->observation.profiles_valid;
-  WireByteProfile wire_profile;
-  env.wire = SerializeDrain(&*out, &state_[s].next_seq, wire_codec_,
-                            profiled ? &wire_profile : nullptr);
-  // Checkpoint barriers append the sealed state frame as the epoch's last
-  // wire frame — before the pristine copy (so it is retransmittable) and
-  // before the injector's pass (so faults get a shot at it like any frame).
-  {
-    CkptFrameOut ck;
-    Status cst = MaybeBuildCheckpointFrame(s, epoch, &state_[s].next_seq, &ck);
-    if (!cst.ok()) {
-      env.status = cst;
-      handoff_->Put(s, std::move(env));
-      return;
+  env.status = ProduceEpoch(s, epoch, profile, ing, &env);
+  if (env.status.ok()) {
+    // The retransmit buffer travels in the envelope: the consumer owns the
+    // retained copies outright, so a late (straggling) Put never races the
+    // consumer's NACK handling.
+    env.pristine = env.wire.frames;
+    if (injector_) {
+      env.late = injector_->StraggleEpochs(s, epoch);
+      injector_->TamperTransmission(s, epoch, &env.wire);
     }
-    if (ck.emitted) {
-      env.ckpt_fence = ck.fence;
-      env.ckpt_bytes = ck.frame.bytes.size();
-      env.wire.wire_bytes += ck.frame.bytes.size();
-      ++env.wire.frame_count;
-      env.wire.frames.push_back(std::move(ck.frame));
+    JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(env.observation);
+    sources_[s]->SetLoadFactors(d.load_factors);
+    if (d.flush_pending) sources_[s]->RequestFlush();
+    env.profile_next = d.request_profile;
+    if (CkptInterval() > 0) {
+      // Entry conditions of the *next* epoch, bound for the decision trace
+      // so crash replay reproduces the original frame boundaries bit-exactly.
+      env.decided_lfs = std::move(d.load_factors);
+      env.decided_flush = d.flush_pending;
     }
-  }
-  // Fold the measured wire bytes (checkpoint frame included) into this
-  // epoch's profiles before the adaptation decision sees them: the LP's
-  // bandwidth term prices the frames that actually ship.
-  FoldWireRatios(wire_profile, env.ckpt_bytes, &out->observation);
-  // Degrade before dropping: overload pressure inflates the LP's bandwidth
-  // price, so a profiling epoch under pressure re-plans toward the source
-  // before (or while) the shedder fires.
-  if (ing.pressure > 0.0 && out->observation.profiles_valid) {
-    for (OperatorProfile& p : out->observation.profiles) {
-      p.pressure = ing.pressure;
-    }
-  }
-  // The retransmit buffer travels in the envelope: the consumer owns the
-  // retained copies outright, so a late (straggling) Put never races the
-  // consumer's NACK handling.
-  env.pristine = env.wire.frames;
-  if (injector_) {
-    env.late = injector_->StraggleEpochs(s, epoch);
-    injector_->TamperTransmission(s, epoch, &env.wire);
-  }
-  // The adaptation decision runs *before* the hand-off on this path:
-  // collecting the envelope then implies the task has nothing left to
-  // touch, which is what lets the detector skip the global barrier while a
-  // peer straggles.
-  JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(out->observation);
-  sources_[s]->SetLoadFactors(d.load_factors);
-  if (d.flush_pending) sources_[s]->RequestFlush();
-  env.profile_next = d.request_profile;
-  if (CkptInterval() > 0) {
-    // Entry conditions of the *next* epoch, bound for the decision trace so
-    // crash replay reproduces the original frame boundaries bit-exactly.
-    env.decided_lfs = std::move(d.load_factors);
-    env.decided_flush = d.flush_pending;
   }
   handoff_->Put(s, std::move(env));
 }
 
-Status BuildingBlock::RunEpochFaultTolerant(stream::RecordBatch* results) {
-  const Micros from = now_;
-  const Micros to = now_ + epoch_length_;
-  now_ = to;
-  const int64_t e = ft_epoch_++;
+Status BuildingBlock::RunEpoch(stream::RecordBatch* results) {
+  JARVIS_RETURN_IF_ERROR(init_status_);
+  now_ += epoch_length_;
+  const int64_t e = epoch_++;
 
   if (CkptInterval() > 0) {
     sp_->SetCheckpointRetain(static_cast<size_t>(std::max(1, CkptRetain())));
@@ -561,11 +394,11 @@ Status BuildingBlock::RunEpochFaultTolerant(stream::RecordBatch* results) {
     // controller state.
     const IngressDirective ing = ps.ingress_next;
     if (parallel) {
-      pool_->Submit(s, [this, s, e, from, to, profile, ing] {
-        RunSourceEpochFT(s, e, from, to, profile, ing);
+      pool_->Submit(s, [this, s, e, profile, ing] {
+        RunSourceTask(s, e, profile, ing);
       });
     } else {
-      RunSourceEpochFT(s, e, from, to, profile, ing);
+      RunSourceTask(s, e, profile, ing);
     }
   }
 
@@ -594,7 +427,7 @@ Status BuildingBlock::RunEpochFaultTolerant(stream::RecordBatch* results) {
     if (!st.ok()) continue;
     st = ProcessEnvelope(s, e, std::move(*env), results);
   }
-  // The epoch barrier runs only when every envelope was collected; the FT
+  // The epoch barrier runs only when every envelope was collected; the
   // tasks made all their side effects before the hand-off, so a collected
   // envelope means its task is effectively done and only a straggler's own
   // task can still be running when the barrier is skipped.
@@ -667,32 +500,18 @@ Status BuildingBlock::ProcessEnvelope(size_t s, int64_t e,
   }
   // A genuine pipeline error is a bug, not an injected fault — propagate.
   JARVIS_RETURN_IF_ERROR(env.status);
+  if (tap_) tap_(s, env.observation, env.watermark);
   ps.profile_next = env.profile_next;
   stats_.frames_sent += env.wire.frame_count;
   stats_.records_sent += env.records;
-  // Shed records are first-class: they count as sent and as shed, widening
-  // conservation to sent == delivered + lost + shed + in_flight. Crash
-  // replay re-runs already-counted epochs, so the fence records how far the
-  // books already go.
-  const uint64_t shed = env.shed + env.shed_drain;
-  stats_.records_sent += shed;
-  stats_.records_shed += shed;
-  if (overload_) {
-    OverloadStats& os = overload_->mutable_stats();
-    os.records_shed_ingress += env.shed;
-    os.records_shed_drain += env.shed_drain;
-    os.chunks_shed += env.chunks_shed;
-  }
-  if (env.epoch >= 0) {
-    ps.shed_counted_until = std::max(ps.shed_counted_until, env.epoch + 1);
-  }
+  BookShed(s, env);
   ps.sample = env.sample;
+  stats_.wire_bytes_sent += env.wire.wire_bytes;
+  if (env.ckpt_bytes > 0) {
+    ++stats_.checkpoints_emitted;
+    stats_.checkpoint_bytes += env.ckpt_bytes;
+  }
   if (CkptInterval() > 0) {
-    stats_.wire_bytes_sent += env.wire.wire_bytes;
-    if (env.ckpt_bytes > 0) {
-      ++stats_.checkpoints_emitted;
-      stats_.checkpoint_bytes += env.ckpt_bytes;
-    }
     // Decision trace entry for epoch e+1, and pruning below the oldest
     // restorable checkpoint — replay can never start before the ring base.
     TraceEntry t;
@@ -739,6 +558,25 @@ Status BuildingBlock::ProcessEnvelope(size_t s, int64_t e,
     return Status::OK();
   }
   return DeliverReleasable(s, e, results);
+}
+
+void BuildingBlock::BookShed(size_t s, const EpochEnvelope& env) {
+  PerSource& ps = state_[s];
+  // Shed records are first-class: they count as sent and as shed, widening
+  // conservation to sent == delivered + lost + shed + in_flight. Crash
+  // replay re-runs already-booked epochs, and re-sheds the same records
+  // (replay is bit-identical); the fence records how far the books go.
+  if (env.epoch < ps.shed_counted_until) return;
+  ps.shed_counted_until = env.epoch + 1;
+  const uint64_t shed = env.shed + env.shed_drain;
+  stats_.records_sent += shed;
+  stats_.records_shed += shed;
+  if (overload_) {
+    OverloadStats& os = overload_->mutable_stats();
+    os.records_shed_ingress += env.shed;
+    os.records_shed_drain += env.shed_drain;
+    os.chunks_shed += env.chunks_shed;
+  }
 }
 
 Status BuildingBlock::DeliverReleasable(size_t s, int64_t e,
@@ -1119,55 +957,12 @@ Status BuildingBlock::RestoreAndReplay(size_t s, int64_t e,
       profile = it->second.profile;
       ing = it->second.directive;
     }
-    sources_[s]->SetIngressLimits({ing.admit_cap, ing.defer_cap});
-    const Micros from = static_cast<Micros>(r) * epoch_length_;
-    const Micros to = from + epoch_length_;
-    sources_[s]->Ingest(GenerateShaped(s, from, to));
-    JARVIS_ASSIGN_OR_RETURN(SourceEpochOutput out,
-                            sources_[s]->RunEpoch(to, profile));
-    uint64_t shed_drain = 0;
-    uint64_t chunks_shed = 0;
-    if (ing.drain_cap != IngressDirective::kUnlimited) {
-      shed_drain = ShedDrainChunks(ing.drain_cap, &out, &chunks_shed);
-    }
-    // Epochs the original run already booked re-shed the same records
-    // (replay is bit-identical); only the crash window's shed is new money.
-    if (r >= ps.shed_counted_until) {
-      const uint64_t shed = out.ingress_shed + shed_drain;
-      stats_.records_sent += shed;
-      stats_.records_shed += shed;
-      if (overload_) {
-        OverloadStats& os = overload_->mutable_stats();
-        os.records_shed_ingress += out.ingress_shed;
-        os.records_shed_drain += shed_drain;
-        os.chunks_shed += chunks_shed;
-      }
-      ps.shed_counted_until = r + 1;
-    }
-    const Micros wm = out.watermark;
-    const bool profiled = out.observation.profiles_valid;
-    EpochObservation obs = out.observation;
-    WireByteProfile wire_profile;
-    WireDrain wire = SerializeDrain(&out, &ps.next_seq, wire_codec_,
-                                    profiled ? &wire_profile : nullptr);
-    CkptFrameOut ck;
-    JARVIS_RETURN_IF_ERROR(
-        MaybeBuildCheckpointFrame(s, r, &ps.next_seq, &ck));
-    uint64_t ckpt_bytes = 0;
-    if (ck.emitted) {
-      ckpt_bytes = ck.frame.bytes.size();
-      wire.frames.push_back(std::move(ck.frame));
-    }
-    // Same fold the live path applies: a replayed profiling epoch must feed
-    // the preserved runtime the exact observation the fault-free run saw,
-    // or the replayed decisions diverge.
-    FoldWireRatios(wire_profile, ckpt_bytes, &obs);
-    if (ing.pressure > 0.0 && obs.profiles_valid) {
-      for (OperatorProfile& p : obs.profiles) p.pressure = ing.pressure;
-    }
-    for (WireFrame& f : wire.frames) {
+    EpochEnvelope env;
+    JARVIS_RETURN_IF_ERROR(ProduceEpoch(s, r, profile, ing, &env));
+    BookShed(s, env);
+    for (WireFrame& f : env.wire.frames) {
       const bool resend = f.seq < ps.crash_next_seq;
-      const bool is_ckpt = ck.emitted && f.seq == ck.fence - 1;
+      const bool is_ckpt = env.ckpt_fence > 0 && f.seq + 1 == env.ckpt_fence;
       JARVIS_ASSIGN_OR_RETURN(FrameDisposition disp,
                               sp_->ConsumeFrame(s, f, results));
       switch (disp) {
@@ -1202,12 +997,12 @@ Status BuildingBlock::RestoreAndReplay(size_t s, int64_t e,
       }
       ps.retained.emplace(f.seq, std::move(f));
     }
-    sp_->ConsumeWatermark(s, wm);
+    sp_->ConsumeWatermark(s, env.watermark);
     if (ps.trace.find(r + 1) == ps.trace.end()) {
       // The original run never decided for epoch r+1 (it was dead): decide
       // now, exactly as the fault-free run would have, and extend the trace
       // so a later crash can replay through this window too.
-      JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(obs);
+      JarvisRuntime::Decision d = runtimes_[s]->OnEpochEnd(env.observation);
       sources_[s]->SetLoadFactors(d.load_factors);
       if (d.flush_pending) sources_[s]->RequestFlush();
       ps.profile_next = d.request_profile;

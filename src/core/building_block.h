@@ -30,12 +30,9 @@ enum class SourceHealth : uint8_t {
   kQuarantined = 2,
 };
 
-/// Knobs of the fault-tolerant epoch runtime (all detection and recovery is
+/// Fault-tolerance knobs of the epoch runtime (all detection and recovery is
 /// driven by these; nothing is wall-clock-random).
 struct FaultToleranceOptions {
-  /// Master switch: set by EnableFaultTolerance/SetFaultPlan or implicitly
-  /// by the JARVIS_FAULTS environment variable.
-  bool enabled = false;
   /// Retransmission bound per delivery: a frame that cannot be delivered
   /// within this many NACK rounds quarantines its source.
   int max_retransmits = 3;
@@ -79,7 +76,7 @@ struct FaultToleranceOptions {
   bool double_readmit_backoff = true;
 };
 
-/// Counters of everything the fault-tolerant runtime detected and did.
+/// Counters of everything the epoch runtime detected and did.
 /// Deterministic under scripted fault plans: part of the recovery
 /// fingerprint the chaos tests compare across thread counts.
 struct FaultStats {
@@ -128,17 +125,21 @@ struct FaultStats {
 /// object the query manager creates per query; examples and tests use it to
 /// avoid hand-wiring the epoch loop.
 ///
-/// Threading model: with `threads` == 1 every epoch runs the serial
-/// reference loop. With `threads` > 1 the sources run on an ExecPool — each
-/// source's generate + stage pipeline + drain is one task on its per-source
-/// queue — and hand their epoch outputs to the stream processor through a
-/// mutex-sharded channel. The SP consumes them on the caller's thread in
-/// ascending source order (the stable merge order), and one idle barrier per
-/// epoch keeps the adaptation round's boundary consistent. Because every
-/// source is deterministic in isolation (own generator, own RNG, own
-/// runtime) and the merge order is fixed, the multithreaded epoch is
-/// bit-identical to the serial loop — results, stats, observations, and
-/// wire bytes; the cross-thread equivalence fuzz suite asserts exactly this.
+/// Threading model: one epoch loop at every thread count. Each source's
+/// epoch — generate, stage pipeline, drain encode, checkpoint frame, and its
+/// runtime's adaptation decision — is one task on the source's ExecPool
+/// queue, run inline on the caller's thread when `threads` == 1 or there is
+/// one source. The task hands an envelope (sequenced, checksummed wire
+/// frames, the watermark, the observation) to the stream processor through a
+/// mutex-sharded channel; the SP verifies, acks and consumes the frames on
+/// the caller's thread in ascending source order (the stable merge order),
+/// and one idle barrier per epoch keeps the adaptation round's boundary
+/// consistent. Because every source is deterministic in isolation (own
+/// generator, own RNG, own runtime) and the merge order is fixed, results,
+/// stats, observations and wire bytes are bit-identical at every thread
+/// count; the cross-thread equivalence fuzz suite asserts exactly this. The
+/// failure detector, retransmission, checkpointing and overload control all
+/// ride this one loop.
 class BuildingBlock {
  public:
   struct SourceSpec {
@@ -152,8 +153,8 @@ class BuildingBlock {
   };
 
   /// `threads` < 0 (default) reads the JARVIS_THREADS environment variable
-  /// (unset -> 1, the serial loop; 0 -> all hardware threads); >= 0 is
-  /// explicit with the same convention.
+  /// (unset -> 1: every source's task runs inline on the caller's thread;
+  /// 0 -> all hardware threads); >= 0 is explicit with the same convention.
   BuildingBlock(const query::CompiledQuery& query,
                 std::vector<SourceSpec> sources,
                 RuntimeConfig runtime_config = RuntimeConfig(),
@@ -174,9 +175,10 @@ class BuildingBlock {
   Result<size_t> CheckpointSource(size_t source_id,
                                   stream::RecordBatch* results);
 
-  /// Simulates a data-source failure: the source stops contributing records
-  /// and its watermark is released so the stream processor can keep making
-  /// progress for the surviving sources.
+  /// Simulates a data-source failure as a permanent quarantine: the source
+  /// stops contributing records, never re-admits, whatever it had in flight
+  /// is lost, and its watermark is released so the stream processor keeps
+  /// making progress for the surviving sources.
   Status FailSource(size_t source_id);
 
   /// Adds a source mid-run (churn). It participates from the next epoch;
@@ -188,50 +190,46 @@ class BuildingBlock {
   /// End-of-run flush of all remaining state.
   Status Finish(stream::RecordBatch* results);
 
-  /// Test/diagnostic tap: called once per source per epoch with the epoch
-  /// output, on the consuming thread, immediately before the SP consumes it
-  /// (so calls are ordered by source id regardless of thread count). The
-  /// cross-thread equivalence suite uses this to compare drains, stats, and
-  /// observations across thread counts.
-  using EpochTap =
-      std::function<void(size_t source_id, const SourceEpochOutput& out)>;
+  /// Test/diagnostic tap: called once per source per collected epoch, on
+  /// the consuming thread as the envelope is booked, in ascending source
+  /// order (the same order at every thread count), with the epoch's
+  /// observation — profiles carrying the folded wire ratios — and its
+  /// watermark. Epochs a crash replay regenerates are not tapped. The epoch's
+  /// drained bytes reach SetWireTap as the SP accepts its frames. The
+  /// cross-thread equivalence suite compares both across thread counts.
+  using EpochTap = std::function<void(
+      size_t source_id, const EpochObservation& obs, Micros watermark)>;
   void SetEpochTap(EpochTap tap) { tap_ = std::move(tap); }
 
-  /// Switches RunEpoch onto the fault-tolerant path: drains travel the
-  /// checksummed wire format, the SP verifies and acks every frame, sources
-  /// retain serialized epochs for retransmission, and the failure detector
-  /// quarantines crashed/exhausted sources instead of wedging the epoch
-  /// barrier. Call before the first epoch.
-  void EnableFaultTolerance(FaultToleranceOptions opts) {
-    ft_ = opts;
-    ft_.enabled = true;
-  }
+  /// Sets the fault-tolerance knobs: retransmission bound, failure-detector
+  /// thresholds, re-admission backoff and checkpointing. Every block runs
+  /// the same checksummed, acked wire loop; these only tune how it detects
+  /// and recovers. Call before the first epoch.
+  void EnableFaultTolerance(FaultToleranceOptions opts) { ft_ = opts; }
 
-  /// Installs a scripted fault plan and enables fault tolerance. The
-  /// constructor installs one automatically when JARVIS_FAULTS is set.
+  /// Installs a scripted fault plan. The constructor installs one
+  /// automatically when JARVIS_FAULTS is set.
   void SetFaultPlan(FaultPlan plan) {
     injector_ = std::make_unique<FaultInjector>(std::move(plan));
-    ft_.enabled = true;
   }
 
   const FaultToleranceOptions& fault_tolerance() const { return ft_; }
   const FaultStats& fault_stats() const { return stats_; }
   SourceHealth health(size_t i) const { return state_[i].health; }
 
-  /// Switches the overload controller on (and with it the fault-tolerant
-  /// epoch path it rides on). Each epoch the controller samples per-source
-  /// pressure — offered load, deferred backlog, modeled SP inflow backlog —
-  /// and walks the escalation ladder steady -> throttled -> shedding ->
-  /// quarantined; directives apply from the *next* epoch, on the source's
-  /// own task, so threads 1 and 4 stay bit-identical. Call before the first
-  /// epoch. The constructor enables it automatically when JARVIS_OVERLOAD
-  /// is set.
+  /// Switches the overload controller on. Each epoch the controller samples
+  /// per-source pressure — offered load, deferred backlog, modeled SP inflow
+  /// backlog — and walks the escalation ladder steady -> throttled ->
+  /// shedding -> quarantined; directives apply from the *next* epoch, on the
+  /// source's own task, so threads 1 and 4 stay bit-identical. Call before
+  /// the first epoch. The constructor enables it automatically when
+  /// JARVIS_OVERLOAD is set.
   void EnableOverloadControl(OverloadOptions opts);
 
   /// Installs a scripted traffic plan (diurnal ramps, flash bursts, key-skew
   /// flips, leave churn) that reshapes every source's generated batches
   /// deterministically. The constructor installs one automatically when
-  /// JARVIS_TRAFFIC is set. Works on every epoch path, FT or not.
+  /// JARVIS_TRAFFIC is set.
   void SetTrafficPlan(TrafficPlan plan) {
     shaper_ = std::make_unique<TrafficShaper>(std::move(plan));
   }
@@ -248,9 +246,10 @@ class BuildingBlock {
   }
 
   /// Records queued for delivery but not yet consumed by the SP (straggling
-  /// or stalled epochs, quarantine-held inboxes). Conservation invariant the
-  /// chaos tests assert after the recovery fence:
-  ///   records_sent == records_delivered + records_lost + records_in_flight.
+  /// or stalled epochs, quarantine-held inboxes, crash replay pending).
+  /// Conservation invariant the chaos tests assert after the recovery fence:
+  ///   records_sent == records_delivered + records_lost + records_shed
+  ///                   + records_in_flight.
   uint64_t records_in_flight() const;
 
   /// Diagnostic tap over every wire frame the SP accepted (verification and
@@ -312,7 +311,7 @@ class BuildingBlock {
     SourceExecutorOptions options;
     bool profile_next = false;
     bool alive = true;
-    // --- fault-tolerant runtime state (consumer thread only, except
+    // --- failure-detector and wire state (consumer thread only, except
     // next_seq which the source's own serial task increments) ---
     SourceHealth health = SourceHealth::kHealthy;
     int misses = 0;            ///< consecutive missed/late epochs
@@ -320,11 +319,6 @@ class BuildingBlock {
     bool outstanding = false;  ///< task submitted, envelope not collected
     bool resync_on_readmit = false;  ///< in-flight history was discarded
     uint32_t next_seq = 0;     ///< task-side wire sequence counter
-    /// Input records of this source's most recent collected epoch, recorded
-    /// consumer-side: the tiny-source batching heuristic groups consecutive
-    /// near-empty sources into one pool task. UINT64_MAX until measured, so
-    /// the first epoch never groups on a guess.
-    uint64_t last_input_records = UINT64_MAX;
     /// Consumer-owned retransmit buffer: pristine copies of every frame not
     /// yet acked by the SP (ack == delivered, erased on delivery). With
     /// checkpointing on, delivery does not erase — frames are pruned below
@@ -359,16 +353,19 @@ class BuildingBlock {
     int64_t shed_counted_until = 0;
   };
 
+  /// What one source epoch hands the consumer: the drain as wire frames plus
+  /// everything the consumer books about it.
   struct EpochEnvelope {
     Status status;
-    SourceEpochOutput out;  // non-FT path payload
-    // --- FT path payload (the drain travels as wire frames instead) ---
     bool crashed = false;      ///< scripted crash: task died, no output
     int late = 0;              ///< scripted straggle: epochs of lateness
     WireDrain wire;            ///< possibly tampered in-flight copy
     std::vector<WireFrame> pristine;  ///< clean copies for retransmission
     Micros watermark = -1;
     uint64_t records = 0;
+    /// The epoch's observation, wire ratios folded in; the decision reads it
+    /// in place before the hand-off, and the EpochTap sees it after.
+    EpochObservation observation;
     bool profile_next = false;  ///< the decision, made before the hand-off
     // --- epoch-aligned checkpoint (interval barriers only) ---
     uint32_t ckpt_fence = 0;   ///< seq after the checkpoint frame; 0 = none
@@ -385,22 +382,6 @@ class BuildingBlock {
     PressureSample sample;     ///< pressure signals for the controller
   };
 
-  /// One source's epoch: generate, ingest, run the stage pipeline, hand the
-  /// output to the SP channel, then apply the runtime's decision. Everything
-  /// it touches is owned by source `s` except the hand-off.
-  void RunSourceEpoch(size_t s, Micros from, Micros to);
-
-  /// Bytes end to end on the default (non-FT) path: serializes the epoch's
-  /// drain chunks to wire frames with the configured codec and decodes the
-  /// frames back into `out`'s chunks, so the SP consumes exactly what the
-  /// wire carried. Runs on the source's epoch task — when threads > 1 the
-  /// pool workers double as decode workers, overlapping frame decode and
-  /// columnar decompression across sources while the SP consumes in
-  /// ascending source order. When `profile` is non-null the measured
-  /// modeled-vs-wire byte totals are accumulated (profiling epochs only).
-  Status RoundTripDrain(size_t s, SourceEpochOutput* out,
-                        WireByteProfile* profile);
-
   /// Folds one profiling epoch's measured wire bytes into the observation's
   /// operator profiles as wire_ratio multipliers — per-entry measured ratios
   /// where the entry shipped bytes, the drain-wide ratio elsewhere, all
@@ -409,18 +390,24 @@ class BuildingBlock {
   static void FoldWireRatios(const WireByteProfile& profile,
                              uint64_t ckpt_bytes, EpochObservation* obs);
 
-  Status RunEpochSerial(stream::RecordBatch* results);
-  Status RunEpochParallel(stream::RecordBatch* results);
-
-  // --- fault-tolerant epoch path ---
-  Status RunEpochFaultTolerant(stream::RecordBatch* results);
-  /// FT variant of RunSourceEpoch: serializes the drain to wire frames,
-  /// applies scripted transmission faults, and — unlike the non-FT path —
-  /// runs the adaptation decision *before* the hand-off, so a collected
-  /// envelope means the task has nothing left to touch and the detector may
-  /// skip the global barrier while a peer straggles.
-  void RunSourceEpochFT(size_t s, int64_t epoch, Micros from, Micros to,
-                        bool profile, IngressDirective ing);
+  /// The body of one source epoch, shared by the live task and crash replay
+  /// so the two cannot drift: shaped ingest under `ing`'s caps, the stage
+  /// pipeline, drain shed, drain encode, the checkpoint frame at checkpoint
+  /// barriers, the wire-ratio fold and the pressure price. Fills everything
+  /// in `env` but the fault and decision fields.
+  Status ProduceEpoch(size_t s, int64_t epoch, bool profile,
+                      const IngressDirective& ing, EpochEnvelope* env);
+  /// One source's epoch task: ProduceEpoch, the pristine retransmit copies,
+  /// scripted transmission faults, and the adaptation decision — all before
+  /// the hand-off, so a collected envelope means the task has nothing left
+  /// to touch and the detector may skip the global barrier while a peer
+  /// straggles. Everything it touches is owned by source `s` except the
+  /// hand-off.
+  void RunSourceTask(size_t s, int64_t epoch, bool profile,
+                     IngressDirective ing);
+  /// Books an envelope's shed records (sent and shed) unless an earlier run
+  /// of the same epoch already did: crash replay re-runs booked epochs.
+  void BookShed(size_t s, const EpochEnvelope& env);
   /// Books a collected envelope: retains pristine frames, queues the
   /// delivery, updates the failure detector, and delivers what is releasable.
   Status ProcessEnvelope(size_t s, int64_t epoch, EpochEnvelope&& env,
@@ -485,18 +472,18 @@ class BuildingBlock {
   Status init_status_;
   int threads_ = 1;
   EpochTap tap_;
-  // The executor kernel, created on first parallel epoch and kept across
-  // epochs; the sharded hand-off carries each source's epoch output (status
-  // + drain chunks) to the consuming thread.
+  // The executor kernel, created on the first epoch with threads > 1 and
+  // kept across epochs; the sharded hand-off carries each source's epoch
+  // envelope to the consuming thread.
   std::unique_ptr<ExecPool> pool_;
   std::unique_ptr<ShardedHandoff<EpochEnvelope>> handoff_;
 
-  // --- fault-tolerant runtime ---
+  // --- fault tolerance ---
   FaultToleranceOptions ft_;
   FaultStats stats_;
   std::unique_ptr<FaultInjector> injector_;
   WireTap wire_tap_;
-  int64_t ft_epoch_ = 0;  ///< epoch counter driving the fault script
+  int64_t epoch_ = 0;  ///< index of the next epoch (drives the fault script)
   /// JARVIS_CKPT_INTERVAL / JARVIS_CKPT_RETAIN, read once at construction
   /// (worker tasks consult CkptInterval() — no getenv off the main thread).
   int env_ckpt_interval_ = 0;

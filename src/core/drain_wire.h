@@ -148,14 +148,14 @@ Status DecodeFramePayload(const WireFrame& frame, const WireFrameHeader& hdr,
                           stream::RecordBatch* rows);
 
 /// Decodes one data frame back into a DrainChunk: columnar-lane payloads
-/// deserialize straight to column form (DeserializeColumnarBatch — the bulk
-/// path decode workers run), row-lane payloads to the rows lane. Checkpoint
-/// frames are rejected.
+/// deserialize straight to column form (DeserializeColumnarBatch), row-lane
+/// payloads to the rows lane. Checkpoint frames are rejected.
 Status DecodeDrainChunk(const WireFrame& frame, const WireFrameHeader& hdr,
                         DrainChunk* chunk, std::vector<uint8_t>* scratch);
 
 /// Decodes a whole epoch drain back into chunks (checkpoint frames are
-/// skipped): the receive half of the bytes-end-to-end default path.
+/// skipped), for callers that consume chunks rather than frames; the
+/// BuildingBlock's SP decodes frame by frame in SpExecutor::ConsumeFrame.
 Status DecodeDrain(const WireDrain& wire, std::vector<DrainChunk>* to_sp);
 
 /// Wire codec selection from the environment: JARVIS_WIRE_COMPRESS=1 (or

@@ -17,8 +17,8 @@ namespace jarvis::core {
 
 /// Resolves a thread-count knob: `requested` > 0 wins; `requested` == 0 means
 /// all hardware threads; `requested` < 0 reads the JARVIS_THREADS environment
-/// variable (same convention), defaulting to 1 — the serial reference loop —
-/// when unset or unparsable.
+/// variable (same convention), defaulting to 1 — tasks run inline on the
+/// caller's thread — when unset or unparsable.
 int ResolveThreads(int requested);
 
 /// The number of hardware threads, never less than 1.
@@ -195,8 +195,8 @@ class BoundedQueue {
 
 /// Mutex-sharded per-key hand-off of epoch outputs into the SP consumer: a
 /// producer Puts its key's value once per round, and the consumer Takes keys
-/// in a fixed order — the stable merge order that makes the multithreaded
-/// epoch bit-identical to the serial loop. Keys hash across independent
+/// in a fixed order — the stable merge order that makes the epoch
+/// bit-identical at every thread count. Keys hash across independent
 /// mutex shards so unrelated sources never contend.
 template <typename T>
 class ShardedHandoff {
@@ -209,7 +209,7 @@ class ShardedHandoff {
   /// anywhere between the idle barrier and the next round's submissions.
   void Reset(size_t num_keys) { slots_.assign(num_keys, std::nullopt); }
 
-  /// Empties one slot under its shard lock. The fault-tolerant epoch loop
+  /// Empties one slot under its shard lock. The BuildingBlock epoch loop
   /// uses this instead of the quiescent Reset: when a straggler's Put may
   /// still be in flight for *its* slot, the other slots can still be
   /// recycled safely one key at a time.

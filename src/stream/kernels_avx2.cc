@@ -384,43 +384,6 @@ size_t DeltaVarintEncodeAvx2(const int64_t* v, size_t n, uint64_t* prev,
   return w;
 }
 
-// Masked-VByte shuffle table for 8-byte windows whose varints are all one
-// or two bytes. The window's continuation-bit mask m is valid when no two
-// continuation bits are adjacent (every 2-byte varint terminates inside the
-// window) and bit 7 is clear (the window ends on a varint boundary). For a
-// valid mask, lane l of the pshufb control gathers varint l's first byte
-// into the low half and its second byte (or zero, via the 0x80 sentinel)
-// into the high half of a 16-bit lane.
-struct WideVarintTable {
-  alignas(16) uint8_t shuffle[256][16];
-  uint8_t count[256];  // decoded varints per window; 0 = invalid mask
-};
-
-constexpr WideVarintTable BuildWideVarintTable() {
-  WideVarintTable t{};
-  for (int m = 0; m < 256; ++m) {
-    for (int j = 0; j < 16; ++j) t.shuffle[m][j] = 0x80;
-    if ((m & (m << 1)) != 0 || (m & 0x80) != 0) {
-      t.count[m] = 0;
-      continue;
-    }
-    int lane = 0;
-    for (int j = 0; j < 8; ++lane) {
-      t.shuffle[m][2 * lane] = static_cast<uint8_t>(j);
-      if (m & (1 << j)) {
-        t.shuffle[m][2 * lane + 1] = static_cast<uint8_t>(j + 1);
-        j += 2;
-      } else {
-        j += 1;
-      }
-    }
-    t.count[m] = static_cast<uint8_t>(lane);
-  }
-  return t;
-}
-
-constexpr WideVarintTable kWideVarint = BuildWideVarintTable();
-
 size_t DeltaVarintDecodeAvx2(const uint8_t* in, size_t avail, size_t n,
                              uint64_t* prev, int64_t* out) {
   uint64_t p = *prev;
@@ -439,34 +402,6 @@ size_t DeltaVarintDecodeAvx2(const uint8_t* in, size_t avail, size_t n,
         }
         pos += 32;
         i += 32;
-        continue;
-      }
-    }
-    // Mixed one/two-byte stretches (coarser timestamps, jittery int64
-    // columns) decode eight bytes at a time: one shuffle splices each
-    // varint's bytes into a 16-bit lane, then the 7-bit halves recombine
-    // with two masks and a shift — no per-byte branching.
-    if (n - i >= 8 && avail - pos >= 8) {
-      const __m128i v8 =
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(in + pos));
-      const unsigned m = static_cast<unsigned>(_mm_movemask_epi8(v8)) & 0xFFu;
-      const size_t cnt = kWideVarint.count[m];
-      if (cnt != 0 && cnt <= n - i) {
-        const __m128i shuf = _mm_load_si128(
-            reinterpret_cast<const __m128i*>(kWideVarint.shuffle[m]));
-        const __m128i y = _mm_shuffle_epi8(v8, shuf);
-        const __m128i val =
-            _mm_or_si128(_mm_and_si128(y, _mm_set1_epi16(0x7f)),
-                         _mm_and_si128(_mm_srli_epi16(y, 1),
-                                       _mm_set1_epi16(0x3f80)));
-        alignas(16) uint16_t z[8];
-        _mm_store_si128(reinterpret_cast<__m128i*>(z), val);
-        for (size_t b = 0; b < cnt; ++b) {
-          p += static_cast<uint64_t>(ser::ZigZagDecode(z[b]));
-          out[i + b] = static_cast<int64_t>(p);
-        }
-        pos += 8;
-        i += cnt;
         continue;
       }
     }

@@ -826,19 +826,22 @@ TEST_P(BatchEquivalenceTest, NativeIngestToSpConsumeMatchesRowPlane) {
 // must be bit-identical — final results, per-epoch per-source drain wire
 // bytes, stats, and observations — across backpressure, flush, checkpoint,
 // and profile epochs. This is the multithreaded executor's determinism
-// contract (the serial loop is the reference semantics; the pool is purely
-// an execution strategy).
+// contract (threads=1 runs every source task inline and is the reference
+// semantics; the pool is purely an execution strategy).
 // ---------------------------------------------------------------------------
 
 /// One source-epoch fingerprint: everything the SP (and the control plane)
-/// sees from a source, with the drain chunks reduced to their exact wire
-/// bytes via the columnar/batch serializers.
+/// sees from a source. The EpochTap supplies the observation and the
+/// watermark; the WireTap folds in every frame the SP accepted for the
+/// epoch, both as delivered (codec-specific bytes) and as its decompressed
+/// payload (the same under every codec).
 struct EpochFingerprint {
   size_t source = 0;
-  uint64_t drained_bytes = 0;
   Micros watermark = 0;
-  uint64_t wire_hash = 0;
-  size_t chunks = 0;
+  uint64_t frames = 0;
+  uint64_t wire_bytes = 0;
+  uint64_t wire_hash = 14695981039346656037ull;     // frame bytes
+  uint64_t payload_hash = 14695981039346656037ull;  // routing + payload
   uint64_t input_records = 0;
   double cpu_spent_seconds = 0.0;
   uint64_t proxy_counts = 0;  // folded arrived/forwarded/drained counters
@@ -847,42 +850,62 @@ struct EpochFingerprint {
   bool operator==(const EpochFingerprint&) const = default;
 };
 
-uint64_t Fnv1a(const std::vector<uint8_t>& bytes, uint64_t h) {
-  for (const uint8_t b : bytes) {
-    h ^= b;
+uint64_t Fnv1a(const uint8_t* p, size_t n, uint64_t h) {
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
     h *= 1099511628211ull;
   }
   return h;
 }
 
-EpochFingerprint Fingerprint(size_t source,
-                             const core::SourceEpochOutput& out) {
+EpochFingerprint Fingerprint(size_t source, const core::EpochObservation& obs,
+                             Micros watermark) {
   EpochFingerprint fp;
   fp.source = source;
-  fp.drained_bytes = out.drained_bytes;
-  fp.watermark = out.watermark;
-  fp.chunks = out.to_sp.size();
-  uint64_t h = 14695981039346656037ull;
-  for (const core::DrainChunk& chunk : out.to_sp) {
-    ser::BufferWriter w;
-    w.PutU64(chunk.sp_entry_op);
-    if (chunk.columns.num_rows() > 0) SerializeColumnar(chunk.columns, &w);
-    // Empty schema: every row takes the divergent lane — still byte-exact
-    // and deterministic, which is all a fingerprint needs.
-    if (!chunk.rows.empty()) SerializeBatch(chunk.rows, Schema(), &w);
-    h = Fnv1a(w.data(), h);
-  }
-  fp.wire_hash = h;
-  fp.input_records = out.observation.input_records;
-  fp.cpu_spent_seconds = out.observation.cpu_spent_seconds;
-  for (const auto& p : out.observation.proxies) {
+  fp.watermark = watermark;
+  fp.input_records = obs.input_records;
+  fp.cpu_spent_seconds = obs.cpu_spent_seconds;
+  for (const auto& p : obs.proxies) {
     fp.proxy_counts = fp.proxy_counts * 1000003 + p.arrived;
     fp.proxy_counts = fp.proxy_counts * 1000003 + p.forwarded;
     fp.proxy_counts = fp.proxy_counts * 1000003 + p.drained;
     fp.proxy_counts = fp.proxy_counts * 1000003 + p.pending;
   }
-  fp.profiles_valid = out.observation.profiles_valid;
+  fp.profiles_valid = obs.profiles_valid;
   return fp;
+}
+
+/// Folds one accepted frame into its epoch's fingerprint.
+void FoldFrame(const std::vector<uint8_t>& bytes, EpochFingerprint* fp) {
+  ++fp->frames;
+  fp->wire_bytes += bytes.size();
+  fp->wire_hash = Fnv1a(bytes.data(), bytes.size(), fp->wire_hash);
+  core::WireFrame frame;
+  frame.bytes = bytes;
+  auto hdr = core::PeekFrameHeader(frame);
+  ASSERT_TRUE(hdr.ok()) << hdr.status().ToString();
+  std::vector<uint8_t> scratch;
+  auto payload = core::FramePayload(frame, *hdr, &scratch);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  const uint8_t route[] = {static_cast<uint8_t>(hdr->entry_op),
+                           static_cast<uint8_t>(hdr->lane)};
+  fp->payload_hash = Fnv1a(route, sizeof(route), fp->payload_hash);
+  fp->payload_hash =
+      Fnv1a(payload->first, payload->second, fp->payload_hash);
+}
+
+/// The fingerprint without its codec-specific fields: what must match
+/// between a compressed and an uncompressed run.
+EpochFingerprint CodecFree(EpochFingerprint fp) {
+  fp.wire_bytes = 0;
+  fp.wire_hash = 0;
+  return fp;
+}
+
+uint64_t TotalFrames(const std::vector<EpochFingerprint>& trace) {
+  uint64_t n = 0;
+  for (const EpochFingerprint& fp : trace) n += fp.frames;
+  return n;
 }
 
 core::BuildingBlock::SourceSpec PingmeshSpec(uint64_t seed, int pairs,
@@ -929,8 +952,17 @@ RecordBatch RunWorkloadAt(int threads, uint64_t seed, size_t num_sources,
   // Pin the codec explicitly so the test means the same thing whether or
   // not the environment (CI's compression-on leg) sets JARVIS_WIRE_COMPRESS.
   block.SetWireCodec(core::WireCodecOptions{.compress = compress});
-  block.SetEpochTap([trace](size_t source, const core::SourceEpochOutput& o) {
-    trace->push_back(Fingerprint(source, o));
+  block.SetEpochTap([trace](size_t source, const core::EpochObservation& obs,
+                            Micros watermark) {
+    trace->push_back(Fingerprint(source, obs, watermark));
+  });
+  // Every frame is delivered right after its epoch is tapped, so it folds
+  // into the newest fingerprint.
+  block.SetWireTap([trace](size_t source, uint32_t,
+                           const std::vector<uint8_t>& bytes) {
+    ASSERT_FALSE(trace->empty());
+    ASSERT_EQ(trace->back().source, source);
+    FoldFrame(bytes, &trace->back());
   });
   RecordBatch results;
   for (int e = 0; e < epochs; ++e) {
@@ -952,6 +984,7 @@ TEST_P(BatchEquivalenceTest, CrossThreadRunsAreBitIdentical) {
   const RecordBatch ref =
       RunWorkloadAt(1, seed, num_sources, epochs, &ref_trace);
   ASSERT_FALSE(ref_trace.empty());
+  ASSERT_GT(TotalFrames(ref_trace), 0u);
 
   std::vector<int> thread_counts = {2, 4};
   const int hw = core::HardwareThreads();
@@ -971,10 +1004,11 @@ TEST_P(BatchEquivalenceTest, CrossThreadRunsAreBitIdentical) {
 }
 
 /// The bytes-path determinism contract under compression: LZ4-compressed
-/// drains at threads=1 and threads=N are bit-identical to each other AND to
-/// the uncompressed run — the fingerprint re-serializes the decoded chunks,
-/// so any codec-induced difference in what the SP consumed would surface as
-/// a wire-hash mismatch.
+/// drains at threads=1 and threads=N are bit-identical to each other, and
+/// match the uncompressed run in everything but the frame bytes — the
+/// fingerprint hashes each frame's decompressed payload, so any
+/// codec-induced difference in what the SP consumed would surface as a
+/// payload-hash mismatch.
 TEST_P(BatchEquivalenceTest, CompressedWireCrossThreadRunsAreBitIdentical) {
   const uint64_t seed = GetParam();
   const size_t num_sources = 3 + seed % 3;
@@ -989,9 +1023,12 @@ TEST_P(BatchEquivalenceTest, CompressedWireCrossThreadRunsAreBitIdentical) {
       RunWorkloadAt(1, seed, num_sources, epochs, &ref_trace,
                     /*compress=*/true);
   EXPECT_EQ(ref, plain) << "compression changed the consumed records";
+  ASSERT_FALSE(ref_trace.empty());
+  ASSERT_GT(TotalFrames(ref_trace), 0u);
   ASSERT_EQ(ref_trace.size(), plain_trace.size());
   for (size_t i = 0; i < ref_trace.size(); ++i) {
-    EXPECT_EQ(ref_trace[i], plain_trace[i]) << "trace entry " << i;
+    EXPECT_EQ(CodecFree(ref_trace[i]), CodecFree(plain_trace[i]))
+        << "trace entry " << i;
   }
 
   for (const int threads : {2, 4}) {

@@ -145,6 +145,28 @@ TEST(BuildingBlockTest, FailedSourceDoesNotBlockSurvivors) {
   EXPECT_GT(results.size(), before);
 }
 
+TEST(BuildingBlockTest, PlainBlockBooksItsWire) {
+  // No EnableFaultTolerance, no fault plan: the block still ships every
+  // drain as sequenced frames the SP acks, and the books balance.
+  query::CompiledQuery q = CompileS2S();
+  std::vector<BuildingBlock::SourceSpec> specs;
+  specs.push_back(MakeSpec(21, 0.4, 60));
+  specs.push_back(MakeSpec(22, 1.0, 60));
+  BuildingBlock block(q, std::move(specs));
+  ASSERT_TRUE(block.Init().ok());
+  stream::RecordBatch results;
+  for (int e = 0; e < 12; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
+  ASSERT_TRUE(block.Finish(&results).ok());
+  EXPECT_FALSE(results.empty());
+  const FaultStats& st = block.fault_stats();
+  EXPECT_GT(st.records_sent, 0u);
+  EXPECT_GT(st.frames_sent, 0u);
+  EXPECT_GT(st.wire_bytes_sent, 0u);
+  EXPECT_EQ(st.retransmits, 0u);
+  EXPECT_EQ(st.records_sent, st.records_delivered + st.records_lost +
+                                 st.records_shed + block.records_in_flight());
+}
+
 TEST(BuildingBlockTest, InvalidSourceIdsRejected) {
   query::CompiledQuery q = CompileS2S();
   std::vector<BuildingBlock::SourceSpec> specs;

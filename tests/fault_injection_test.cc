@@ -265,6 +265,9 @@ TEST(FaultInjectionTest, CrashQuarantinesReplansAndReadmits) {
   const query::CompiledQuery q = CompileS2S();
   FaultToleranceOptions opts;
   opts.readmit_after_epochs = 2;
+  // The lossy contract (re-plan on quarantine) is what this asserts; with
+  // checkpoints on a crash replays instead (checkpoint_recovery_test).
+  opts.checkpoint_interval = -1;
   const int kEpochs = 12;
   const FaultRun run = RunWithPlan(q, "seed=3;crash@3:1", 1, kEpochs, opts);
   EXPECT_EQ(run.stats.crashes, 1u);
@@ -320,6 +323,9 @@ TEST(FaultInjectionTest, ExhaustedRetransmitsQuarantineThenRecover) {
   FaultToleranceOptions opts;
   opts.max_retransmits = 2;
   opts.readmit_after_epochs = 2;
+  // Loss is the checkpoints-off contract; with checkpoints on the epoch is
+  // replayed instead (checkpoint_recovery_test).
+  opts.checkpoint_interval = -1;
   // Flip budget of 10 outlasts the 2-retransmit bound: the epoch is
   // undeliverable and the source must be quarantined with loss.
   const FaultRun run = RunWithPlan(q, "seed=11;flip@3:1#0x10", 1, 12, opts);

@@ -295,8 +295,7 @@ TEST_P(KernelFuzzTest, DeltaVarintEncodeMatchesScalarAndCrossDecodes) {
     // Four flavors: near-monotone times (the one-byte fast path), mixed
     // magnitudes, full-range randoms (multi-byte varints), and coarse
     // deltas whose zigzags are almost all two bytes with one-byte values
-    // sprinkled in — the masked-VByte window's home turf, including every
-    // boundary mix of the two widths.
+    // sprinkled in, including every boundary mix of the two widths.
     const uint64_t flavor = rng.NextBounded(4);
     int64_t acc = FuzzI64(&rng, 0);
     for (size_t i = 0; i < n; ++i) {

@@ -244,14 +244,33 @@ Status BuildingBlock::Finish(stream::RecordBatch* results) {
   }
   const Micros far = now_ + Seconds(3600);
   for (size_t s = 0; s < sources_.size(); ++s) {
-    if (!state_[s].alive) continue;
-    if (state_[s].health == SourceHealth::kQuarantined) continue;
+    PerSource& ps = state_[s];
+    // A source whose task is still wedged keeps its executor and sequence
+    // counter: flushing it here would race that task.
+    if (!ps.alive || ps.health == SourceHealth::kQuarantined ||
+        ps.outstanding) {
+      continue;
+    }
     // Lift any standing ingress caps: the final flush must admit and drain
     // everything the throttle deferred — deferral is late, never lost.
     sources_[s]->SetIngressLimits(IngressLimits());
     JARVIS_ASSIGN_OR_RETURN(SourceEpochOutput out,
                             sources_[s]->RunEpoch(far, false));
-    JARVIS_RETURN_IF_ERROR(sp_->Consume(s, std::move(out), results));
+    // The flush ships and is booked like every epoch's drain: tapped as
+    // one more epoch, then sequenced frames, counted as sent and delivered
+    // and seen by the wire tap.
+    if (tap_) tap_(s, out.observation, out.watermark);
+    Delivery d;
+    d.release_epoch = epoch_;
+    d.watermark = out.watermark;
+    d.records = out.DrainedRecords();
+    d.wire = SerializeDrain(&out, &ps.next_seq, wire_codec_);
+    stats_.frames_sent += d.wire.frame_count;
+    stats_.records_sent += d.records;
+    stats_.wire_bytes_sent += d.wire.wire_bytes;
+    ps.inbox.push_back(std::move(d));
+    JARVIS_RETURN_IF_ERROR(
+        DeliverReleasable(s, std::numeric_limits<int64_t>::max(), results));
   }
   JARVIS_RETURN_IF_ERROR(sp_->EndEpoch(results));
   return sp_->Flush(results);

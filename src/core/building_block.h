@@ -187,16 +187,18 @@ class BuildingBlock {
   /// source id.
   Result<size_t> AddSource(SourceSpec spec);
 
-  /// End-of-run flush of all remaining state.
+  /// End-of-run flush of all remaining state. The flush drains over the
+  /// wire like an epoch: framed, delivered and booked in fault_stats().
   Status Finish(stream::RecordBatch* results);
 
   /// Test/diagnostic tap: called once per source per collected epoch, on
   /// the consuming thread as the envelope is booked, in ascending source
   /// order (the same order at every thread count), with the epoch's
   /// observation — profiles carrying the folded wire ratios — and its
-  /// watermark. Epochs a crash replay regenerates are not tapped. The epoch's
-  /// drained bytes reach SetWireTap as the SP accepts its frames. The
-  /// cross-thread equivalence suite compares both across thread counts.
+  /// watermark. Epochs a crash replay regenerates are not tapped; Finish's
+  /// final flush is tapped as one more epoch. The epoch's drained bytes
+  /// reach SetWireTap as the SP accepts its frames. The cross-thread
+  /// equivalence suite compares both across thread counts.
   using EpochTap = std::function<void(
       size_t source_id, const EpochObservation& obs, Micros watermark)>;
   void SetEpochTap(EpochTap tap) { tap_ = std::move(tap); }

@@ -1,11 +1,11 @@
 #ifndef JARVIS_STREAM_GROUP_AGGREGATE_H_
 #define JARVIS_STREAM_GROUP_AGGREGATE_H_
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "ser/buffer.h"
@@ -38,6 +38,9 @@ struct AggSpec {
 ///    raw accumulators (count/sum/min/max per agg) that the stream-processor
 ///    replica merges before finalizing. This is what makes data-level
 ///    partitioning lossless.
+/// Either way a closed window emits its groups sorted by encoded key (a type
+/// tag, then the little-endian value or the length-prefixed string bytes,
+/// compared as unsigned bytes), never in hash or insertion order.
 class GroupAggregateOp : public Operator {
  public:
   GroupAggregateOp(std::string name, const Schema& input_schema,
@@ -59,9 +62,10 @@ class GroupAggregateOp : public Operator {
   /// one columnar frame (SerializeColumnar) laid out like a kPartial row:
   /// one column per key field, then count/sum/min/max per aggregate.
   /// Restore rejects a section whose column types are not this operator's.
-  /// Delta tracking starts at the first export or restore — before that, a
-  /// delta degenerates to a full export, and non-checkpointed runs pay
-  /// nothing.
+  /// Sections list their groups in emission order. Delta tracking starts
+  /// at the first export or restore — before that, a delta degenerates to a
+  /// full export, and non-checkpointed runs pay only the per-group dirty
+  /// flag.
   Status ExportStateDelta(ser::BufferWriter* w, StateExport mode) override;
   Status RestoreState(ser::BufferReader* r) override;
 
@@ -96,35 +100,63 @@ class GroupAggregateOp : public Operator {
     static Acc FromPartial(const std::vector<Value>& fields, size_t at);
   };
 
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<Acc> accs;  // one per AggSpec
-    bool dirty = false;     // updated since the previous checkpoint export
-  };
+  /// One window's groups in flat storage. Group ids are dense, in creation
+  /// order. Each group's encoded key (AppendKeyValue's bytes) sits in one
+  /// arena, and its accumulators in one vector, aggs_.size() per group, so
+  /// creating a group allocates nothing beyond amortized growth. `slots` is
+  /// an open-addressing table (linear probing, at most half full) from key
+  /// hash to group id. Creation order is never observable: emission and
+  /// checkpoint sections sort ids by encoded key (SortByKey).
+  struct GroupTable {
+    static constexpr uint32_t kNoGroup = UINT32_MAX;
+    struct Slot {
+      uint32_t group = kNoGroup;
+      uint32_t hash = 0;
+    };
 
-  // window_start -> (encoded key -> group). std::map keeps window flush order
-  // deterministic; groups are emitted sorted by encoded key. The transparent
-  // comparator lets the hot path probe with a string_view over the reused
-  // key buffer, allocating only when a new group is created.
-  using GroupMap = std::map<std::string, Group, std::less<>>;
+    std::vector<Slot> slots;
+    std::vector<uint8_t> keys;        // encoded keys, back to back
+    std::vector<size_t> key_begin;    // per group: offset into keys
+    std::vector<Acc> accs;            // aggs_.size() per group
+    // Per group: updated since the previous checkpoint export. Restore
+    // clears the flag, so a group it overwrote can be listed twice in
+    // dirty_ids; writers skip ids whose flag they already cleared.
+    std::vector<uint8_t> dirty;
+    std::vector<uint32_t> dirty_ids;
+
+    size_t size() const { return key_begin.size(); }
+    std::string_view key(uint32_t g) const;
+    /// Id of the group whose encoded key is `key`, created (with `width`
+    /// zeroed accumulators) if absent.
+    uint32_t FindOrCreate(std::string_view key, size_t width);
+    /// Marks group `g` updated since the previous checkpoint export.
+    void Touch(uint32_t g) {
+      if (dirty[g]) return;
+      dirty[g] = 1;
+      dirty_ids.push_back(g);
+    }
+  };
 
   /// Per-record cursor the batch path threads through consecutive records:
   /// the window map is looked up once per run of same-window records, not
   /// once per record.
   struct WindowCursor {
     Micros window_start = -1;
-    GroupMap* groups = nullptr;
+    GroupTable* groups = nullptr;
   };
 
   Status UpdateFromData(const Record& rec, WindowCursor* cursor);
   Status MergeFromPartial(const Record& rec, WindowCursor* cursor);
-  void EmitWindow(Micros window_start, GroupMap& groups, RecordBatch* out);
+  /// Points `cursor` at `window_start`'s table, creating it if absent.
+  void SeekWindow(Micros window_start, WindowCursor* cursor);
+  Status EmitWindow(Micros window_start, const GroupTable& groups,
+                    RecordBatch* out);
 
   /// Appends one window's section ([zigzag window_start][varint len]
   /// [columnar frame]) to `w`: every group, or only the dirty ones. Clears
-  /// the dirty flag of each group it writes.
-  void WriteWindowSection(ser::BufferWriter* w, Micros window_start,
-                          GroupMap& groups, bool dirty_only);
+  /// every dirty flag and the dirty list.
+  Status WriteWindowSection(ser::BufferWriter* w, Micros window_start,
+                            GroupTable& groups, bool dirty_only);
   /// Overwrites (or creates) the groups of `window_start` with the rows of
   /// the decoded section in section_ (consuming them).
   Status RestoreWindowSection(Micros window_start);
@@ -135,19 +167,30 @@ class GroupAggregateOp : public Operator {
 
   /// Appends one key component's binary encoding to key_buf_.
   void AppendKeyValue(const Value& v);
-  /// View of key_buf_'s contents as the map probe key.
+  /// View of key_buf_'s contents as the table probe key.
   std::string_view EncodedKey() const;
-  /// Finds or creates the group for the key currently in key_buf_;
-  /// `make_keys` materializes the key column values only on first touch.
-  template <typename MakeKeys>
-  Group& FindOrCreateGroup(GroupMap& groups, MakeKeys&& make_keys);
+  /// Appends the key values encoded in `key` to `out`.
+  static Status DecodeKey(std::string_view key, std::vector<Value>* out);
+  /// Sorts `ids` by their groups' encoded keys: std::string order, so a
+  /// shorter key sorts before any key it prefixes.
+  void SortByKey(const GroupTable& groups, std::vector<uint32_t>* ids);
 
   std::vector<size_t> key_fields_;
   std::vector<AggSpec> aggs_;
   Micros window_width_;
   bool emit_partials_;
-  std::map<Micros, GroupMap> windows_;
+  // window_start -> groups; std::map keeps window flush order deterministic
+  // and its nodes stable under the cursor.
+  std::map<Micros, GroupTable> windows_;
   ser::BufferWriter key_buf_;  // reused across records; never shrinks
+  std::vector<uint32_t> ids_;  // reused sort order (emission and export)
+  struct SortKey {
+    uint64_t hi;  // key bytes [0, 8), big-endian
+    uint64_t lo;  // key bytes [8, 16)
+    uint32_t group;
+  };
+  std::vector<SortKey> sort_keys_;  // reused by SortByKey
+  std::vector<Value> key_values_;  // reused decoded key (export)
 
   // Checkpoint delta bookkeeping, active only once ExportStateDelta or
   // RestoreState has been called (no cost and no unbounded growth in

@@ -167,6 +167,47 @@ TEST(BuildingBlockTest, PlainBlockBooksItsWire) {
                                  st.records_shed + block.records_in_flight());
 }
 
+TEST(BuildingBlockTest, FinishBooksItsFlush) {
+  // Finish's final flush closes the windows still open at the sources. Their
+  // partial state ships as frames the wire tap sees, and it is booked like
+  // any epoch's drain.
+  query::CompiledQuery q = CompileS2S();
+  std::vector<BuildingBlock::SourceSpec> specs;
+  specs.push_back(MakeSpec(31, 1.0, 40));
+  specs.push_back(MakeSpec(32, 1.0, 40));
+  BuildingBlock block(q, std::move(specs));
+  ASSERT_TRUE(block.Init().ok());
+  uint64_t tapped_frames = 0;
+  uint64_t tapped_bytes = 0;
+  block.SetWireTap(
+      [&](size_t, uint32_t, const std::vector<uint8_t>& bytes) {
+        ++tapped_frames;
+        tapped_bytes += bytes.size();
+      });
+  stream::RecordBatch results;
+  // Window [10 s, 20 s) is still open after 15 epochs.
+  for (int e = 0; e < 15; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
+  const FaultStats before = block.fault_stats();
+  const uint64_t frames_before = tapped_frames;
+  const uint64_t bytes_before = tapped_bytes;
+  const size_t rows_before = results.size();
+  ASSERT_TRUE(block.Finish(&results).ok());
+  EXPECT_GT(results.size(), rows_before);
+
+  const FaultStats& st = block.fault_stats();
+  const uint64_t flush_frames = tapped_frames - frames_before;
+  EXPECT_GT(flush_frames, 0u);
+  EXPECT_EQ(st.frames_sent - before.frames_sent, flush_frames);
+  EXPECT_EQ(st.frames_delivered - before.frames_delivered, flush_frames);
+  EXPECT_EQ(st.wire_bytes_sent - before.wire_bytes_sent,
+            tapped_bytes - bytes_before);
+  EXPECT_GT(st.records_sent, before.records_sent);
+  EXPECT_EQ(st.records_delivered - before.records_delivered,
+            st.records_sent - before.records_sent);
+  EXPECT_EQ(st.records_sent, st.records_delivered + st.records_lost +
+                                 st.records_shed + block.records_in_flight());
+}
+
 TEST(BuildingBlockTest, InvalidSourceIdsRejected) {
   query::CompiledQuery q = CompileS2S();
   std::vector<BuildingBlock::SourceSpec> specs;

@@ -271,6 +271,9 @@ stream::Record PartialRow(Micros window_start, int64_t key, double v) {
 }
 
 TEST(OperatorStateTest, GroupAggregateDeltaLockstepFuzz) {
+  // Keys come from 4,096 values and batches run up to 48 records, so a
+  // window collects hundreds of groups and its table grows several times.
+  constexpr uint64_t kKeys = 4096;
   for (const uint64_t seed : FuzzSeeds()) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
     Rng rng(seed);
@@ -280,6 +283,16 @@ TEST(OperatorStateTest, GroupAggregateDeltaLockstepFuzz) {
         /*emit_partials=*/false);
     RecordBatch out;
     Micros wm = 0;
+    // Lockstep check: equal state encodes to equal keyframes. Nothing
+    // changed since the caller's last export, so this probe leaves the
+    // operator's delta baseline where it was.
+    auto expect_lockstep = [&](int step) {
+      ASSERT_EQ(replica->open_windows(), op.open_windows()) << "step " << step;
+      ser::BufferWriter mine, theirs;
+      ASSERT_TRUE(op.ExportStateDelta(&mine, StateExport::kFull).ok());
+      ASSERT_TRUE(replica->ExportStateDelta(&theirs, StateExport::kFull).ok());
+      ASSERT_EQ(mine.data(), theirs.data()) << "step " << step;
+    };
     for (int step = 0; step < 200; ++step) {
       const uint64_t action = rng.NextBounded(20);
       if (action < 12) {
@@ -287,12 +300,12 @@ TEST(OperatorStateTest, GroupAggregateDeltaLockstepFuzz) {
         // watermark's window, with an occasional late (reopening) record
         // and partial-state merge.
         RecordBatch batch;
-        const uint64_t n = 1 + rng.NextBounded(6);
+        const uint64_t n = 1 + rng.NextBounded(48);
         for (uint64_t i = 0; i < n; ++i) {
           Micros ws =
               wm + Seconds(10) * static_cast<Micros>(rng.NextBounded(3));
           if (wm > 0 && rng.NextBounded(8) == 0) ws = wm - Seconds(10);
-          const int64_t k = static_cast<int64_t>(rng.NextBounded(12));
+          const int64_t k = static_cast<int64_t>(rng.NextBounded(kKeys));
           const double v = static_cast<double>(rng.NextBounded(1000)) / 7.0;
           batch.push_back(rng.NextBounded(5) == 0
                               ? PartialRow(ws, k, v)
@@ -304,6 +317,38 @@ TEST(OperatorStateTest, GroupAggregateDeltaLockstepFuzz) {
         ASSERT_TRUE(op.OnWatermark(wm, &out).ok());
       } else if (action < 15) {
         ASSERT_TRUE(op.ExportPartialState(&out).ok());
+      } else if (action < 17) {
+        // Restore into a live window of the replica, over a group it has
+        // just updated itself, then update that group twice more. The
+        // replica's next delta, taken against what restore left, must equal
+        // the operator's byte for byte.
+        ser::BufferWriter sync;
+        ASSERT_TRUE(op.ExportStateDelta(&sync, StateExport::kDelta).ok());
+        Restore(sync, replica.get());
+        const Micros ws = wm + Seconds(10) *
+                                   static_cast<Micros>(rng.NextBounded(3));
+        const int64_t k = static_cast<int64_t>(rng.NextBounded(kKeys));
+        auto update_twice = [&] {
+          RecordBatch twice;
+          for (int i = 0; i < 2; ++i) {
+            const double v = static_cast<double>(rng.NextBounded(1000)) / 7.0;
+            twice.push_back(MakeWindowedRecord(ws + 1, ws, k, v));
+          }
+          RecordBatch copy = twice;
+          ASSERT_TRUE(op.ProcessBatch(std::move(twice), &out).ok());
+          ASSERT_TRUE(replica->ProcessBatch(std::move(copy), &out).ok());
+        };
+        update_twice();
+        ser::BufferWriter overwrite;
+        ASSERT_TRUE(op.ExportStateDelta(&overwrite, StateExport::kDelta).ok());
+        Restore(overwrite, replica.get());
+        update_twice();
+        ser::BufferWriter mine, theirs;
+        ASSERT_TRUE(op.ExportStateDelta(&mine, StateExport::kDelta).ok());
+        ASSERT_TRUE(
+            replica->ExportStateDelta(&theirs, StateExport::kDelta).ok());
+        ASSERT_EQ(mine.data(), theirs.data()) << "step " << step;
+        expect_lockstep(step);
       } else {
         const StateExport mode = rng.NextBounded(4) == 0 ? StateExport::kFull
                                                          : StateExport::kDelta;
@@ -316,16 +361,7 @@ TEST(OperatorStateTest, GroupAggregateDeltaLockstepFuzz) {
               /*emit_partials=*/false);
         }
         Restore(w, replica.get());
-        ASSERT_EQ(replica->open_windows(), op.open_windows())
-            << "step " << step;
-        // Lockstep check: equal state encodes to equal keyframes. Nothing
-        // changed since the export above, so this probe leaves the
-        // operator's delta baseline where it was.
-        ser::BufferWriter mine, theirs;
-        ASSERT_TRUE(op.ExportStateDelta(&mine, StateExport::kFull).ok());
-        ASSERT_TRUE(
-            replica->ExportStateDelta(&theirs, StateExport::kFull).ok());
-        ASSERT_EQ(mine.data(), theirs.data()) << "step " << step;
+        expect_lockstep(step);
       }
       out.clear();
     }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "stream/group_aggregate.h"
 #include "testing/test_util.h"
@@ -192,6 +195,135 @@ TEST(GroupAggregateTest, MultiKeyGrouping) {
   for (const Record& r : out) counts[r.str(1)] = r.i64(2);
   EXPECT_EQ(counts["x"], 2);
   EXPECT_EQ(counts["y"], 1);
+}
+
+TEST(GroupAggregateTest, NoAggregatesEmitsDistinctKeys) {
+  GroupAggregateOp op("g", InSchema(), {0}, {}, Seconds(10), false);
+  RecordBatch out;
+  for (const int64_t k : {3, 1, 3, 2, 1}) {
+    ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, k, 0.5), &out).ok());
+  }
+  ser::BufferWriter keyframe;
+  ASSERT_TRUE(op.ExportStateDelta(&keyframe, StateExport::kFull).ok());
+  ASSERT_TRUE(op.OnWatermark(Seconds(10), &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i].fields.size(), 1u);
+    EXPECT_EQ(out[i].i64(0), static_cast<int64_t>(i + 1));
+  }
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (uint8_t b : bytes) {
+    s += kDigits[b >> 4];
+    s += kDigits[b & 15];
+  }
+  return s;
+}
+
+// Groups leave the operator in encoded-key order: [type tag][little-endian
+// payload] for numbers, [tag][varint length][bytes] for strings, compared
+// as unsigned bytes with a shorter prefix first. That order is not value
+// order, so a table that iterates in hash or insertion order fails here:
+// 256 (00 01 ..) sorts before 1 (01 00 ..) and -1 (ff ff ..) last; "b"
+// (length 1) sorts before "ab" (length 2); 0.0 sorts before -0.0 (sign
+// bit in the last byte). The keyframe and delta bytes are pinned too.
+struct OrderCase {
+  ValueType type;
+  std::vector<Value> inserted;  // first-touch order
+  std::vector<Value> emitted;   // expected emission order
+  std::vector<Value> touched;   // updated again after the keyframe
+  const char* keyframe_hex;
+  const char* delta_hex;
+};
+
+TEST(GroupAggregateTest, EmitsGroupsInEncodedKeyOrder) {
+  const std::vector<OrderCase> cases = {
+      {ValueType::kInt64,
+       {Value(int64_t{-1}), Value(int64_t{255}), Value(int64_t{1}),
+        Value(int64_t{256})},
+       {Value(int64_t{256}), Value(int64_t{1}), Value(int64_t{255}),
+        Value(int64_t{-1})},
+       {Value(int64_t{-1}), Value(int64_t{1})},
+       "00010089010380000000f386275b04050000010101020480dac4090000000000"
+       "00008004fd03fc03ff0302000000000000000000104000000000000008400000"
+       "000000000040000000000000f03f000000000000104000000000000008400000"
+       "000000000040000000000000f03f000000000000104000000000000008400000"
+       "000000000040000000000000f03f",
+       "0001004d034400000017917c5602050000010101020280dac409000000020304"
+       "00000000000000224000000000000018400000000000000840000000000000f0"
+       "3f00000000000018400000000000001440"},
+      {ValueType::kString,
+       {Value(std::string("ab")), Value(std::string("b")),
+        Value(std::string("a"))},
+       {Value(std::string("a")), Value(std::string("b")),
+        Value(std::string("ab"))},
+       {Value(std::string("ab")), Value(std::string("a"))},
+       "0001006e03650000000a45ad6303050200010101020380dac409000000000000"
+       "0161016202616202000000000000000008400000000000000040000000000000"
+       "f03f00000000000008400000000000000040000000000000f03f000000000000"
+       "08400000000000000040000000000000f03f",
+       "00010051034800000076e1657802050200010101020280dac409000000000161"
+       "0261620400000000000000204000000000000014400000000000000840000000"
+       "000000f03f00000000000014400000000000001040"},
+      {ValueType::kDouble,
+       {Value(-0.0), Value(0.0)},
+       {Value(0.0), Value(-0.0)},
+       {Value(-0.0)},
+       "0001005b0352000000bdabf40f02050100010101020280dac409000000000000"
+       "0000000000000000000000008002000000000000000040000000000000f03f00"
+       "00000000000040000000000000f03f0000000000000040000000000000f03f",
+       "00010038032f000000c5e51c1701050100010101020180dac409000000000000"
+       "000080040000000000001040000000000000f03f0000000000000840"},
+  };
+  for (const OrderCase& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "key type " << static_cast<int>(c.type));
+    const Schema schema =
+        Schema::Of({{"k", c.type}, {"v", ValueType::kDouble}});
+    const std::vector<AggSpec> aggs = {{AggKind::kSum, 1, "sum"}};
+    auto row = [](const Value& key, double v) {
+      Record r;
+      r.event_time = 1;
+      r.window_start = 0;
+      r.fields = {key, Value(v)};
+      return r;
+    };
+    for (const bool partials : {false, true}) {
+      GroupAggregateOp op("g", schema, {0}, aggs, Seconds(10), partials);
+      RecordBatch sink;
+      double v = 1.0;
+      for (const Value& key : c.inserted) {
+        ASSERT_TRUE(op.Process(row(key, v++), &sink).ok());
+      }
+      ser::BufferWriter keyframe;
+      ASSERT_TRUE(op.ExportStateDelta(&keyframe, StateExport::kFull).ok());
+      for (const Value& key : c.touched) {
+        ASSERT_TRUE(op.Process(row(key, v++), &sink).ok());
+      }
+      ser::BufferWriter delta;
+      ASSERT_TRUE(op.ExportStateDelta(&delta, StateExport::kDelta).ok());
+      EXPECT_EQ(Hex(keyframe.data()), c.keyframe_hex);
+      EXPECT_EQ(Hex(delta.data()), c.delta_hex);
+
+      RecordBatch out;
+      ASSERT_TRUE(op.OnWatermark(Seconds(10), &out).ok());
+      ASSERT_EQ(out.size(), c.emitted.size());
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i].kind,
+                  partials ? RecordKind::kPartial : RecordKind::kData);
+        const Value& key = out[i].fields[0];
+        ASSERT_EQ(key, c.emitted[i]) << "row " << i;
+        if (c.type == ValueType::kDouble) {
+          EXPECT_EQ(std::signbit(std::get<double>(key)),
+                    std::signbit(std::get<double>(c.emitted[i])))
+              << "row " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(GroupAggregateTest, AggKindNames) {

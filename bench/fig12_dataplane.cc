@@ -8,32 +8,20 @@
 //   (c) wire format: per-record SerializeRecord/DeserializeRecord vs
 //       SerializeBatch/DeserializeBatch (MB/s of record-format payload
 //       bytes, so both paths are normalized to the same data volume)
-//   (d) columnar data plane: the row-batch pipeline + schema-elided wire
-//       format (the PR 2 configuration) vs the ColumnarBatch route —
-//       vectorized stateless operators with typed branch-free predicates,
-//       and true column-wise drain emission (delta varint int64 columns,
-//       RLE'd flags, dictionary strings)
-//   (e) native edges end to end: generator -> operators -> drain wire
-//   (f) kernel_micro: per-kernel GB/s of the reference scalar loops vs the
-//       dispatched SIMD kernel table (stream/kernels.h), followed by a
-//       re-run of sections (d)/(e) with JARVIS_SIMD forced to scalar
-//       ("_scalar"-suffixed rows), so one snapshot holds the data plane
-//       under both settings.
+//   (f) kernel_micro: GB/s of the reference scalar delta-varint codec vs
+//       the dispatched SIMD kernel table (stream/kernels.h), the step behind
+//       the columnar checkpoint sections' time and int64 columns.
 //   (g) wire_compress: the LZ4 drain wire (v5 compressed framing) — raw vs
-//       compressed bytes per record on numeric and log-text drains, codec
-//       throughput, and the measured wire ratios fed to the LP's bandwidth
-//       term.
+//       compressed bytes per record on numeric and log-text row-lane
+//       drains, codec throughput, and the measured wire ratios fed to the
+//       LP's bandwidth term.
 //
 // Output lines are machine-parseable ("op ...", "pipeline ...", "wire ...",
-// "columnar ...", "kernel ..."); scripts/run_benches.sh folds them into the
+// "kernel ..."); scripts/run_benches.sh folds them into the
 // BENCH_<label>.json snapshot.
 //
-// Usage: fig12_dataplane [--smoke] [--columnar] [--native] [--kernels]
-//                        [--wire]
+// Usage: fig12_dataplane [--smoke] [--kernels] [--wire]
 //   --smoke     1 tiny trial, for CI
-//   --columnar  run only section (d) (the CI columnar smoke step)
-//   --native    run only section (e) (the CI native-edge smoke step:
-//               generator -> columnar drain wire, no row materialization)
 //   --kernels   run only section (f)'s kernel micro rows (the CI kernel
 //               smoke step; honors JARVIS_SIMD for the dispatched column)
 //   --wire      run only section (g)'s wire_compress rows (the CI
@@ -54,15 +42,12 @@
 #include "core/building_block.h"
 #include "core/drain_wire.h"
 #include "query/compile.h"
-#include "query/query_builder.h"
 #include "ser/buffer.h"
-#include "stream/columnar.h"
 #include "stream/group_aggregate.h"
 #include "stream/join.h"
 #include "stream/kernels.h"
 #include "stream/ops.h"
 #include "stream/pipeline.h"
-#include "stream/predicate.h"
 #include "stream/record.h"
 #include "workloads/loganalytics.h"
 #include "workloads/pingmesh.h"
@@ -72,8 +57,6 @@ namespace {
 
 using namespace jarvis;
 using stream::AggKind;
-using stream::CmpOp;
-using stream::ColumnarBatch;
 using stream::FilterOp;
 using stream::GroupAggregateOp;
 using stream::JoinOp;
@@ -387,448 +370,14 @@ void BenchWireFormat(Rng* rng, const Config& cfg, const Schema& schema,
 }
 
 // ---------------------------------------------------------------------------
-// (d) columnar data plane
-// ---------------------------------------------------------------------------
-
-/// The PR 2 row-batch configuration of the stateless probe pipeline after
-/// filter fusion (the optimizer fuses adjacent filters, so compiled plans
-/// have one filter stage): std::function predicate, in-place batch stages.
-/// Selectivity ~56% (75% per conjunct), matching the typed pipeline exactly.
-std::unique_ptr<Pipeline> MakeRowProbePipeline() {
-  const Schema schema = ProbeSchema();
-  auto pipe = std::make_unique<Pipeline>();
-  pipe->Add(std::make_unique<WindowOp>("window", schema, Seconds(1)));
-  pipe->Add(std::make_unique<FilterOp>("filter", schema,
-                                       [](const Record& r) {
-                                         return r.i64(0) < 48 &&  // ~75%
-                                                r.f64(2) < 30.0;  // ~75%
-                                       }));
-  pipe->Add(std::make_unique<ProjectOp>("project", schema,
-                                        std::vector<size_t>{0, 1, 2}));
-  return pipe;
-}
-
-/// The same logical pipeline compiled from typed predicates: every stage has
-/// a native ColumnarBatch path (branch-free fused filter, column-swap
-/// project).
-std::unique_ptr<Pipeline> MakeColumnarProbePipeline() {
-  const Schema schema = ProbeSchema();
-  auto pipe = std::make_unique<Pipeline>();
-  pipe->Add(std::make_unique<WindowOp>("window", schema, Seconds(1)));
-  pipe->Add(std::make_unique<FilterOp>(
-      "filter", schema,
-      stream::PredAnd({stream::PredI64(0, CmpOp::kLt, 48),
-                       stream::PredF64(2, CmpOp::kLt, 30.0)})));
-  pipe->Add(std::make_unique<ProjectOp>("project", schema,
-                                        std::vector<size_t>{0, 1, 2}));
-  return pipe;
-}
-
-/// Row-batch route vs columnar route through the stateless pipeline,
-/// end-to-end from ingest to drain bytes (the path the columnar plane
-/// optimizes: operators plus wire emission, no row materialization between).
-///
-/// Two ingest configurations:
-///  - "stateless":        input arrives as rows (the batch data plane's
-///                        ingest format); the columnar side pays the
-///                        row->column conversion inside the timed region.
-///  - "stateless_native": each plane ingests its native representation of
-///                        the same records — the columnar plane's steady
-///                        state, where sources append metric columns
-///                        directly and stage queues stay columnar across
-///                        epochs (SourceExecutor's columnar mode), so no
-///                        conversion is on the path.
-void BenchColumnarPipeline(Rng* rng, const Config& cfg, const char* suffix) {
-  const Schema schema = ProbeSchema();
-  PathResult rows_born, native_born;
-  for (int t = 0; t < cfg.trials; ++t) {
-    RecordBatch input = MakeInput(rng, cfg.records, false);
-    RecordBatch input_copy = input;
-    RecordBatch input_copy2 = input;
-
-    // Row plane: PushBatch chunks + schema-elided batch serialization.
-    auto row_pipe = MakeRowProbePipeline();
-    row_pipe->SetByteAccounting(false);
-    const Schema out_schema = row_pipe->output_schema();
-    RecordBatch out;
-    out.reserve(cfg.batch_size);
-    ser::BufferWriter wire;
-    std::vector<RecordBatch> chunks = Slice(std::move(input), cfg.batch_size);
-    double t0 = NowSeconds();
-    for (RecordBatch& chunk : chunks) {
-      out.clear();
-      if (!row_pipe->PushBatch(std::move(chunk), &out).ok()) std::abort();
-      stream::SerializeBatch(out, out_schema, &wire);
-    }
-    const double row_s = NowSeconds() - t0;
-    rows_born.record_s = std::min(rows_born.record_s, row_s);
-    native_born.record_s = std::min(native_born.record_s, row_s);
-    const size_t row_wire_bytes = wire.size();
-    wire.Clear();
-
-    // Columnar plane, rows-born ingest: conversion in the timed region.
-    auto col_pipe = MakeColumnarProbePipeline();
-    col_pipe->SetByteAccounting(false);
-    if (!col_pipe->FullyColumnar()) std::abort();
-    std::vector<RecordBatch> col_chunks =
-        Slice(std::move(input_copy), cfg.batch_size);
-    ColumnarBatch cb(schema);
-    t0 = NowSeconds();
-    for (RecordBatch& chunk : col_chunks) {
-      cb.Reset(schema);
-      cb.AppendRows(std::move(chunk));
-      if (!col_pipe->PushColumnar(&cb).ok()) std::abort();
-      stream::SerializeColumnar(cb, &wire);
-    }
-    rows_born.batch_s = std::min(rows_born.batch_s, NowSeconds() - t0);
-    if (wire.size() >= row_wire_bytes) {  // drain must shrink
-      std::fprintf(stderr,
-                   "columnar drain regression: columnar wire %zu bytes >= "
-                   "batch wire %zu bytes\n",
-                   wire.size(), row_wire_bytes);
-      std::abort();
-    }
-    wire.Clear();
-
-    // Columnar plane, columnar-born ingest: batches pre-built outside the
-    // timed region, exactly as the row plane's chunks are.
-    auto col_pipe2 = MakeColumnarProbePipeline();
-    col_pipe2->SetByteAccounting(false);
-    std::vector<ColumnarBatch> native_chunks;
-    for (RecordBatch& chunk : Slice(std::move(input_copy2), cfg.batch_size)) {
-      native_chunks.push_back(
-          ColumnarBatch::FromRows(std::move(chunk), schema));
-    }
-    t0 = NowSeconds();
-    for (ColumnarBatch& chunk : native_chunks) {
-      if (!col_pipe2->PushColumnar(&chunk).ok()) std::abort();
-      stream::SerializeColumnar(chunk, &wire);
-    }
-    native_born.batch_s = std::min(native_born.batch_s, NowSeconds() - t0);
-    wire.Clear();
-
-    rows_born.records = cfg.records;
-    native_born.records = cfg.records;
-  }
-  const auto print_line = [&](const char* label, const PathResult& r) {
-    const double row_rps = static_cast<double>(r.records) / r.record_s;
-    const double col_rps = static_cast<double>(r.records) / r.batch_s;
-    std::printf(
-        "columnar pipeline %s%s batch_rps %.6g columnar_rps %.6g "
-        "speedup %.2f\n",
-        label, suffix, row_rps, col_rps, row_rps > 0 ? col_rps / row_rps : 0.0);
-  };
-  print_line("stateless", rows_born);
-  print_line("stateless_native", native_born);
-}
-
-/// Schema-elided batch wire format (PR 2) vs column-wise emission. The
-/// columnar side serializes from already-columnar batches — on the columnar
-/// plane the data reaches the drain in column form — and both sides decode
-/// back to rows (the stream processor consumes rows). Throughput is
-/// normalized to the batch-format byte volume so both paths divide the same
-/// numerator; bytes_per_record reports the actual per-format wire sizes.
-void BenchColumnarWire(Rng* rng, const Config& cfg, const Schema& schema,
-                       bool numeric, const char* suffix) {
-  double best_ser_bat = 0, best_ser_col = 0, best_de_bat = 0, best_de_col = 0;
-  size_t batch_wire_bytes = 0, col_wire_bytes = 0, total_records = 0;
-  for (int t = 0; t < cfg.trials; ++t) {
-    std::vector<RecordBatch> chunks =
-        Slice(numeric ? MakeNumericInput(rng, cfg.records)
-                      : MakeInput(rng, cfg.records, true),
-              cfg.batch_size);
-    std::vector<ColumnarBatch> col_chunks;
-    col_chunks.reserve(chunks.size());
-    for (const RecordBatch& chunk : chunks) {
-      RecordBatch copy = chunk;
-      col_chunks.push_back(ColumnarBatch::FromRows(std::move(copy), schema));
-    }
-    double ser_bat = 0, ser_col = 0, de_bat = 0, de_col = 0;
-    size_t bat_bytes = 0, col_bytes = 0;
-    ser::BufferWriter w_bat, w_col;
-    RecordBatch decoded;
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      const RecordBatch& chunk = chunks[c];
-      w_bat.Clear();
-      w_col.Clear();
-      const auto ser_batch_path = [&] {
-        const double t0 = NowSeconds();
-        stream::SerializeBatch(chunk, schema, &w_bat);
-        ser_bat += NowSeconds() - t0;
-      };
-      const auto ser_col_path = [&] {
-        const double t0 = NowSeconds();
-        if (stream::SerializeColumnar(col_chunks[c], &w_col) !=
-            w_col.size()) {
-          std::abort();
-        }
-        ser_col += NowSeconds() - t0;
-      };
-      // Alternate path order per chunk to cancel cache-warming bias.
-      if (c % 2 == 0) {
-        ser_batch_path();
-        ser_col_path();
-      } else {
-        ser_col_path();
-        ser_batch_path();
-      }
-      bat_bytes += w_bat.size();
-      col_bytes += w_col.size();
-
-      const auto de_batch_path = [&] {
-        const double t0 = NowSeconds();
-        ser::BufferReader r(w_bat.data());
-        if (!stream::DeserializeBatch(&r, &decoded).ok()) std::abort();
-        if (decoded.size() != chunk.size() || !r.AtEnd()) std::abort();
-        de_bat += NowSeconds() - t0;
-      };
-      const auto de_col_path = [&] {
-        const double t0 = NowSeconds();
-        ser::BufferReader r(w_col.data());
-        if (!stream::DeserializeColumnar(&r, &decoded).ok()) std::abort();
-        if (decoded.size() != chunk.size() || !r.AtEnd()) std::abort();
-        de_col += NowSeconds() - t0;
-      };
-      if (c % 2 == 0) {
-        de_batch_path();
-        de_col_path();
-      } else {
-        de_col_path();
-        de_batch_path();
-      }
-    }
-    const double mb = static_cast<double>(bat_bytes) / 1e6;
-    best_ser_bat = std::max(best_ser_bat, mb / ser_bat);
-    best_ser_col = std::max(best_ser_col, mb / ser_col);
-    best_de_bat = std::max(best_de_bat, mb / de_bat);
-    best_de_col = std::max(best_de_col, mb / de_col);
-    batch_wire_bytes += bat_bytes;
-    col_wire_bytes += col_bytes;
-    total_records += cfg.records;
-  }
-  std::printf(
-      "columnar wire serialize%s batch_mbps %.6g columnar_mbps %.6g "
-      "speedup %.2f\n",
-      suffix, best_ser_bat, best_ser_col, best_ser_col / best_ser_bat);
-  std::printf(
-      "columnar wire deserialize%s batch_mbps %.6g columnar_mbps %.6g "
-      "speedup %.2f\n",
-      suffix, best_de_bat, best_de_col, best_de_col / best_de_bat);
-  std::printf(
-      "columnar wire bytes_per_record%s batch %.2f columnar %.2f "
-      "ratio %.3f\n",
-      suffix, static_cast<double>(batch_wire_bytes) / total_records,
-      static_cast<double>(col_wire_bytes) / total_records,
-      static_cast<double>(col_wire_bytes) / batch_wire_bytes);
-}
-
-// ---------------------------------------------------------------------------
-// (e) native-edge end to end: generator -> operators -> drain wire
-// ---------------------------------------------------------------------------
-
-/// PR 3's row-form generation, reproduced directly (records constructed
-/// field-vector-at-a-time from the generator's ground-truth helpers, no
-/// columnar intermediate), so the rows-born baseline pays exactly what it
-/// paid before Generate became a wrapper over GenerateColumnar. Produces
-/// bit-identical records to Generate/GenerateColumnar.
-RecordBatch GenerateRowsDirect(const workloads::PingmeshGenerator& gen,
-                               Micros from, Micros to) {
-  const workloads::PingmeshConfig& c = gen.config();
-  RecordBatch batch;
-  Micros first = from - (from % c.probe_interval);
-  if (first < from) first += c.probe_interval;
-  for (Micros t = first; t < to; t += c.probe_interval) {
-    for (int64_t pair = 0; pair < c.num_pairs; ++pair) {
-      Record rec;
-      rec.event_time = t;
-      const int64_t dst_ip = c.source_ip + 1 + pair;
-      rec.fields = {Value(c.source_ip),
-                    Value(c.source_ip / 1000),
-                    Value(dst_ip),
-                    Value(dst_ip / 1000),
-                    Value(gen.ProbeRtt(pair, t)),
-                    Value(gen.ProbeError(pair, t) ? int64_t{1} : int64_t{0})};
-      batch.push_back(std::move(rec));
-    }
-  }
-  return batch;
-}
-
-/// The whole plane edge to edge, generation included in the timed region.
-///
-///  - Row path (the PR 3 rows-born configuration): direct row-record
-///    generation (GenerateRowsDirect, what PR 3's Generate did) ->
-///    row-batch pipeline (fused std::function filter) -> schema-elided
-///    batch wire format.
-///  - Native path: GenerateColumnar appends metric columns directly ->
-///    compiled columnar pipeline (typed filter; the optimizer's projection
-///    pushdown moves the projection to the front, so dead columns are gone
-///    before any operator) -> SerializeColumnar. No row record exists
-///    anywhere on this path.
-///
-/// Both paths see the identical probe stream (same generator config) and
-/// produce identical final records; wire bytes are reported per record.
-void BenchNativeEndToEnd(const Config& cfg, const char* suffix) {
-  using workloads::PingmeshGenerator;
-  const Schema schema = PingmeshGenerator::Schema();
-  workloads::PingmeshConfig pcfg;
-  pcfg.num_pairs = static_cast<int64_t>(cfg.batch_size);
-  pcfg.probe_interval = Seconds(1);
-  const size_t rounds = std::max<size_t>(2, cfg.records / cfg.batch_size);
-  const size_t total = rounds * cfg.batch_size;
-
-  // Row side: the logical query with the filter fused into one opaque
-  // predicate (what PR 3 compiled plans looked like on the row plane).
-  const auto make_row_pipe = [&] {
-    auto pipe = std::make_unique<Pipeline>();
-    pipe->Add(std::make_unique<WindowOp>("window", schema, Seconds(1)));
-    pipe->Add(std::make_unique<FilterOp>(
-        "filter", schema, [](const Record& r) {
-          return r.f64(PingmeshGenerator::kRttUs) < 1000.0;  // healthy rtts
-        }));
-    pipe->Add(std::make_unique<ProjectOp>(
-        "project", schema,
-        std::vector<size_t>{PingmeshGenerator::kSrcIp,
-                            PingmeshGenerator::kDstIp,
-                            PingmeshGenerator::kRttUs}));
-    return pipe;
-  };
-  // Native side: the same logical query through the optimizer. The filter
-  // references only a projected field, so the compiled plan is
-  // Project -> Window -> Filter with the predicate remapped.
-  const auto make_native_pipe = [&]() -> std::unique_ptr<Pipeline> {
-    query::QueryBuilder q(schema);
-    q.Window(Seconds(1));
-    q.FilterF64Cmp("rtt", CmpOp::kLt, 1000.0);
-    q.Project({"srcIp", "dstIp", "rtt"});
-    auto plan = q.Build();
-    if (!plan.ok()) std::abort();
-    auto compiled = query::Compile(std::move(plan).value());
-    if (!compiled.ok()) std::abort();
-    if (compiled->plan().plan.ops[0].kind != stream::OpKind::kProject) {
-      std::abort();  // pushdown must have fired
-    }
-    auto pipe = compiled->MakeSourcePipeline();
-    if (!pipe.ok() || !(*pipe)->FullyColumnar()) std::abort();
-    return std::move(pipe).value();
-  };
-
-  // The baseline generator must stay bit-identical to the real one.
-  {
-    workloads::PingmeshGenerator check(pcfg);
-    if (GenerateRowsDirect(check, 0, Seconds(1)) !=
-        check.Generate(0, Seconds(1))) {
-      std::abort();
-    }
-  }
-
-  PathResult res;
-  size_t row_wire_bytes = 0, native_wire_bytes = 0;
-  for (int t = 0; t < cfg.trials; ++t) {
-    workloads::PingmeshGenerator gen(pcfg);
-
-    auto row_pipe = make_row_pipe();
-    row_pipe->SetByteAccounting(false);
-    const Schema out_schema = row_pipe->output_schema();
-    RecordBatch out;
-    out.reserve(cfg.batch_size);
-    ser::BufferWriter wire;
-    double t0 = NowSeconds();
-    for (size_t r = 0; r < rounds; ++r) {
-      RecordBatch in =
-          GenerateRowsDirect(gen, Seconds(static_cast<int64_t>(r)),
-                             Seconds(static_cast<int64_t>(r + 1)));
-      out.clear();
-      if (!row_pipe->PushBatch(std::move(in), &out).ok()) std::abort();
-      stream::SerializeBatch(out, out_schema, &wire);
-    }
-    res.record_s = std::min(res.record_s, NowSeconds() - t0);
-    const size_t row_bytes = wire.size();
-    wire.Clear();
-
-    auto native_pipe = make_native_pipe();
-    native_pipe->SetByteAccounting(false);
-    ColumnarBatch cb(schema);
-    t0 = NowSeconds();
-    for (size_t r = 0; r < rounds; ++r) {
-      cb.Reset(schema);
-      gen.GenerateColumnar(Seconds(static_cast<int64_t>(r)),
-                           Seconds(static_cast<int64_t>(r + 1)), &cb);
-      if (!native_pipe->PushColumnar(&cb).ok()) std::abort();
-      stream::SerializeColumnar(cb, &wire);
-    }
-    res.batch_s = std::min(res.batch_s, NowSeconds() - t0);
-    if (wire.size() > row_bytes) {  // native drain must not grow the wire
-      std::fprintf(stderr,
-                   "native drain regression: columnar wire %zu bytes > "
-                   "batch wire %zu bytes\n",
-                   wire.size(), row_bytes);
-      std::abort();
-    }
-    row_wire_bytes += row_bytes;
-    native_wire_bytes += wire.size();
-    wire.Clear();
-    res.records = total;
-  }
-  const double row_rps = static_cast<double>(res.records) / res.record_s;
-  const double native_rps = static_cast<double>(res.records) / res.batch_s;
-  std::printf(
-      "columnar pipeline stateless_native_e2e%s batch_rps %.6g "
-      "columnar_rps %.6g speedup %.2f\n",
-      suffix, row_rps, native_rps, row_rps > 0 ? native_rps / row_rps : 0.0);
-  const double per_rec = static_cast<double>(cfg.trials) * res.records;
-  std::printf(
-      "columnar wire bytes_per_record_e2e%s batch %.2f columnar %.2f "
-      "ratio %.3f\n",
-      suffix, static_cast<double>(row_wire_bytes) / per_rec,
-      static_cast<double>(native_wire_bytes) / per_rec,
-      static_cast<double>(native_wire_bytes) /
-          static_cast<double>(row_wire_bytes));
-}
-
-void RunNativeSection(const Config& cfg, const char* suffix) {
-  std::printf(
-      "\n(e%s) native edges end to end (generator -> operators -> drain "
-      "wire)\n"
-      "    stateless_native_e2e: rows-born generate+PushBatch+"
-      "SerializeBatch\n"
-      "                          vs column-born GenerateColumnar+"
-      "PushColumnar+SerializeColumnar\n"
-      "                          (no row record anywhere on the native "
-      "path;\n"
-      "                          projection pushed down to the ingest "
-      "edge)\n",
-      suffix);
-  BenchNativeEndToEnd(cfg, suffix);
-}
-
-void RunColumnarSection(Rng* rng, const Config& cfg, const char* suffix) {
-  std::printf(
-      "\n(d%s) columnar data plane (row-batch route vs ColumnarBatch route,\n"
-      "    ingest -> operators -> drain bytes, fused-filter pipelines)\n"
-      "    stateless:        rows-born ingest; the columnar side pays the\n"
-      "                      row->column conversion in the timed region\n"
-      "    stateless_native: each plane ingests its native representation\n"
-      "                      (the columnar plane's steady state: sources\n"
-      "                      append metric columns, stage queues stay\n"
-      "                      columnar across epochs)\n"
-      "    wire:             schema-elided batch format vs column-wise\n"
-      "                      emission (MB/s of batch-format payload)\n",
-      suffix);
-  BenchColumnarPipeline(rng, cfg, suffix);
-  BenchColumnarWire(rng, cfg, NumericProbeSchema(), /*numeric=*/true, suffix);
-  BenchColumnarWire(rng, cfg, ProbeSchema(), /*numeric=*/false,
-                    (std::string("_str") + suffix).c_str());
-}
-
-// ---------------------------------------------------------------------------
 // (g) wire_compress: the LZ4 drain wire (v5 compressed framing)
 // ---------------------------------------------------------------------------
 
-/// One epoch drain holding `cb` as a single columnar chunk for SP entry 0.
-jarvis::core::SourceEpochOutput MakeDrain(ColumnarBatch&& cb) {
+/// One epoch drain holding `rows` as a single row-lane chunk for SP
+/// entry 0.
+jarvis::core::SourceEpochOutput MakeDrain(RecordBatch&& rows) {
   jarvis::core::SourceEpochOutput out;
-  out.AppendDrainColumns(0, std::move(cb));
+  out.AppendDrainRows(0, std::move(rows));
   return out;
 }
 
@@ -838,7 +387,7 @@ jarvis::core::SourceEpochOutput MakeDrain(ColumnarBatch&& cb) {
 /// flat-compared so the ratio can never come from dropping data.
 void BenchWireCompressConfig(
     const char* name, int rounds, const Config& cfg,
-    const std::function<ColumnarBatch(int)>& make_batch) {
+    const std::function<RecordBatch(int)>& make_batch) {
   namespace core = jarvis::core;
   uint64_t raw_bytes = 0, lz4_bytes = 0, records = 0;
   double best_enc_plain = 0, best_enc_lz4 = 0;
@@ -873,11 +422,9 @@ void BenchWireCompressConfig(
       dec_lz4_s += NowSeconds() - t0;
       RecordBatch rows_plain, rows_lz4;
       for (core::DrainChunk& c : out_plain) {
-        c.columns.MoveToRows(&rows_plain);
         MoveAppend(std::move(c.rows), &rows_plain);
       }
       for (core::DrainChunk& c : out_lz4) {
-        c.columns.MoveToRows(&rows_lz4);
         MoveAppend(std::move(c.rows), &rows_lz4);
       }
       if (rows_plain != rows_lz4) std::abort();  // codec must be lossless
@@ -964,32 +511,26 @@ void RunWireCompressSection(const Config& cfg) {
   const bool smoke = cfg.trials <= 1;
   const int rounds = smoke ? 2 : 8;
 
-  // Numeric probes: delta-varint int64 columns are already tight, so LZ4
-  // buys little — printed to show the honest small win, not cherry-picked.
+  // Numeric probes: the row lane's packed varint columns are already
+  // tight, so LZ4 buys less — printed to show the honest win.
   {
     workloads::PingmeshConfig pcfg;
     pcfg.num_pairs = static_cast<int64_t>(cfg.batch_size);
     pcfg.probe_interval = Seconds(1);
     auto gen = std::make_shared<workloads::PingmeshGenerator>(pcfg);
-    BenchWireCompressConfig(
-        "numeric", rounds, cfg, [gen](int r) {
-          ColumnarBatch cb(workloads::PingmeshGenerator::Schema());
-          gen->GenerateColumnar(Seconds(r), Seconds(r + 1), &cb);
-          return cb;
-        });
+    BenchWireCompressConfig("numeric", rounds, cfg, [gen](int r) {
+      return gen->Generate(Seconds(r), Seconds(r + 1));
+    });
   }
-  // LogAnalytics text lines: mostly-distinct templated strings defeat the
-  // v3 dictionary (kStrPlain), which is where the LZ4 layer earns its keep.
+  // LogAnalytics text lines: mostly-distinct templated strings, which is
+  // where the LZ4 layer earns its keep.
   {
     workloads::LogAnalyticsConfig lcfg;
     lcfg.lines_per_sec = smoke ? 500.0 : 2000.0;
     auto gen = std::make_shared<workloads::LogAnalyticsGenerator>(lcfg);
-    BenchWireCompressConfig(
-        "loganalytics_str", rounds, cfg, [gen](int r) {
-          ColumnarBatch cb(workloads::LogAnalyticsGenerator::Schema());
-          gen->GenerateColumnar(Seconds(r), Seconds(r + 1), &cb);
-          return cb;
-        });
+    BenchWireCompressConfig("loganalytics_str", rounds, cfg, [gen](int r) {
+      return gen->Generate(Seconds(r), Seconds(r + 1));
+    });
   }
   BenchLpWireRatio(cfg);
 }
@@ -1013,11 +554,11 @@ double BenchGbps(Fn&& fn, size_t bytes, int iters, int trials) {
   return best;
 }
 
-/// Per-kernel throughput of the scalar table vs the dispatched table over
-/// identical data plane-shaped inputs (one ~64K-element working set per
-/// kernel: ~50% selective compares, ~55% keep compaction, 95%-dense density
-/// bitmaps, near-monotone delta columns). All calls go through the table's
-/// function pointers, exactly as the data plane calls them.
+/// Throughput of the scalar table vs the dispatched table over identical
+/// inputs (one 64K-value working set: near-monotone deltas for the
+/// one-byte fast path, wide deltas for the byte-by-byte path). All calls
+/// go through the table's function pointers, exactly as the columnar
+/// encoder and decoder call them.
 void BenchKernels(const Config& cfg) {
   namespace kn = stream::kernels;
   const kn::KernelTable& sc = kn::Scalar();
@@ -1032,29 +573,11 @@ void BenchKernels(const Config& cfg) {
   const int trials = smoke ? 1 : cfg.trials;
   Rng rng(20220707);
 
-  std::vector<int64_t> i64s(n);
-  std::vector<double> f64s(n);
-  std::vector<uint8_t> sel_a(n), sel_b(n), keep(n), density(n), mask(n);
-  for (size_t i = 0; i < n; ++i) {
-    i64s[i] = static_cast<int64_t>(rng.NextBounded(1000));
-    f64s[i] = rng.NextDouble() * 1000.0;
-    sel_a[i] = rng.NextBernoulli(0.5) ? 1 : 0;
-    sel_b[i] = rng.NextBernoulli(0.5) ? 1 : 0;
-    keep[i] = rng.NextBernoulli(0.55) ? 1 : 0;
-    density[i] = rng.NextBernoulli(0.95) ? 1 : 0;
-  }
   std::vector<int64_t> times(n);
   int64_t t_acc = 0;
   for (size_t i = 0; i < n; ++i) {
     t_acc += static_cast<int64_t>(rng.NextBounded(50));
     times[i] = t_acc;
-  }
-  std::vector<uint8_t> sel_out(n);
-  std::vector<uint64_t> work64(n), pristine64(n);
-  for (size_t i = 0; i < n; ++i) pristine64[i] = rng.NextU64();
-  std::vector<uint8_t> work8(n), pristine8(n);
-  for (size_t i = 0; i < n; ++i) {
-    pristine8[i] = static_cast<uint8_t>(rng.NextBounded(256));
   }
   std::vector<uint8_t> enc(n * 10);
   uint64_t enc_prev = 0;
@@ -1069,48 +592,6 @@ void BenchKernels(const Config& cfg) {
                 name, s, d, s > 0 ? d / s : 0.0);
   };
 
-  row("cmp_fill_i64", n * 8, [&](const kn::KernelTable& k) {
-    return [&] {
-      k.cmp_fill_i64(i64s.data(), n, 500, stream::CmpOp::kLt, sel_out.data());
-    };
-  });
-  row("cmp_fill_f64", n * 8, [&](const kn::KernelTable& k) {
-    return [&] {
-      k.cmp_fill_f64(f64s.data(), n, 500.0, stream::CmpOp::kLt,
-                     sel_out.data());
-    };
-  });
-  row("sel_and", n, [&](const kn::KernelTable& k) {
-    return [&] {
-      std::memcpy(sel_out.data(), sel_a.data(), n);
-      k.sel_and(sel_out.data(), sel_b.data(), n);
-    };
-  });
-  row("sel_count", n, [&](const kn::KernelTable& k) {
-    return [&] {
-      if (k.sel_count(sel_a.data(), n) > n) std::abort();
-    };
-  });
-  // Compaction consumes its input, so each call restores the working set
-  // first; both columns pay the identical memcpy.
-  row("compact64", n * 8, [&](const kn::KernelTable& k) {
-    return [&] {
-      std::memcpy(work64.data(), pristine64.data(), n * 8);
-      if (k.compact64(work64.data(), keep.data(), n) > n) std::abort();
-    };
-  });
-  row("compact8", n, [&](const kn::KernelTable& k) {
-    return [&] {
-      std::memcpy(work8.data(), pristine8.data(), n);
-      if (k.compact8(work8.data(), keep.data(), n) > n) std::abort();
-    };
-  });
-  row("density_expand", n, [&](const kn::KernelTable& k) {
-    return [&] {
-      k.density_expand(density.data(), n, keep.data(), mask.data(),
-                       sel_out.data());
-    };
-  });
   row("delta_varint_encode", n * 8, [&](const kn::KernelTable& k) {
     return [&] {
       uint64_t prev = 0;
@@ -1151,41 +632,25 @@ void BenchKernels(const Config& cfg) {
   });
 }
 
-void RunKernelSection(const Config& cfg, bool kernels_only) {
-  namespace kn = stream::kernels;
+void RunKernelSection(const Config& cfg) {
   std::printf(
-      "\n(f) kernel micro: per-kernel GB/s, reference scalar loops vs the\n"
+      "\n(f) kernel micro: delta-varint GB/s, reference scalar loops vs the\n"
       "    dispatched SIMD table (stream/kernels.h; JARVIS_SIMD overrides\n"
       "    dispatch). Identical inputs, calls through the same function\n"
-      "    pointers the data plane uses.\n");
+      "    pointers the columnar encoder and decoder use.\n");
   BenchKernels(cfg);
-  if (kernels_only) return;
-  // Sections (d)/(e) again with dispatch forced to the scalar table, so one
-  // snapshot records the whole data plane under both JARVIS_SIMD settings.
-  const kn::Isa prior = kn::ActiveIsa();
-  if (!kn::ForceIsa(kn::Isa::kScalar)) std::abort();
-  Rng rng(20220708);
-  RunColumnarSection(&rng, cfg, "_scalar");
-  RunNativeSection(cfg, "_scalar");
-  if (!kn::ForceIsa(prior)) std::abort();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
-  bool columnar_only = false;
-  bool native_only = false;
   bool kernels_only = false;
   bool wire_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       cfg.records = 2000;
       cfg.trials = 1;
-    } else if (std::strcmp(argv[i], "--columnar") == 0) {
-      columnar_only = true;
-    } else if (std::strcmp(argv[i], "--native") == 0) {
-      native_only = true;
     } else if (std::strcmp(argv[i], "--kernels") == 0) {
       kernels_only = true;
     } else if (std::strcmp(argv[i], "--wire") == 0) {
@@ -1204,19 +669,11 @@ int main(int argc, char** argv) {
               stream::kernels::IsaName(stream::kernels::ActiveIsa()).data());
 
   if (kernels_only) {
-    RunKernelSection(cfg, /*kernels_only=*/true);
+    RunKernelSection(cfg);
     return 0;
   }
   if (wire_only) {
     RunWireCompressSection(cfg);
-    return 0;
-  }
-  if (native_only) {
-    RunNativeSection(cfg, "");
-    return 0;
-  }
-  if (columnar_only) {
-    RunColumnarSection(&rng, cfg, "");
     return 0;
   }
 
@@ -1277,9 +734,7 @@ int main(int argc, char** argv) {
   BenchWireFormat(&rng, cfg, NumericProbeSchema(), /*numeric=*/true, "");
   BenchWireFormat(&rng, cfg, ProbeSchema(), /*numeric=*/false, "_str");
 
-  RunColumnarSection(&rng, cfg, "");
-  RunNativeSection(cfg, "");
   RunWireCompressSection(cfg);
-  RunKernelSection(cfg, /*kernels_only=*/false);
+  RunKernelSection(cfg);
   return 0;
 }

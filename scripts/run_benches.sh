@@ -105,16 +105,11 @@ def parse_fig12(text):
     """Machine-parseable rows: 'op <Name> record_rps X batch_rps Y speedup Z',
     'pipeline <label> ...', 'wire <what> record_mbps X batch_mbps Y speedup Z',
     'wire bytes_per_record[<suffix>] record X batch Y ratio Z', plus the
-    columnar section: 'columnar pipeline <label> batch_rps X columnar_rps Y
-    speedup Z', 'columnar wire <what> batch_mbps X columnar_mbps Y speedup Z',
-    'columnar wire bytes_per_record[<suffix>] batch X columnar Y ratio Z',
-    plus the kernel section: 'kernel_isa <name>' and 'kernel <name>
-    scalar_gbps X dispatch_gbps Y speedup Z' ('_scalar'-suffixed columnar
-    labels are the JARVIS_SIMD=scalar re-run of sections (d)/(e))."""
+    delta-varint kernel section: 'kernel_isa <name>' and 'kernel <name>
+    scalar_gbps X dispatch_gbps Y speedup Z'."""
     data = {"operator_rps": {}, "pipeline_rps": {}, "wire_mbps": {},
-            "wire_bytes_per_record": {}, "columnar_pipeline_rps": {},
-            "columnar_wire_mbps": {}, "columnar_wire_bytes_per_record": {},
-            "kernel_micro_gbps": {}, "kernel_isa": None, "wire_compress": {}}
+            "wire_bytes_per_record": {}, "kernel_micro_gbps": {},
+            "kernel_isa": None, "wire_compress": {}}
     for line in text.splitlines():
         # 'wire_compress <section> k1 v1 k2 v2 ...' (lp_wire_ratio spreads
         # one op per line; merge them into one dict).
@@ -139,30 +134,6 @@ def parse_fig12(text):
             data["kernel_micro_gbps"][m.group(1)] = {
                 "scalar": float(m.group(2)), "dispatch": float(m.group(3)),
                 "speedup": float(m.group(4))}
-            continue
-        m = re.match(
-            r"columnar\s+pipeline\s+(\S+)\s+batch_rps\s+(\S+)"
-            r"\s+columnar_rps\s+(\S+)\s+speedup\s+(\S+)", line)
-        if m:
-            data["columnar_pipeline_rps"][m.group(1)] = {
-                "batch": float(m.group(2)), "columnar": float(m.group(3)),
-                "speedup": float(m.group(4))}
-            continue
-        m = re.match(
-            r"columnar\s+wire\s+(serialize\S*|deserialize\S*)\s+batch_mbps"
-            r"\s+(\S+)\s+columnar_mbps\s+(\S+)\s+speedup\s+(\S+)", line)
-        if m:
-            data["columnar_wire_mbps"][m.group(1)] = {
-                "batch": float(m.group(2)), "columnar": float(m.group(3)),
-                "speedup": float(m.group(4))}
-            continue
-        m = re.match(
-            r"columnar\s+wire\s+(bytes_per_record\S*)\s+batch\s+(\S+)"
-            r"\s+columnar\s+(\S+)\s+ratio\s+(\S+)", line)
-        if m:
-            data["columnar_wire_bytes_per_record"][m.group(1)] = {
-                "batch": float(m.group(2)), "columnar": float(m.group(3)),
-                "ratio": float(m.group(4))}
             continue
         m = re.match(
             r"(op|pipeline)\s+(\S+)\s+record_rps\s+(\S+)\s+batch_rps\s+(\S+)"
@@ -292,17 +263,8 @@ assert snapshot["latency"], "latency parse produced no data"
 dp = snapshot["dataplane"]
 assert dp["operator_rps"] and dp["pipeline_rps"] and dp["wire_mbps"], \
     "fig12 parse produced no data"
-assert dp["columnar_pipeline_rps"] and dp["columnar_wire_mbps"] and \
-    dp["columnar_wire_bytes_per_record"], \
-    "fig12 columnar section parse produced no data"
-assert "stateless_native_e2e" in dp["columnar_pipeline_rps"], \
-    "fig12 native-edge end-to-end section missing"
-assert "bytes_per_record_e2e" in dp["columnar_wire_bytes_per_record"], \
-    "fig12 native-edge wire bytes missing"
 assert dp["kernel_micro_gbps"] and dp["kernel_isa"], \
     "fig12 kernel micro section parse produced no data"
-assert "stateless_native_e2e_scalar" in dp["columnar_pipeline_rps"], \
-    "fig12 scalar-forced re-run of sections (d)/(e) missing"
 wc = dp["wire_compress"]
 for section in ("numeric", "loganalytics_str", "lp_wire_ratio"):
     assert section in wc, f"fig12 wire_compress section '{section}' missing"

@@ -287,22 +287,19 @@ Status BuildingBlock::ProduceEpoch(size_t s, int64_t epoch, bool profile,
   const Micros to = from + epoch_length_;
   env->epoch = epoch;
   // The overload directive decided at the last barrier governs this epoch:
-  // admission and deferral caps apply inside RunEpoch, the drain cap right
-  // after it — no cross-thread controller access.
+  // admission and deferral caps apply inside RunEpoch — no cross-thread
+  // controller access.
   sources_[s]->SetIngressLimits({ing.admit_cap, ing.defer_cap});
   sources_[s]->Ingest(GenerateShaped(s, from, to));
   JARVIS_ASSIGN_OR_RETURN(SourceEpochOutput out,
                           sources_[s]->RunEpoch(to, profile));
-  if (ing.drain_cap != IngressDirective::kUnlimited) {
-    env->shed_drain = ShedDrainChunks(ing.drain_cap, &out, &env->chunks_shed);
-  }
   env->watermark = out.watermark;
   env->records = out.DrainedRecords();
   env->shed = out.ingress_shed;
   env->sample.offered = out.ingress_offered;
   env->sample.admitted = out.ingress_admitted;
   env->sample.deferred = out.ingress_deferred;
-  env->sample.shed = out.ingress_shed + env->shed_drain;
+  env->sample.shed = out.ingress_shed;
   env->sample.drained = env->records;
   // Pending = deferred ingress plus records parked in stage queues when the
   // epoch's CPU budget ran out — the budget-starvation half of the backlog,
@@ -587,15 +584,9 @@ void BuildingBlock::BookShed(size_t s, const EpochEnvelope& env) {
   // (replay is bit-identical); the fence records how far the books go.
   if (env.epoch < ps.shed_counted_until) return;
   ps.shed_counted_until = env.epoch + 1;
-  const uint64_t shed = env.shed + env.shed_drain;
-  stats_.records_sent += shed;
-  stats_.records_shed += shed;
-  if (overload_) {
-    OverloadStats& os = overload_->mutable_stats();
-    os.records_shed_ingress += env.shed;
-    os.records_shed_drain += env.shed_drain;
-    os.chunks_shed += env.chunks_shed;
-  }
+  stats_.records_sent += env.shed;
+  stats_.records_shed += env.shed;
+  if (overload_) overload_->mutable_stats().records_shed_ingress += env.shed;
 }
 
 Status BuildingBlock::DeliverReleasable(size_t s, int64_t e,

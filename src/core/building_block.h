@@ -98,7 +98,7 @@ struct FaultStats {
   uint64_t records_delivered = 0;
   uint64_t records_lost = 0;
   /// Records deliberately dropped by the overload controller (ingress
-  /// admission shed + watermark-safe drain-chunk shed). Widens the
+  /// admission shed). Widens the
   /// conservation invariant:
   ///   records_sent == records_delivered + records_lost + records_shed
   ///                   + records_in_flight.
@@ -379,8 +379,6 @@ class BuildingBlock {
     // --- overload control ---
     int64_t epoch = -1;        ///< which epoch this envelope carries
     uint64_t shed = 0;         ///< ingress records shed this epoch
-    uint64_t shed_drain = 0;   ///< records shed from drain chunks
-    uint64_t chunks_shed = 0;  ///< whole drain chunks dropped
     PressureSample sample;     ///< pressure signals for the controller
   };
 
@@ -394,7 +392,7 @@ class BuildingBlock {
 
   /// The body of one source epoch, shared by the live task and crash replay
   /// so the two cannot drift: shaped ingest under `ing`'s caps, the stage
-  /// pipeline, drain shed, drain encode, the checkpoint frame at checkpoint
+  /// pipeline, drain encode, the checkpoint frame at checkpoint
   /// barriers, the wire-ratio fold and the pressure price. Fills everything
   /// in `env` but the fault and decision fields.
   Status ProduceEpoch(size_t s, int64_t epoch, bool profile,

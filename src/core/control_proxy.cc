@@ -33,13 +33,6 @@ void ControlProxy::RouteBatch(stream::RecordBatch&& batch,
   }
 }
 
-void ControlProxy::RouteDecisions(size_t n, std::vector<uint8_t>* decisions) {
-  stream::GrowForAppend(decisions, n);
-  for (size_t i = 0; i < n; ++i) {
-    decisions->push_back(Route() ? 1 : 0);
-  }
-}
-
 void ControlProxy::BeginEpoch() {
   arrived_ = 0;
   forwarded_ = 0;

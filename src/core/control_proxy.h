@@ -38,13 +38,6 @@ class ControlProxy {
   /// queue, drained records append to `*drained`, both in arrival order.
   void RouteBatch(stream::RecordBatch&& batch, stream::RecordBatch* drained);
 
-  /// Computes the routing decision for the next `n` arrivals — the same
-  /// error-diffusion sequence and counter updates as n Route() calls —
-  /// appending one byte per arrival (1 = forward locally). The columnar
-  /// data plane uses this to apportion a ColumnarBatch between the local
-  /// operator and the drain path without materializing rows.
-  void RouteDecisions(size_t n, std::vector<uint8_t>* decisions);
-
   /// The local queue of forwarded-but-unprocessed records. The executor pops
   /// from it as CPU budget allows; what remains at epoch end is backpressure.
   std::deque<stream::Record>& queue() { return queue_; }

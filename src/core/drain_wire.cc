@@ -7,7 +7,6 @@
 
 #include "common/env.h"
 #include "ser/buffer.h"
-#include "stream/columnar.h"
 
 #ifdef JARVIS_HAVE_LZ4
 #include "third_party/lz4/lz4_block.h"
@@ -73,10 +72,8 @@ WireFrame BuildFrame(uint32_t seq, uint64_t entry_op, WireLane lane,
 }
 
 /// Record-format wire bytes of one chunk — the byte volume the LP's
-/// bandwidth term models (identical to what a row-path WireSize sum would
-/// report for the same records).
+/// bandwidth term models.
 uint64_t ModeledChunkBytes(const DrainChunk& chunk) {
-  if (!chunk.columns.empty()) return chunk.columns.RowWireBytes();
   uint64_t total = 0;
   for (const stream::Record& rec : chunk.rows) total += stream::WireSize(rec);
   return total;
@@ -93,23 +90,14 @@ WireDrain SerializeDrain(SourceEpochOutput* out, uint32_t* next_seq,
   ser::BufferWriter payload;
   for (DrainChunk& chunk : out->to_sp) {
     payload.Clear();
-    const bool columnar = !chunk.columns.empty();
-    uint32_t records;
-    if (columnar) {
-      records = static_cast<uint32_t>(chunk.columns.num_rows());
-      stream::SerializeColumnar(chunk.columns, &payload);
-    } else {
-      // Row-lane frames pack by the first row's field types: raw rows and
-      // kPartial accumulator rows ship as schema-elided columns, and only
-      // rows of another shape take the inline-tagged fallback section.
-      records = static_cast<uint32_t>(chunk.rows.size());
-      stream::SerializeBatch(chunk.rows, stream::FirstRowSchema(chunk.rows),
-                             &payload);
-    }
-    WireFrame f = BuildFrame((*next_seq)++, chunk.sp_entry_op,
-                             columnar ? WireLane::kColumnar : WireLane::kRows,
-                             records, payload.data().data(), payload.size(),
-                             codec);
+    // Row-lane frames pack by the first row's field types: raw rows and
+    // kPartial accumulator rows ship as schema-elided columns, and only
+    // rows of another shape take the inline-tagged fallback section.
+    stream::SerializeBatch(chunk.rows, stream::FirstRowSchema(chunk.rows),
+                           &payload);
+    WireFrame f = BuildFrame((*next_seq)++, chunk.sp_entry_op, WireLane::kRows,
+                             static_cast<uint32_t>(chunk.rows.size()),
+                             payload.data().data(), payload.size(), codec);
     if (profile != nullptr) {
       if (chunk.sp_entry_op >= profile->per_entry.size()) {
         profile->per_entry.resize(chunk.sp_entry_op + 1);
@@ -165,6 +153,7 @@ Result<WireFrameHeader> PeekFrameHeader(const WireFrame& frame) {
     return Status::SerializationError("wire frame header checksum mismatch");
   }
   if (seq > std::numeric_limits<uint32_t>::max() ||
+      lane < static_cast<uint8_t>(WireLane::kRows) ||
       lane > static_cast<uint8_t>(WireLane::kCheckpoint)) {
     return Status::SerializationError("bad wire frame header");
   }
@@ -212,27 +201,6 @@ Result<std::pair<const uint8_t*, size_t>> FramePayload(
 #endif
 }
 
-Status DecodeFramePayload(const WireFrame& frame, const WireFrameHeader& hdr,
-                          stream::RecordBatch* rows) {
-  rows->clear();
-  if (hdr.lane == WireLane::kCheckpoint) {
-    return Status::SerializationError(
-        "checkpoint frames carry no record payload");
-  }
-  std::vector<uint8_t> scratch;
-  JARVIS_ASSIGN_OR_RETURN(auto payload, FramePayload(frame, hdr, &scratch));
-  ser::BufferReader r(payload.first, payload.second);
-  if (hdr.lane == WireLane::kColumnar) {
-    JARVIS_RETURN_IF_ERROR(stream::DeserializeColumnar(&r, rows));
-  } else {
-    JARVIS_RETURN_IF_ERROR(stream::DeserializeBatch(&r, rows));
-  }
-  if (!r.AtEnd()) {
-    return Status::SerializationError("trailing bytes after frame payload");
-  }
-  return Status::OK();
-}
-
 Status DecodeDrainChunk(const WireFrame& frame, const WireFrameHeader& hdr,
                         DrainChunk* chunk, std::vector<uint8_t>* scratch) {
   if (hdr.lane == WireLane::kCheckpoint) {
@@ -242,13 +210,8 @@ Status DecodeDrainChunk(const WireFrame& frame, const WireFrameHeader& hdr,
   chunk->sp_entry_op = hdr.entry_op;
   JARVIS_ASSIGN_OR_RETURN(auto payload, FramePayload(frame, hdr, scratch));
   ser::BufferReader r(payload.first, payload.second);
-  if (hdr.lane == WireLane::kColumnar) {
-    JARVIS_RETURN_IF_ERROR(stream::DeserializeColumnarBatch(&r,
-                                                            &chunk->columns));
-  } else {
-    chunk->rows.clear();
-    JARVIS_RETURN_IF_ERROR(stream::DeserializeBatch(&r, &chunk->rows));
-  }
+  chunk->rows.clear();
+  JARVIS_RETURN_IF_ERROR(stream::DeserializeBatch(&r, &chunk->rows));
   if (!r.AtEnd()) {
     return Status::SerializationError("trailing bytes after frame payload");
   }

@@ -24,8 +24,8 @@ namespace jarvis::core {
 // The header checksum covers everything between it and the payload, so a
 // flipped routing byte (or a flipped codec/length byte on a compressed
 // frame) is caught before any decode work touches the payload. The v1
-// payload is a v3 columnar frame, a v2 batch frame, or a v4 sealed
-// checkpoint payload, each carrying its own payload checksum; a v2 frame
+// payload is a v2 batch frame (row lane) or a v4 sealed checkpoint payload
+// (checkpoint lane), each carrying its own payload checksum; a v2 frame
 // wraps the same payload in an LZ4 block (codec 1) whose decompressed size
 // must equal `raw_len` exactly — after decompression the inner payload
 // checksum is verified as usual, so corruption inside the compressed block
@@ -47,11 +47,13 @@ inline constexpr uint8_t kWireFrameVersionCompressed = 2;
 /// codec).
 enum class WireCodec : uint8_t { kStore = 0, kLz4 = 1 };
 
-/// kCheckpoint (the wire's v4 addition) carries an epoch-aligned checkpoint
-/// payload (see core/checkpoint.h) instead of records: same header, same
-/// sequence numbering, same retransmit path, zero records for delivery
-/// accounting.
-enum class WireLane : uint8_t { kColumnar = 0, kRows = 1, kCheckpoint = 2 };
+/// kRows carries a drain chunk's records as a batch frame. kCheckpoint (the
+/// wire's v4 addition) carries an epoch-aligned checkpoint payload (see
+/// core/checkpoint.h) instead of records: same header, same sequence
+/// numbering, same retransmit path, zero records for delivery accounting.
+/// The values are explicit and fixed by the wire: byte 0 names no lane, and
+/// the header check rejects it like any other unknown lane.
+enum class WireLane : uint8_t { kRows = 1, kCheckpoint = 2 };
 
 /// One drain chunk, encoded. `seq` and `records` are control-plane metadata
 /// (the authoritative seq also rides inside the checksummed header; `records`
@@ -66,7 +68,7 @@ struct WireFrame {
 struct WireFrameHeader {
   uint32_t seq = 0;
   size_t entry_op = 0;
-  WireLane lane = WireLane::kColumnar;
+  WireLane lane = WireLane::kRows;
   /// Payload codec: kStore for v1 frames, kLz4 for v2.
   WireCodec codec = WireCodec::kStore;
   /// Decompressed payload size (== the stored size for kStore frames).
@@ -99,7 +101,7 @@ struct WireCodecOptions {
 
 /// Measured modeled-vs-wire byte accounting for one epoch's drain, keyed by
 /// SP entry operator. `modeled` is the record-format byte volume the LP's
-/// bandwidth term has always priced (RowWireBytes / WireSize sums); `wire`
+/// bandwidth term has always priced (WireSize sums); `wire`
 /// is what the encoded frames actually occupy. Their ratio is the measured
 /// bandwidth correction fed back into the planner (OperatorProfile::
 /// wire_ratio).
@@ -141,15 +143,9 @@ Result<std::pair<const uint8_t*, size_t>> FramePayload(
     const WireFrame& frame, const WireFrameHeader& hdr,
     std::vector<uint8_t>* scratch);
 
-/// Decodes the frame payload into row records. The payload formats carry
-/// their own checksums, so corruption surfaces as SerializationError, never
-/// as UB or silently wrong records.
-Status DecodeFramePayload(const WireFrame& frame, const WireFrameHeader& hdr,
-                          stream::RecordBatch* rows);
-
-/// Decodes one data frame back into a DrainChunk: columnar-lane payloads
-/// deserialize straight to column form (DeserializeColumnarBatch), row-lane
-/// payloads to the rows lane. Checkpoint frames are rejected.
+/// Decodes one data frame back into a DrainChunk. The batch payload carries
+/// its own checksum, so corruption surfaces as SerializationError, never as
+/// UB or silently wrong records. Checkpoint frames are rejected.
 Status DecodeDrainChunk(const WireFrame& frame, const WireFrameHeader& hdr,
                         DrainChunk* chunk, std::vector<uint8_t>* scratch);
 

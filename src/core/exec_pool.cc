@@ -19,12 +19,7 @@ int ResolveThreads(int requested) {
 }
 
 ExecPool::ExecPool(size_t num_threads) {
-  SpawnWorkers(num_threads == 0 ? 1 : num_threads);
-}
-
-ExecPool::~ExecPool() { Stop(); }
-
-void ExecPool::SpawnWorkers(size_t n) {
+  const size_t n = num_threads == 0 ? 1 : num_threads;
   std::lock_guard<std::mutex> lk(mu_);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -32,18 +27,7 @@ void ExecPool::SpawnWorkers(size_t n) {
   }
 }
 
-void ExecPool::JoinWorkers() {
-  std::vector<std::thread> crew;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    quit_ = true;
-    crew.swap(workers_);
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : crew) w.join();
-  std::lock_guard<std::mutex> lk(mu_);
-  quit_ = false;
-}
+ExecPool::~ExecPool() { Stop(); }
 
 bool ExecPool::Submit(size_t key, std::function<void()> fn) {
   {
@@ -65,7 +49,7 @@ void ExecPool::WorkerLoop() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
     work_cv_.wait(lk, [&] { return quit_ || !ready_.empty(); });
-    if (quit_) return;  // queued work survives for Resize's next crew
+    if (quit_) return;
     const size_t key = ready_.front();
     ready_.pop_front();
     SourceQueue& q = queues_[key];
@@ -77,7 +61,6 @@ void ExecPool::WorkerLoop() {
     fn = nullptr;  // destroy captures outside the lock
     lk.lock();
     q.running = false;
-    ++executed_;
     if (!q.tasks.empty()) {
       ready_.push_back(key);
       work_cv_.notify_one();
@@ -101,33 +84,19 @@ void ExecPool::Stop() {
   // Graceful shutdown: everything already queued still runs (no lost drain
   // chunks), then the workers exit.
   WaitIdle();
-  JoinWorkers();
-}
-
-void ExecPool::Resize(size_t num_threads) {
+  std::vector<std::thread> crew;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (stopped_) return;
+    quit_ = true;
+    crew.swap(workers_);
   }
-  JoinWorkers();
-  SpawnWorkers(num_threads == 0 ? 1 : num_threads);
-  // Wake the new crew for any work queued across the handover.
   work_cv_.notify_all();
+  for (std::thread& w : crew) w.join();
 }
 
 size_t ExecPool::num_threads() const {
   std::lock_guard<std::mutex> lk(mu_);
   return workers_.size();
-}
-
-uint64_t ExecPool::tasks_executed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return executed_;
-}
-
-size_t ExecPool::tasks_pending() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pending_;
 }
 
 }  // namespace jarvis::core

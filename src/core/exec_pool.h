@@ -36,8 +36,8 @@ int HardwareThreads();
 /// in one FIFO ready list, each worker pops a key, runs exactly one of its
 /// tasks, and re-queues the key behind everyone else if more tasks remain.
 ///
-/// Submit/WaitIdle are safe from any thread (including pool tasks); the
-/// lifecycle calls Stop() and Resize() belong to one control thread.
+/// Submit/WaitIdle are safe from any thread (including pool tasks); Stop()
+/// belongs to one control thread.
 class ExecPool {
  public:
   /// Starts `num_threads` workers (clamped to >= 1).
@@ -61,18 +61,7 @@ class ExecPool {
   /// workers. Idempotent.
   void Stop();
 
-  /// Changes the worker count: joins the current workers (finishing their
-  /// in-flight tasks; queued tasks stay queued) and starts `num_threads` new
-  /// ones. Pending work is never lost.
-  void Resize(size_t num_threads);
-
   size_t num_threads() const;
-
-  /// Total tasks completed over the pool's lifetime.
-  uint64_t tasks_executed() const;
-
-  /// Tasks submitted but not yet finished.
-  size_t tasks_pending() const;
 
  private:
   struct SourceQueue {
@@ -82,8 +71,6 @@ class ExecPool {
     bool running = false;
   };
 
-  void SpawnWorkers(size_t n);
-  void JoinWorkers();
   void WorkerLoop();
 
   mutable std::mutex mu_;
@@ -93,7 +80,6 @@ class ExecPool {
   std::unordered_map<size_t, SourceQueue> queues_;
   std::deque<size_t> ready_;  // keys with runnable (not running) work, FIFO
   size_t pending_ = 0;        // submitted, not yet finished
-  uint64_t executed_ = 0;
   bool accepting_ = true;
   bool quit_ = false;  // workers return at the next dispatch point
   bool stopped_ = false;

@@ -328,7 +328,6 @@ IngressDirective OverloadController::DirectiveFor(const SourceState& st,
     case OverloadLevel::kShedding:
       d.admit_cap = records(cap * opts_.catchup);
       d.defer_cap = records(cap * opts_.defer_epochs);
-      d.drain_cap = std::max<uint64_t>(records(cap * opts_.shed_headroom), 1);
       d.pressure = 2.0 * opts_.pressure_gain;
       break;
     case OverloadLevel::kQuarantined:
@@ -411,51 +410,6 @@ IngressDirective OverloadController::Tick(size_t source,
       break;
   }
   return DirectiveFor(st, cap);
-}
-
-// ---------------------------------------------------------------------------
-// Drain shedding
-// ---------------------------------------------------------------------------
-
-uint64_t ShedDrainChunks(uint64_t drain_cap, SourceEpochOutput* out,
-                         uint64_t* chunks_shed) {
-  uint64_t total = out->DrainedRecords();
-  if (total <= drain_cap) return 0;
-  // Candidates: pure-data columnar chunks only. Row-lane chunks can carry
-  // kPartial operator state and watermark-bearing emissions; dropping those
-  // would corrupt downstream state, not just lose samples.
-  std::vector<size_t> candidates;
-  candidates.reserve(out->to_sp.size());
-  for (size_t i = 0; i < out->to_sp.size(); ++i) {
-    const DrainChunk& c = out->to_sp[i];
-    if (c.rows.empty() && c.columns.num_rows() > 0) candidates.push_back(i);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](size_t a, size_t b) {
-                     return out->to_sp[a].sp_entry_op <
-                            out->to_sp[b].sp_entry_op;
-                   });
-  std::vector<uint8_t> drop(out->to_sp.size(), 0);
-  uint64_t shed = 0;
-  for (size_t i : candidates) {
-    if (total <= drain_cap) break;
-    const DrainChunk& c = out->to_sp[i];
-    const uint64_t sz = c.size();
-    const uint64_t bytes = c.columns.RowWireBytes();
-    out->drained_bytes -= std::min(out->drained_bytes, bytes);
-    drop[i] = 1;
-    total -= sz;
-    shed += sz;
-    if (chunks_shed != nullptr) ++*chunks_shed;
-  }
-  if (shed == 0) return 0;
-  std::vector<DrainChunk> kept;
-  kept.reserve(out->to_sp.size());
-  for (size_t i = 0; i < out->to_sp.size(); ++i) {
-    if (!drop[i]) kept.push_back(std::move(out->to_sp[i]));
-  }
-  out->to_sp = std::move(kept);
-  return shed;
 }
 
 }  // namespace jarvis::core

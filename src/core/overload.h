@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/source_executor.h"
 #include "stream/record.h"
 
 namespace jarvis::core {
@@ -32,7 +31,7 @@ namespace jarvis::core {
 //     steady → throttled → shedding → quarantined, with every decision a
 //     pure function of the pressure snapshot, so recovery from overload is
 //     as fingerprintable as recovery from faults. Shedding is watermark-safe
-//     (whole drain chunks dropped at the source, oldest deferred input shed
+//     (ingress only: the oldest deferred input beyond the defer buffer sheds
 //     first) and first-class in the accounting: the conservation invariant
 //     widens to  sent == delivered + lost + shed + in_flight.
 
@@ -123,7 +122,7 @@ class TrafficShaper {
 enum class OverloadLevel : uint8_t {
   kSteady = 0,      ///< no intervention
   kThrottled = 1,   ///< per-epoch admission capped; overflow deferred
-  kShedding = 2,    ///< + bounded defer buffer and drain-chunk shedding
+  kShedding = 2,    ///< + bounded defer buffer; overflow sheds at ingress
   kQuarantined = 3, ///< ingress blackout: everything offered is shed
 };
 
@@ -134,7 +133,7 @@ struct PressureSample {
   uint64_t offered = 0;    ///< records waiting in the epoch input buffer
   uint64_t admitted = 0;   ///< records actually routed this epoch
   uint64_t deferred = 0;   ///< records left buffered for later epochs
-  uint64_t shed = 0;       ///< records dropped this epoch (ingress + drain)
+  uint64_t shed = 0;       ///< records dropped at ingress this epoch
   uint64_t drained = 0;    ///< records shipped to the SP this epoch
   uint64_t pending = 0;    ///< records parked in source-side stage queues
 
@@ -149,7 +148,6 @@ struct IngressDirective {
 
   uint64_t admit_cap = kUnlimited;  ///< records routed per epoch
   uint64_t defer_cap = kUnlimited;  ///< records the input buffer may hold back
-  uint64_t drain_cap = kUnlimited;  ///< records per epoch drain (chunk shed)
   double pressure = 0.0;            ///< fed into OperatorProfile::pressure
   OverloadLevel level = OverloadLevel::kSteady;
 
@@ -181,8 +179,6 @@ struct OverloadOptions {
   double catchup = 1.5;
   /// Defer buffer = capacity * defer_epochs before the shedder fires.
   double defer_epochs = 2.0;
-  /// Shedding-level drain cap = capacity * shed_headroom.
-  double shed_headroom = 1.0;
   /// OperatorProfile::pressure contribution per rung (throttled = 1x,
   /// shedding = 2x, quarantined = 4x) — the degrade-before-drop signal the
   /// LP prices into its bandwidth term.
@@ -193,8 +189,6 @@ struct OverloadOptions {
 /// FaultStats, so shedding itself is part of the determinism fingerprint.
 struct OverloadStats {
   uint64_t records_shed_ingress = 0;
-  uint64_t records_shed_drain = 0;
-  uint64_t chunks_shed = 0;
   uint64_t throttled_epochs = 0;
   uint64_t shedding_epochs = 0;
   uint64_t quarantined_epochs = 0;
@@ -253,17 +247,6 @@ class OverloadController {
   bool escalated_last_tick_ = false;
   OverloadStats stats_;
 };
-
-/// Watermark-safe, priority-ordered drain shedding: drops whole pure-data
-/// columnar chunks — in ascending entry-operator order, so the records the
-/// SP has done the least work for go first — until the drain holds at most
-/// `drain_cap` records. Row-lane chunks may carry kPartial operator state or
-/// watermark-bearing emissions and are never shed; checkpoint frames are
-/// built after shedding and are unaffected. Subtracts the shed chunks' row
-/// wire bytes from `out->drained_bytes`. Returns records shed and counts
-/// dropped chunks into `*chunks_shed`.
-uint64_t ShedDrainChunks(uint64_t drain_cap, SourceEpochOutput* out,
-                         uint64_t* chunks_shed);
 
 }  // namespace jarvis::core
 

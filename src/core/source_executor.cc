@@ -17,8 +17,7 @@ size_t SourceEpochOutput::DrainedRecords() const {
 void SourceEpochOutput::AppendDrainRows(size_t entry_op,
                                         stream::RecordBatch&& rows) {
   if (rows.empty()) return;
-  if (!to_sp.empty() && to_sp.back().sp_entry_op == entry_op &&
-      to_sp.back().columns.empty()) {
+  if (!to_sp.empty() && to_sp.back().sp_entry_op == entry_op) {
     stream::MoveAppend(std::move(rows), &to_sp.back().rows);
     return;
   }
@@ -29,8 +28,7 @@ void SourceEpochOutput::AppendDrainRows(size_t entry_op,
 }
 
 void SourceEpochOutput::AppendDrainRow(size_t entry_op, stream::Record&& rec) {
-  if (to_sp.empty() || to_sp.back().sp_entry_op != entry_op ||
-      !to_sp.back().columns.empty()) {
+  if (to_sp.empty() || to_sp.back().sp_entry_op != entry_op) {
     DrainChunk chunk;
     chunk.sp_entry_op = entry_op;
     to_sp.push_back(std::move(chunk));
@@ -38,31 +36,10 @@ void SourceEpochOutput::AppendDrainRow(size_t entry_op, stream::Record&& rec) {
   to_sp.back().rows.push_back(std::move(rec));
 }
 
-void SourceEpochOutput::AppendDrainColumns(size_t entry_op,
-                                           stream::ColumnarBatch&& columns) {
-  if (columns.empty()) return;
-  if (!to_sp.empty() && to_sp.back().sp_entry_op == entry_op &&
-      to_sp.back().rows.empty() && !to_sp.back().columns.empty() &&
-      to_sp.back().columns.schema() == columns.schema()) {
-    to_sp.back().columns.AppendBatch(std::move(columns));
-    return;
-  }
-  DrainChunk chunk;
-  chunk.sp_entry_op = entry_op;
-  chunk.columns = std::move(columns);
-  to_sp.push_back(std::move(chunk));
-}
-
 std::vector<DrainRecord> SourceEpochOutput::FlattenDrain() {
   std::vector<DrainRecord> flat;
   flat.reserve(DrainedRecords());
-  stream::RecordBatch scratch;
   for (DrainChunk& chunk : to_sp) {
-    scratch.clear();
-    chunk.columns.MoveToRows(&scratch);
-    for (stream::Record& rec : scratch) {
-      flat.push_back(DrainRecord{chunk.sp_entry_op, std::move(rec)});
-    }
     for (stream::Record& rec : chunk.rows) {
       flat.push_back(DrainRecord{chunk.sp_entry_op, std::move(rec)});
     }
@@ -88,56 +65,16 @@ SourceExecutor::SourceExecutor(const query::CompiledQuery& query,
   for (size_t i = 0; i < pipeline_->size(); ++i) {
     proxies_.emplace_back(i);
   }
-  // Columnar plane: the epoch input buffer holds the query's input schema
-  // in column form, and every stage queue holds its operator's *input* rows
-  // — stage 0 the input schema, stage i the output schema of operator i-1.
-  // Divergent rows ride each batch's fallback lane, so a schema mismatch in
-  // the data never disables the plane.
-  columnar_mode_ = options_.enable_columnar && pipeline_->size() > 0 &&
-                   pipeline_->FullyColumnar();
-  if (columnar_mode_) {
-    col_input_.Reset(query.plan().plan.input_schema);
-    col_queues_.reserve(pipeline_->size());
-    col_queues_.emplace_back(query.plan().plan.input_schema);
-    for (size_t i = 1; i < pipeline_->size(); ++i) {
-      col_queues_.emplace_back(pipeline_->op(i - 1).output_schema());
-    }
-  }
 }
 
 void SourceExecutor::Ingest(stream::RecordBatch batch) {
-  if (columnar_mode_) {
-    // The one row->column conversion of the columnar plane happens here at
-    // the edge; everything downstream (epoch buffer, stage queues, drain)
-    // stays columnar. Column-born sources skip even this via IngestColumnar.
-    col_input_.AppendRows(std::move(batch));
-    return;
-  }
   stream::MoveAppend(std::move(batch), &input_buffer_);
-}
-
-void SourceExecutor::IngestColumnar(stream::ColumnarBatch&& batch) {
-  if (columnar_mode_) {
-    col_input_.AppendBatch(std::move(batch));
-    return;
-  }
-  // Row plane (stateful prefix): the boundary conversion runs once, here.
-  batch.MoveToRows(&input_buffer_);
 }
 
 Micros SourceExecutor::OldestBufferedEventTime() const {
   Micros oldest = -1;
-  if (columnar_mode_) {
-    for (Micros t : col_input_.event_times()) {
-      if (oldest < 0 || t < oldest) oldest = t;
-    }
-    for (const stream::Record& r : col_input_.fallback()) {
-      if (oldest < 0 || r.event_time < oldest) oldest = r.event_time;
-    }
-  } else {
-    for (const stream::Record& r : input_buffer_) {
-      if (oldest < 0 || r.event_time < oldest) oldest = r.event_time;
-    }
+  for (const stream::Record& r : input_buffer_) {
+    if (oldest < 0 || r.event_time < oldest) oldest = r.event_time;
   }
   return oldest;
 }
@@ -165,96 +102,11 @@ void SourceExecutor::DrainBatch(size_t entry_op, stream::RecordBatch&& batch,
   out->AppendDrainRows(entry_op, std::move(batch));
 }
 
-void SourceExecutor::DrainColumnar(size_t entry_op,
-                                   stream::ColumnarBatch&& batch,
-                                   SourceEpochOutput* out) {
-  if (batch.empty()) return;
-  out->drained_bytes += batch.RowWireBytes();
-  out->AppendDrainColumns(entry_op, std::move(batch));
-}
-
-void SourceExecutor::DrainColumnarSplit(stream::ColumnarBatch* batch,
-                                        size_t data_entry,
-                                        size_t partial_entry,
-                                        SourceEpochOutput* out) {
-  if (batch->empty()) return;
-  if (batch->num_fallback() == 0) {
-    // The common case — a pure run of conforming data rows — ships as one
-    // columnar slice; the batch keeps its schema binding for reuse.
-    stream::Schema schema = batch->schema();
-    DrainColumnar(data_entry, std::move(*batch), out);
-    batch->Reset(std::move(schema));
-    return;
-  }
-  // Mixed batch: one left-to-right pass over the density bitmap, slicing
-  // maximal runs that share a lane and an entry operator into their own
-  // chunks, so the flattened drain sequence is exactly the row plane's
-  // per-record tagging. Each run is appended to its destination without
-  // disturbing the rest of the batch — O(n) total however many runs.
-  const std::vector<uint8_t>& density = batch->density();
-  std::vector<stream::Record>& fallback = batch->fallback();
-  const auto entry_of_fallback = [&](const stream::Record& rec) {
-    return rec.kind == stream::RecordKind::kPartial ? partial_entry
-                                                    : data_entry;
-  };
-  size_t r = 0, d = 0, fb = 0;
-  while (r < density.size()) {
-    if (density[r]) {
-      const size_t d0 = d;
-      while (r < density.size() && density[r]) {
-        ++r;
-        ++d;
-      }
-      col_split_.Reset(batch->schema());
-      batch->MoveDenseRange(d0, d, &col_split_);
-      // DrainColumnar either steals col_split_'s buffers (a fresh chunk) or
-      // copies-and-Clear()s them (merge into the tail chunk); both leave it
-      // reusable for the next Reset.
-      DrainColumnar(data_entry, std::move(col_split_), out);
-    } else {
-      const size_t entry0 = entry_of_fallback(fallback[fb]);
-      drained_scratch_.clear();
-      while (r < density.size() && !density[r] &&
-             entry_of_fallback(fallback[fb]) == entry0) {
-        drained_scratch_.push_back(std::move(fallback[fb]));
-        ++fb;
-        ++r;
-      }
-      DrainBatch(entry0, std::move(drained_scratch_), out);
-      drained_scratch_.clear();
-    }
-  }
-  batch->Clear();
-}
-
-void SourceExecutor::RouteRowsIntoColumnarStage(size_t stage,
-                                                stream::RecordBatch&& batch,
-                                                SourceEpochOutput* out) {
-  // Same decision sequence as RouteBatch, but forwarded rows enter the
-  // stage's columnar queue instead of a row queue.
-  route_decisions_.clear();
-  proxies_[stage].RouteDecisions(batch.size(), &route_decisions_);
-  drained_scratch_.clear();
-  for (size_t k = 0; k < batch.size(); ++k) {
-    if (route_decisions_[k]) {
-      col_queues_[stage].AppendRow(std::move(batch[k]));
-    } else {
-      drained_scratch_.push_back(std::move(batch[k]));
-    }
-  }
-  DrainBatch(stage, std::move(drained_scratch_), out);
-  drained_scratch_.clear();
-}
-
 void SourceExecutor::RouteOutputs(size_t emitter, stream::RecordBatch&& batch,
                                   SourceEpochOutput* out) {
   if (batch.empty()) return;
   const size_t next = emitter + 1;
   if (next < proxies_.size()) {
-    if (columnar_mode_) {
-      RouteRowsIntoColumnarStage(next, std::move(batch), out);
-      return;
-    }
     drained_scratch_.clear();
     proxies_[next].RouteBatch(std::move(batch), &drained_scratch_);
     DrainBatch(next, std::move(drained_scratch_), out);
@@ -272,55 +124,8 @@ void SourceExecutor::RouteOutputs(size_t emitter, stream::RecordBatch&& batch,
   }
 }
 
-void SourceExecutor::RouteColumnarOutputs(size_t emitter,
-                                          stream::ColumnarBatch* batch,
-                                          SourceEpochOutput* out) {
-  if (batch->empty()) return;
-  const size_t next = emitter + 1;
-  if (next < proxies_.size()) {
-    // The batch's schema equals the next stage queue's schema (both are
-    // operator `emitter`'s output schema), so Partition appends forwarded
-    // rows column-to-column; drained rows stay columnar too — they resume
-    // at operator `next` whatever their kind, exactly like the row plane's
-    // DrainBatch tagging.
-    route_decisions_.clear();
-    proxies_[next].RouteDecisions(batch->num_rows(), &route_decisions_);
-    col_drained_.Reset(batch->schema());
-    batch->Partition(route_decisions_.data(), &col_queues_[next],
-                     &col_drained_);
-    DrainColumnarSplit(&col_drained_, next, next, out);
-    return;
-  }
-  // Output of the last source operator: same entry tagging as the row path,
-  // but conforming rows ship as columnar slices.
-  DrainColumnarSplit(batch, std::min(next, total_ops_), emitter, out);
-}
-
-Status SourceExecutor::ProcessStageColumnar(size_t i, double* budget_left,
-                                            double* spent,
-                                            SourceEpochOutput* out) {
-  const double cost = cost_model_->CostPerRecord(i);
-  ControlProxy& proxy = proxies_[i];
-  stream::ColumnarBatch& queue = col_queues_[i];
-  // Identical per-record budget arithmetic to the row plane, so borderline
-  // epochs process identical record counts.
-  size_t n = 0;
-  while (n < queue.num_rows() && *budget_left >= cost) {
-    *budget_left -= cost;
-    *spent += cost;
-    ++n;
-  }
-  if (n == 0) return Status::OK();
-  queue.SplitFront(n, &col_run_);
-  JARVIS_RETURN_IF_ERROR(pipeline_->op(i).ProcessColumnar(&col_run_));
-  proxy.CountProcessed(n);
-  RouteColumnarOutputs(i, &col_run_, out);
-  return Status::OK();
-}
-
 Status SourceExecutor::ProcessStage(size_t i, double* budget_left,
                                     double* spent, SourceEpochOutput* out) {
-  if (columnar_mode_) return ProcessStageColumnar(i, budget_left, spent, out);
   const double cost = cost_model_->CostPerRecord(i);
   ControlProxy& proxy = proxies_[i];
   auto& queue = proxy.queue();
@@ -362,11 +167,6 @@ Status SourceExecutor::ProcessStage(size_t i, double* budget_left,
 }
 
 void SourceExecutor::DrainPendingStage(size_t i, SourceEpochOutput* out) {
-  if (columnar_mode_ && !col_queues_[i].empty()) {
-    // Pending backpressure ships as columnar slices (resuming at operator
-    // i); only fallback rows in the queue materialize.
-    DrainColumnarSplit(&col_queues_[i], i, i, out);
-  }
   ControlProxy& p = proxies_[i];
   while (!p.queue().empty()) {
     stream::Record rec = std::move(p.queue().front());
@@ -418,8 +218,7 @@ Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,
   // records this epoch, shed the next-oldest overflow beyond the defer cap,
   // defer the newest remainder in the epoch buffer. With the default limits
   // everything is admitted and this is the pre-overload path unchanged.
-  const uint64_t buffered =
-      columnar_mode_ ? col_input_.num_rows() : input_buffer_.size();
+  const uint64_t buffered = input_buffer_.size();
   const uint64_t admit = std::min(buffered, ingress_.admit_cap);
   const uint64_t overflow = buffered - admit;
   const uint64_t shed =
@@ -430,51 +229,28 @@ Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,
   out.ingress_deferred = overflow - shed;
 
   // Route the epoch's input through the first proxy as one batch.
-  if (columnar_mode_) {
-    stream::ColumnarBatch* epoch_input = &col_input_;
-    if (admit < buffered) {
-      col_input_.SplitFront(static_cast<size_t>(admit), &col_admit_);
-      if (shed > 0) {
-        col_input_.SplitFront(static_cast<size_t>(shed), &col_shed_);
-        col_shed_.Clear();
-      }
-      epoch_input = &col_admit_;
+  stream::RecordBatch* epoch_input = &input_buffer_;
+  if (admit < buffered) {
+    row_admit_.clear();
+    row_admit_.insert(
+        row_admit_.end(), std::make_move_iterator(input_buffer_.begin()),
+        std::make_move_iterator(input_buffer_.begin() +
+                                static_cast<ptrdiff_t>(admit)));
+    input_buffer_.erase(
+        input_buffer_.begin(),
+        input_buffer_.begin() + static_cast<ptrdiff_t>(admit + shed));
+    epoch_input = &row_admit_;
+  }
+  if (!epoch_input->empty()) {
+    if (proxies_.empty()) {
+      DrainBatch(0, std::move(*epoch_input), &out);
+    } else {
+      drained_scratch_.clear();
+      proxies_[0].RouteBatch(std::move(*epoch_input), &drained_scratch_);
+      DrainBatch(0, std::move(drained_scratch_), &out);
+      drained_scratch_.clear();
     }
-    if (!epoch_input->empty()) {
-      // Ingest boundary of the columnar plane: the epoch buffer partitions
-      // column-to-column into stage 0's queue, and drained rows stay
-      // columnar to the wire. Same decision sequence as the row plane.
-      route_decisions_.clear();
-      proxies_[0].RouteDecisions(epoch_input->num_rows(), &route_decisions_);
-      col_drained_.Reset(epoch_input->schema());
-      epoch_input->Partition(route_decisions_.data(), &col_queues_[0],
-                             &col_drained_);
-      DrainColumnarSplit(&col_drained_, 0, 0, &out);
-    }
-  } else {
-    stream::RecordBatch* epoch_input = &input_buffer_;
-    if (admit < buffered) {
-      row_admit_.clear();
-      row_admit_.insert(
-          row_admit_.end(), std::make_move_iterator(input_buffer_.begin()),
-          std::make_move_iterator(input_buffer_.begin() +
-                                  static_cast<ptrdiff_t>(admit)));
-      input_buffer_.erase(
-          input_buffer_.begin(),
-          input_buffer_.begin() + static_cast<ptrdiff_t>(admit + shed));
-      epoch_input = &row_admit_;
-    }
-    if (!epoch_input->empty()) {
-      if (proxies_.empty()) {
-        DrainBatch(0, std::move(*epoch_input), &out);
-      } else {
-        drained_scratch_.clear();
-        proxies_[0].RouteBatch(std::move(*epoch_input), &drained_scratch_);
-        DrainBatch(0, std::move(drained_scratch_), &out);
-        drained_scratch_.clear();
-      }
-      epoch_input->clear();
-    }
+    epoch_input->clear();
   }
   const uint64_t input_records = admit;
 
@@ -527,14 +303,6 @@ Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,
   for (const ControlProxy& p : proxies_) {
     obs.proxies.push_back(p.Observe());
   }
-  if (columnar_mode_) {
-    // Pending backpressure lives in the columnar stage queues, not the
-    // proxies' row queues; fold it into the observation so the control
-    // plane sees identical queue depths on either plane.
-    for (size_t i = 0; i < proxies_.size(); ++i) {
-      obs.proxies[i].pending += col_queues_[i].num_rows();
-    }
-  }
   obs.cpu_budget_seconds = budget;
   obs.cpu_spent_seconds = spent;
   obs.input_records = input_records;
@@ -582,29 +350,13 @@ Status SourceExecutor::ExportCheckpointBody(ser::BufferWriter* w,
     stream::SerializeBatch(rows, stream::FirstRowSchema(rows), &scratch);
     w->PutVarU64(scratch.size());
     w->PutBytes(scratch.data().data(), scratch.size());
-    // Pending columnar queue: copy, then materialize the copy to rows.
-    rows.clear();
-    if (columnar_mode_) {
-      stream::ColumnarBatch copy = col_queues_[i];
-      copy.MoveToRows(&rows);
-    }
-    scratch.Clear();
-    stream::SerializeBatch(rows, stream::FirstRowSchema(rows), &scratch);
-    w->PutVarU64(scratch.size());
-    w->PutBytes(scratch.data().data(), scratch.size());
     rows.clear();
     JARVIS_RETURN_IF_ERROR(pipeline_->op(i).ExportStateDelta(w, mode));
   }
   // Trailing section: the deferred epoch-input backlog (records held back by
   // ingress throttling). Empty on unthrottled runs; snapshotting it keeps
   // crash replay exact when a checkpointed source is recovering mid-burst.
-  rows.clear();
-  if (columnar_mode_) {
-    stream::ColumnarBatch copy = col_input_;
-    copy.MoveToRows(&rows);
-  } else {
-    rows.assign(input_buffer_.begin(), input_buffer_.end());
-  }
+  rows.assign(input_buffer_.begin(), input_buffer_.end());
   scratch.Clear();
   stream::SerializeBatch(rows, stream::FirstRowSchema(rows), &scratch);
   w->PutVarU64(scratch.size());
@@ -653,27 +405,6 @@ Status SourceExecutor::RestoreCheckpointBody(ser::BufferReader* r) {
     std::deque<stream::Record>& q = proxies_[i].queue();
     q.clear();
     for (stream::Record& rec : rows) q.push_back(std::move(rec));
-    // Columnar queue replaces wholesale.
-    JARVIS_RETURN_IF_ERROR(r->GetVarU64(&len));
-    if (len > r->remaining()) {
-      return Status::SerializationError(
-          "columnar queue overruns checkpoint body");
-    }
-    ser::BufferReader cr(r->cursor(), len);
-    r->Advance(len);
-    rows.clear();
-    JARVIS_RETURN_IF_ERROR(stream::DeserializeBatch(&cr, &rows));
-    if (!cr.AtEnd()) {
-      return Status::SerializationError("trailing bytes in columnar queue");
-    }
-    if (columnar_mode_) {
-      col_queues_[i].Clear();
-      col_queues_[i].AppendRows(std::move(rows));
-    } else {
-      // Plane mismatch cannot happen for a same-config rebuild, but a
-      // checkpoint is still restorable: the rows just queue on the row lane.
-      for (stream::Record& rec : rows) q.push_back(std::move(rec));
-    }
     rows.clear();
     JARVIS_RETURN_IF_ERROR(pipeline_->op(i).RestoreState(r));
   }
@@ -692,12 +423,7 @@ Status SourceExecutor::RestoreCheckpointBody(ser::BufferReader* r) {
   if (!ir.AtEnd()) {
     return Status::SerializationError("trailing bytes in deferred input");
   }
-  if (columnar_mode_) {
-    col_input_.Clear();
-    col_input_.AppendRows(std::move(rows));
-  } else {
-    input_buffer_ = std::move(rows);
-  }
+  input_buffer_ = std::move(rows);
   return Status::OK();
 }
 

@@ -8,7 +8,6 @@
 #include "core/cost_model.h"
 #include "core/types.h"
 #include "query/compile.h"
-#include "stream/columnar.h"
 #include "stream/pipeline.h"
 
 namespace jarvis::core {
@@ -24,21 +23,13 @@ struct SourceExecutorOptions {
   /// degrade as coverage drops; Section VI-C attributes the extra Jarvis
   /// convergence epochs and the LP-only oscillation to exactly this).
   double profile_error_magnitude = 0.0;
-  /// When the whole source pipeline is columnar-capable (stateless chains of
-  /// Window / typed Filter / Project), run the epoch on the columnar data
-  /// plane: stage queues hold ColumnarBatches, operators run their
-  /// vectorized paths, and rows materialize only at the drain wire. Routing
-  /// decisions, budgets, stats, and outputs are identical to the row plane.
-  bool enable_columnar = true;
 };
 
 /// Everything a data source ships to its parent stream processor for one
 /// epoch, plus the control-plane observation. The drain is a sequence of
-/// entry-tagged chunks (see DrainChunk): columnar slices on the native
-/// plane, row runs where rows genuinely exist (checkpoint state, the row
-/// plane). `drained_bytes` is the modeled record-format wire volume — the
-/// number the LP's bandwidth term consumes — and is identical between the
-/// two planes.
+/// entry-tagged row runs (see DrainChunk). `drained_bytes` is the modeled
+/// record-format wire volume — the number the LP's bandwidth term
+/// consumes.
 struct SourceEpochOutput {
   std::vector<DrainChunk> to_sp;
   uint64_t drained_bytes = 0;
@@ -61,10 +52,6 @@ struct SourceEpochOutput {
 
   /// Single-record form of AppendDrainRows (same merge rule, no scratch).
   void AppendDrainRow(size_t entry_op, stream::Record&& rec);
-
-  /// Appends a columnar slice, merging into a same-entry columnar tail
-  /// chunk of the same schema.
-  void AppendDrainColumns(size_t entry_op, stream::ColumnarBatch&& columns);
 
   /// Materializes the chunked drain into the flat (entry, record) sequence
   /// in drain order and leaves the chunks empty. Tests, diagnostics, and
@@ -101,15 +88,8 @@ class SourceExecutor {
   /// True when construction succeeded; check before first use.
   Status Init() const { return init_status_; }
 
-  /// Buffers input records for the next epoch. In columnar mode the rows
-  /// are converted once, here at the edge, into the columnar epoch buffer
-  /// (no intermediate row queue, no second copy).
+  /// Buffers input records for the next epoch.
   void Ingest(stream::RecordBatch batch);
-
-  /// Columnar-native ingest: column-born sources (GenerateColumnar) append
-  /// their batches without any row record existing on the path. In row mode
-  /// (stateful prefixes) the batch materializes once at this boundary.
-  void IngestColumnar(stream::ColumnarBatch&& batch);
 
   /// Runs one epoch: routes buffered input through the proxies, processes
   /// queued records within the CPU budget (profiling mode executes operators
@@ -135,8 +115,8 @@ class SourceExecutor {
   /// Serializes the executor's recoverable state as an epoch-aligned
   /// checkpoint body (core/checkpoint.h): the routing entry conditions
   /// (pending-flush flag, per-proxy load factors), then per stage the
-  /// pending queues — row and columnar, as schema-less row batches — and
-  /// the operator's state delta (ExportStateDelta). Non-destructive: the
+  /// pending queue and the operator's state delta (ExportStateDelta), then
+  /// the deferred epoch input. Non-destructive: the
   /// epoch continues unaffected. kFull keyframes re-encode all operator
   /// state; queues are always snapshotted whole (they replace on restore).
   Status ExportCheckpointBody(ser::BufferWriter* w, stream::StateExport mode);
@@ -158,9 +138,7 @@ class SourceExecutor {
   const IngressLimits& ingress_limits() const { return ingress_; }
 
   /// Records currently deferred in the epoch input buffer.
-  uint64_t buffered_input() const {
-    return columnar_mode_ ? col_input_.num_rows() : input_buffer_.size();
-  }
+  uint64_t buffered_input() const { return input_buffer_.size(); }
 
   size_t num_ops() const { return proxies_.size(); }
   const ControlProxy& proxy(size_t i) const { return proxies_[i]; }
@@ -168,48 +146,20 @@ class SourceExecutor {
 
  private:
   /// Routes a batch emitted by operator `emitter` onwards: through proxy
-  /// `emitter+1` when one exists, otherwise to the stream processor. In
-  /// columnar mode forwarded rows enter the next stage's columnar queue.
+  /// `emitter+1` when one exists, otherwise to the stream processor.
   void RouteOutputs(size_t emitter, stream::RecordBatch&& batch,
                     SourceEpochOutput* out);
-  /// Columnar analogue of RouteOutputs: the batch is split between the next
-  /// stage's columnar queue and the drain path with no row detour on either
-  /// side — drained rows stay columnar all the way to the wire.
-  void RouteColumnarOutputs(size_t emitter, stream::ColumnarBatch* batch,
-                            SourceEpochOutput* out);
-  /// Routes an arriving row batch into columnar stage `stage` with the row
-  /// plane's exact decision sequence: forwarded rows convert into the
-  /// stage's columnar queue, drained rows ship to the stream processor.
-  /// Used for row-form emissions (watermark cascades) in columnar mode.
-  void RouteRowsIntoColumnarStage(size_t stage, stream::RecordBatch&& batch,
-                                  SourceEpochOutput* out);
   void Drain(size_t entry_op, stream::Record&& rec, SourceEpochOutput* out);
   /// Drains a whole batch to the same entry operator (one reserve, one
   /// accounting pass).
   void DrainBatch(size_t entry_op, stream::RecordBatch&& batch,
                   SourceEpochOutput* out);
-  /// Drains a whole columnar batch as one chunk (byte accounting comes from
-  /// the column-wise RowWireBytes pass, identical to the row plane's sum of
-  /// WireSize). Consumes `batch`.
-  void DrainColumnar(size_t entry_op, stream::ColumnarBatch&& batch,
-                     SourceEpochOutput* out);
-  /// Drains a columnar batch whose rows may need different entry tags:
-  /// dense (kData) rows resume at `data_entry`, fallback rows at
-  /// `data_entry` or `partial_entry` by kind. Dense runs ship as columnar
-  /// slices; fallback runs as row chunks — the flattened drain order is the
-  /// row plane's, bit for bit. Leaves `batch` empty with its schema bound.
-  void DrainColumnarSplit(stream::ColumnarBatch* batch, size_t data_entry,
-                          size_t partial_entry, SourceEpochOutput* out);
   /// Processes proxy `i`'s queue within the remaining budget, popping the
   /// affordable run of records as one batch through the operator.
   Status ProcessStage(size_t i, double* budget_left, double* spent,
                       SourceEpochOutput* out);
-  /// Columnar-plane ProcessStage: pops the affordable run off the stage's
-  /// columnar queue and runs the operator's vectorized path on it.
-  Status ProcessStageColumnar(size_t i, double* budget_left, double* spent,
-                              SourceEpochOutput* out);
-  /// Ships every record still queued at stage `i` (columnar and row queues)
-  /// to the stream processor, tagged to resume at operator `i`.
+  /// Ships every record still queued at stage `i` to the stream processor,
+  /// tagged to resume at operator `i`.
   void DrainPendingStage(size_t i, SourceEpochOutput* out);
   /// Oldest event time across the deferred epoch input, -1 when empty
   /// (the watermark clamp under ingress deferral).
@@ -220,30 +170,14 @@ class SourceExecutor {
   std::shared_ptr<const CostModel> cost_model_;
   SourceExecutorOptions options_;
   size_t total_ops_ = 0;  // full chain length (stream-processor side)
-  // Row-plane epoch input buffer; in columnar mode input lives in
-  // col_input_ instead and this stays empty.
+  // Epoch input buffer (records deferred by ingress throttling stay here).
   stream::RecordBatch input_buffer_;
   bool flush_pending_ = false;
   IngressLimits ingress_;
   Status init_status_;
-  // Columnar data plane (enabled when the whole pipeline is columnar):
-  // the columnar epoch input buffer, per-stage queues of pending rows in
-  // column form, and the in-flight run.
-  bool columnar_mode_ = false;
-  stream::ColumnarBatch col_input_;
-  std::vector<stream::ColumnarBatch> col_queues_;
-  stream::ColumnarBatch col_run_;
   // Ingress-admission scratch (throttled epochs only): the admitted prefix
-  // peeled off the epoch buffer, and the shed overflow on its way out.
-  stream::ColumnarBatch col_admit_;
-  stream::ColumnarBatch col_shed_;
+  // peeled off the epoch buffer.
   stream::RecordBatch row_admit_;
-  // Drain-side columnar scratch: the proxy-drained split and the run
-  // peeled off by DrainColumnarSplit (their buffers migrate into the epoch
-  // output's chunks, which need fresh storage anyway).
-  stream::ColumnarBatch col_drained_;
-  stream::ColumnarBatch col_split_;
-  std::vector<uint8_t> route_decisions_;
   // Hot-loop scratch, reused every epoch so the steady state allocates
   // nothing: stage input, operator emissions, and proxy-drained records.
   stream::RecordBatch stage_input_;

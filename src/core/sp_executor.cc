@@ -19,12 +19,6 @@ SpExecutor::SpExecutor(const query::CompiledQuery& query, size_t num_sources)
   // partitioning LP profiles on the source side); start with byte stats off
   // and let profiling turn them on explicitly.
   pipeline_->SetByteAccounting(false);
-  // Suffix-columnar table: computed once so Consume's per-chunk decision is
-  // one byte load. Entry == size() (finished records) is trivially columnar.
-  columnar_from_.assign(pipeline_->size() + 1, 0);
-  for (size_t i = 0; i <= pipeline_->size(); ++i) {
-    columnar_from_[i] = pipeline_->FullyColumnarFrom(i) ? 1 : 0;
-  }
 }
 
 Status SpExecutor::Consume(size_t source_id, SourceEpochOutput&& out,
@@ -35,28 +29,13 @@ Status SpExecutor::Consume(size_t source_id, SourceEpochOutput&& out,
   }
   // The drain arrives pre-chunked into maximal same-entry runs (whole proxy
   // queues, whole emitted batches), so each chunk is one batch traversal of
-  // the chain suffix. Columnar chunks stay columnar when every remaining
-  // operator has a native path; otherwise they regroup to rows here — the
-  // stateful merge boundary.
+  // the chain suffix.
   for (DrainChunk& chunk : out.to_sp) {
     const size_t entry = chunk.sp_entry_op;
     if (entry > pipeline_->size()) {
       return Status::OutOfRange("drain entry operator out of range");
     }
     records_consumed_ += chunk.size();
-    if (!chunk.columns.empty()) {
-      if (columnar_from_[entry]) {
-        JARVIS_RETURN_IF_ERROR(
-            pipeline_->PushColumnarFrom(entry, &chunk.columns));
-        chunk.columns.MoveToRows(results);
-      } else {
-        entry_batch_.clear();
-        chunk.columns.MoveToRows(&entry_batch_);
-        JARVIS_RETURN_IF_ERROR(
-            pipeline_->PushBatchFrom(entry, std::move(entry_batch_), results));
-        entry_batch_.clear();
-      }
-    }
     if (!chunk.rows.empty()) {
       JARVIS_RETURN_IF_ERROR(
           pipeline_->PushBatchFrom(entry, std::move(chunk.rows), results));
@@ -106,23 +85,14 @@ Result<FrameDisposition> SpExecutor::ConsumeFrame(
     // colliding corruption. Either way, refuse to misroute records.
     return FrameDisposition::kCorrupt;
   }
-  if (hdr->lane == WireLane::kColumnar && columnar_from_[hdr->entry_op]) {
-    // Columnar frame whose resume suffix is fully columnar: decode straight
-    // to column form and push without materializing entry rows — the same
-    // path Consume takes for in-memory chunks.
-    frame_columns_.Clear();
-    if (!DecodeDrainChunkPayload(frame, *hdr, &frame_columns_)) {
-      return FrameDisposition::kCorrupt;
-    }
-    JARVIS_RETURN_IF_ERROR(
-        pipeline_->PushColumnarFrom(hdr->entry_op, &frame_columns_));
-    frame_columns_.MoveToRows(results);
-    expect_seq_[source_id] = expect + 1;
-    records_consumed_ += frame.records;
-    return FrameDisposition::kDelivered;
-  }
+  // Row lane: the batch payload carries its own checksum, so any corruption
+  // the header missed fails the decode and nothing is consumed.
+  Result<std::pair<const uint8_t*, size_t>> payload =
+      FramePayload(frame, *hdr, &payload_scratch_);
+  if (!payload.ok()) return FrameDisposition::kCorrupt;
+  ser::BufferReader r(payload->first, payload->second);
   entry_batch_.clear();
-  if (!DecodeFramePayload(frame, *hdr, &entry_batch_).ok()) {
+  if (!stream::DeserializeBatch(&r, &entry_batch_).ok() || !r.AtEnd()) {
     return FrameDisposition::kCorrupt;
   }
   JARVIS_RETURN_IF_ERROR(pipeline_->PushBatchFrom(
@@ -131,17 +101,6 @@ Result<FrameDisposition> SpExecutor::ConsumeFrame(
   expect_seq_[source_id] = expect + 1;
   records_consumed_ += frame.records;
   return FrameDisposition::kDelivered;
-}
-
-bool SpExecutor::DecodeDrainChunkPayload(const WireFrame& frame,
-                                         const WireFrameHeader& hdr,
-                                         stream::ColumnarBatch* out) {
-  Result<std::pair<const uint8_t*, size_t>> payload =
-      FramePayload(frame, hdr, &payload_scratch_);
-  if (!payload.ok()) return false;
-  ser::BufferReader r(payload->first, payload->second);
-  if (!stream::DeserializeColumnarBatch(&r, out).ok()) return false;
-  return r.AtEnd();
 }
 
 Status SpExecutor::RemoveSource(size_t source_id) {

@@ -36,12 +36,9 @@ class SpExecutor {
 
   Status Init() const { return init_status_; }
 
-  /// Ingests one data source's epoch output. Columnar drain chunks whose
-  /// resume suffix is fully columnar are pushed via Pipeline::PushColumnar
-  /// — no row record materializes until the final results; chunks resuming
-  /// at or before a stateful operator regroup to rows at this boundary.
-  /// Final query results (closed windows, completed records) are appended
-  /// to `results`.
+  /// Ingests one data source's epoch output: each drain chunk resumes at
+  /// its tagged operator as one batch. Final query results (closed windows,
+  /// completed records) are appended to `results`.
   Status Consume(size_t source_id, SourceEpochOutput&& out,
                  stream::RecordBatch* results);
 
@@ -131,25 +128,14 @@ class SpExecutor {
   }
 
  private:
-  /// Decodes a columnar-lane frame's (possibly compressed) payload straight
-  /// into column form; false on any corruption (the kCorrupt signal).
-  bool DecodeDrainChunkPayload(const WireFrame& frame,
-                               const WireFrameHeader& hdr,
-                               stream::ColumnarBatch* out);
-
   std::unique_ptr<stream::Pipeline> pipeline_;
   stream::WatermarkMerger merger_;
   Micros applied_watermark_ = -1;
   Status init_status_;
-  // columnar_from_[i]: every operator in [i, size()) has a native columnar
-  // path, so a columnar chunk entering at i stays columnar to the results.
-  std::vector<uint8_t> columnar_from_;
-  // Reused per Consume call for chunks that must regroup to rows.
-  stream::RecordBatch entry_batch_;
   // Reused per ConsumeFrame call: decompression scratch for v2 frames and
-  // the column-form decode target for columnar-lane frames.
+  // the decoded rows of a data frame.
   std::vector<uint8_t> payload_scratch_;
-  stream::ColumnarBatch frame_columns_;
+  stream::RecordBatch entry_batch_;
   // Per-source next expected wire sequence number (exactly-once delivery).
   std::vector<uint32_t> expect_seq_;
   uint64_t records_consumed_ = 0;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "stream/columnar.h"
 #include "stream/record.h"
 
 namespace jarvis::core {
@@ -32,7 +31,7 @@ struct OperatorProfile {
   double relay_records = 1.0;
   double relay_bytes = 1.0;
   /// Measured wire-bytes multiplier for records drained after this operator:
-  /// actual encoded frame bytes (columnar encodings + LZ4 framing +
+  /// actual encoded frame bytes (packed row lanes + LZ4 framing +
   /// checkpoint-frame overhead) per modeled record-format byte. 1.0 until a
   /// profiling epoch measures the real drain (BuildingBlock folds
   /// WireByteProfile ratios in); the LP's bandwidth term scales by it so
@@ -78,19 +77,13 @@ struct DrainRecord {
 };
 
 /// One run of consecutively drained records sharing a stream-processor entry
-/// operator. The drain is chunked and columnar-first: the columnar plane
-/// ships ColumnarBatch slices in `columns` (kPartial accumulator rows and
-/// schema-divergent records ride the batch's lossless fallback lane), while
-/// row-form producers (the row plane, checkpoint state exports, watermark
-/// emissions) fill `rows`. Exactly one lane is populated per chunk;
-/// flattening the chunks in order reproduces the record-at-a-time drain
-/// sequence bit for bit.
+/// operator; it ships as one row-lane wire frame. Flattening the chunks in
+/// order reproduces the record-at-a-time drain sequence bit for bit.
 struct DrainChunk {
   size_t sp_entry_op = 0;
-  stream::ColumnarBatch columns;
   stream::RecordBatch rows;
 
-  size_t size() const { return columns.num_rows() + rows.size(); }
+  size_t size() const { return rows.size(); }
 };
 
 }  // namespace jarvis::core

@@ -12,8 +12,8 @@ Result<stream::OperatorPtr> MakeOperator(const LogicalOp& op,
           op.name, op.output_schema, op.window_width));
     case OpKind::kFilter:
       // The typed form (when the builder could express the predicate in the
-      // mini-language) compiles to the branch-free columnar path; the
-      // std::function form stays as the fully general fallback.
+      // mini-language) keeps its structure; the std::function form stays as
+      // the fully general fallback.
       if (op.typed_predicate) {
         return stream::OperatorPtr(std::make_unique<stream::FilterOp>(
             op.name, op.output_schema, *op.typed_predicate));

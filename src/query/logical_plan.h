@@ -51,8 +51,8 @@ struct LogicalOp {
 
   // Filter. `predicate` is always populated (it is what the record paths
   // evaluate); `typed_predicate` is additionally set when the filter was
-  // built from the typed mini-language, which lets compilation pick
-  // FilterOp's branch-free columnar path.
+  // built from the typed mini-language, which lets the optimizer fuse and
+  // remap it.
   stream::FilterOp::Predicate predicate;
   std::optional<stream::TypedPredicate> typed_predicate;
 

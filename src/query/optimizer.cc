@@ -77,8 +77,7 @@ void FuseAdjacentFilters(LogicalPlan* plan) {
         return a(r) && b(r);
       };
       // Typed forms fuse losslessly into one conjunction, so the fused
-      // filter stays on the branch-free columnar path; one opaque operand
-      // makes the fusion opaque.
+      // filter stays typed; one opaque operand makes the fusion opaque.
       if (prev.typed_predicate && op.typed_predicate) {
         std::vector<stream::TypedPredicate> conjuncts;
         conjuncts.reserve(2);
@@ -120,9 +119,8 @@ bool RemapPredicateFields(stream::TypedPredicate* pred,
 
 /// Sinks Project operators below Window and below typed Filters whose
 /// predicate survives the projection. Each successful swap moves the column
-/// drop one stage earlier: the columnar plane's Retain compaction then moves
-/// fewer bytes and records drained between the swapped stages ship fewer
-/// columns. Iterates to a fixpoint so a Project bubbles through a whole
+/// drop one stage earlier: the later stages then move fewer bytes and
+/// records drained between the swapped stages ship fewer columns. Iterates to a fixpoint so a Project bubbles through a whole
 /// Window/Filter prefix.
 void PushDownProjections(LogicalPlan* plan) {
   bool changed = true;

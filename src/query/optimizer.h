@@ -48,8 +48,8 @@ struct OptimizedPlan {
 ///  2. projection pushdown: sink each Project below Window (schema-agnostic)
 ///     and below typed Filters whose referenced fields survive the
 ///     projection (predicate field indices are remapped), so dead columns
-///     are dropped as early as possible — before Retain compaction on the
-///     columnar plane and before the drain wire. Pushdown is blocked across
+///     are dropped as early as possible — before later stages move the
+///     records and before the drain wire. Pushdown is blocked across
 ///     Map / Join / GroupAggregate (they consume their full input schema)
 ///     and across opaque std::function filters (unremappable),
 ///  3. re-fuse filters made adjacent by 2., and fuse adjacent Projects into

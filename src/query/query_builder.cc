@@ -64,8 +64,8 @@ QueryBuilder& QueryBuilder::Filter(std::string name,
   LogicalOp op;
   op.kind = OpKind::kFilter;
   op.name = std::move(name);
-  // The record paths evaluate the same tree the columnar path compiles, so
-  // both physical forms agree record for record.
+  // The record paths evaluate the same tree the typed form carries, so both
+  // forms agree record for record.
   op.predicate = [p = pred](const stream::Record& r) {
     return stream::EvalPredicate(p, r);
   };

@@ -36,7 +36,7 @@ class QueryBuilder {
 
   /// Typed predicate filter ({field, cmp_op, constant} composition with
   /// field indices resolved against the current schema). Validated here at
-  /// build time; compiles to FilterOp's branch-free columnar path.
+  /// build time; compiles to FilterOp's typed form.
   QueryBuilder& Filter(std::string name, stream::TypedPredicate pred);
 
   /// Convenience: keep records whose named field compares against `value`

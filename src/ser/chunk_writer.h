@@ -12,7 +12,7 @@ namespace jarvis::ser {
 /// Accumulates encoded bytes in a stack chunk and flushes to the
 /// BufferWriter in bulk: column emission costs one vector append per ~4KB of
 /// payload instead of one per value. Shared by the schema-elided batch format
-/// (record.cc) and the columnar drain format (columnar.cc).
+/// (record.cc) and the columnar checkpoint-section format (columnar.cc).
 class ChunkWriter {
  public:
   explicit ChunkWriter(BufferWriter* out) : out_(out) {}

@@ -8,7 +8,7 @@
 namespace jarvis::ser {
 
 /// Streaming delta codec shared by the schema-elided batch format
-/// (stream/record.cc), the columnar drain format (stream/columnar.cc), and
+/// (stream/record.cc), the columnar section format (stream/columnar.cc), and
 /// the scalar reference kernels (stream/kernels.cc). Deltas are computed in
 /// uint64_t so wraparound is well-defined and the decoder's addition inverts
 /// the encoder exactly; the delta is then zigzag-varint encoded on the wire.

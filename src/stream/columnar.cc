@@ -1,7 +1,6 @@
 #include "stream/columnar.h"
 
 #include <algorithm>
-#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -26,20 +25,6 @@ bool IsDenseRow(const Record& rec, const Schema& schema) {
 void ColumnarBatch::Reset(Schema schema) {
   schema_ = std::move(schema);
   const size_t nf = schema_.num_fields();
-  // Growing back past a projection: refill from recycled columns, matching
-  // types so the reclaimed buffer is the one with useful capacity.
-  while (columns_.size() < nf && !spares_.empty()) {
-    const ValueType want = schema_.field(columns_.size()).type;
-    size_t pick = spares_.size() - 1;  // any spare if no type match
-    for (size_t s = 0; s < spares_.size(); ++s) {
-      if (spares_[s].type == want) {
-        pick = s;
-        break;
-      }
-    }
-    columns_.push_back(std::move(spares_[pick]));
-    spares_.erase(spares_.begin() + pick);
-  }
   columns_.resize(nf);
   for (size_t j = 0; j < nf; ++j) {
     columns_[j].type = schema_.field(j).type;
@@ -84,73 +69,6 @@ void ColumnarBatch::AppendRow(Record&& rec) {
   is_dense_.push_back(1);
 }
 
-void ColumnarBatch::AppendRows(RecordBatch&& rows) {
-  // Row-major transfer: each record's fields are touched while the record
-  // is cache-hot (a column-major second pass re-walks ~200B/record of
-  // pointer-chasing layout per column and loses more to misses than the
-  // hoisted type switch saves — measured, not guessed).
-  GrowForAppend(&is_dense_, rows.size());
-  GrowForAppend(&event_time_, rows.size());
-  GrowForAppend(&window_start_, rows.size());
-  for (Record& rec : rows) AppendRow(std::move(rec));
-  rows.clear();
-}
-
-ColumnarBatch ColumnarBatch::FromRows(RecordBatch&& rows, Schema schema) {
-  ColumnarBatch batch(std::move(schema));
-  batch.AppendRows(std::move(rows));
-  return batch;
-}
-
-void ColumnarBatch::AppendBatch(ColumnarBatch&& other) {
-  if (other.empty()) return;
-  if (!(schema_ == other.schema_)) {
-    // Lossless degradation: a mismatched producer goes through the exact
-    // row conversion instead of corrupting column types.
-    RecordBatch rows;
-    other.MoveToRows(&rows);
-    AppendRows(std::move(rows));
-    return;
-  }
-  if (empty()) {
-    // Donor buffers are adopted wholesale; ours (empty, but possibly with
-    // capacity) ride back in `other` for the caller to reuse.
-    std::swap(columns_, other.columns_);
-    std::swap(event_time_, other.event_time_);
-    std::swap(window_start_, other.window_start_);
-    std::swap(is_dense_, other.is_dense_);
-    std::swap(fallback_, other.fallback_);
-    return;
-  }
-  event_time_.insert(event_time_.end(), other.event_time_.begin(),
-                     other.event_time_.end());
-  window_start_.insert(window_start_.end(), other.window_start_.begin(),
-                       other.window_start_.end());
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    Column& dst = columns_[j];
-    Column& src = other.columns_[j];
-    switch (dst.type) {
-      case ValueType::kInt64:
-        dst.i64.insert(dst.i64.end(), src.i64.begin(), src.i64.end());
-        break;
-      case ValueType::kDouble:
-        dst.f64.insert(dst.f64.end(), src.f64.begin(), src.f64.end());
-        break;
-      case ValueType::kString:
-        dst.str.insert(dst.str.end(),
-                       std::make_move_iterator(src.str.begin()),
-                       std::make_move_iterator(src.str.end()));
-        break;
-    }
-  }
-  is_dense_.insert(is_dense_.end(), other.is_dense_.begin(),
-                   other.is_dense_.end());
-  fallback_.insert(fallback_.end(),
-                   std::make_move_iterator(other.fallback_.begin()),
-                   std::make_move_iterator(other.fallback_.end()));
-  other.Clear();
-}
-
 Record ColumnarBatch::MaterializeDense(size_t d) {
   Record rec;
   rec.event_time = event_time_[d];
@@ -185,266 +103,8 @@ void ColumnarBatch::MoveToRows(RecordBatch* out) {
   Clear();
 }
 
-namespace {
-
-/// Stable in-place compaction of one array: keeps a[d] iff keep[d]. The
-/// type-specific instantiations keep the per-element loop free of dispatch.
-template <typename T>
-void CompactArray(std::vector<T>* a, const uint8_t* keep, size_t n) {
-  size_t w = 0;
-  for (size_t d = 0; d < n; ++d) {
-    if (!keep[d]) continue;
-    if (w != d) (*a)[w] = std::move((*a)[d]);
-    ++w;
-  }
-  a->resize(w);
-}
-
-}  // namespace
-
-void ColumnarBatch::Retain(const uint8_t* keep_dense,
-                           const uint8_t* keep_fallback) {
-  // Column-major stable compaction: each 8-byte array goes through the
-  // dispatched shuffle-table kernel (stream/kernels.h), strings keep the
-  // move-based scalar pass. All linear, no allocation in steady state.
-  const kernels::KernelTable& k = kernels::Active();
-  const size_t nd = num_dense();
-  event_time_.resize(k.compact64(event_time_.data(), keep_dense, nd));
-  window_start_.resize(k.compact64(window_start_.data(), keep_dense, nd));
-  for (Column& col : columns_) {
-    switch (col.type) {
-      case ValueType::kInt64:
-        col.i64.resize(k.compact64(col.i64.data(), keep_dense, nd));
-        break;
-      case ValueType::kDouble:
-        col.f64.resize(k.compact64(col.f64.data(), keep_dense, nd));
-        break;
-      case ValueType::kString:
-        CompactArray(&col.str, keep_dense, nd);
-        break;
-    }
-  }
-
-  size_t wf = 0;
-  const size_t nf = fallback_.size();
-  for (size_t f = 0; f < nf; ++f) {
-    if (!keep_fallback[f]) continue;
-    if (wf != f) fallback_[wf] = std::move(fallback_[f]);
-    ++wf;
-  }
-  fallback_.resize(wf);
-
-  // The per-row mask is the per-lane masks expanded through the density
-  // bitmap; the bitmap then compacts under it like any other byte array.
-  keep_rows_.resize(is_dense_.size());
-  k.density_expand(is_dense_.data(), is_dense_.size(), keep_dense,
-                   keep_fallback, keep_rows_.data());
-  is_dense_.resize(
-      k.compact8(is_dense_.data(), keep_rows_.data(), is_dense_.size()));
-}
-
-Status ColumnarBatch::SelectColumns(const std::vector<size_t>& indices) {
-  for (size_t i : indices) {
-    if (i >= columns_.size()) {
-      return Status::OutOfRange("project index out of range");
-    }
-  }
-  // Column-pointer swaps: each kept column moves once. An index that appears
-  // more than once copies so later uses see intact data.
-  std::vector<size_t> uses(columns_.size(), 0);
-  for (size_t i : indices) ++uses[i];
-  std::vector<Column> selected;
-  selected.reserve(indices.size());
-  for (size_t i : indices) {
-    if (uses[i] > 1) {
-      selected.push_back(columns_[i]);
-    } else {
-      selected.push_back(std::move(columns_[i]));
-    }
-  }
-  // Dropped columns keep their buffers in the spare pool; the next Reset
-  // back to a wider schema reclaims them instead of reallocating.
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    if (uses[j] == 0) {
-      columns_[j].Clear();
-      spares_.push_back(std::move(columns_[j]));
-    }
-  }
-  columns_ = std::move(selected);
-  schema_ = schema_.Select(indices);
-  return Status::OK();
-}
-
-void ColumnarBatch::MoveDenseRowTo(size_t d, ColumnarBatch* dst) {
-  dst->event_time_.push_back(event_time_[d]);
-  dst->window_start_.push_back(window_start_[d]);
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    Column& src = columns_[j];
-    Column& col = dst->columns_[j];
-    switch (src.type) {
-      case ValueType::kInt64:
-        col.i64.push_back(src.i64[d]);
-        break;
-      case ValueType::kDouble:
-        col.f64.push_back(src.f64[d]);
-        break;
-      case ValueType::kString:
-        col.str.push_back(std::move(src.str[d]));
-        break;
-    }
-  }
-  dst->is_dense_.push_back(1);
-}
-
-void ColumnarBatch::Partition(const uint8_t* decisions,
-                              ColumnarBatch* forwarded, RecordBatch* drained) {
-  GrowForAppend(drained, num_rows());
-  size_t d = 0, fb = 0;
-  for (size_t r = 0; r < is_dense_.size(); ++r) {
-    if (is_dense_[r]) {
-      if (decisions[r]) {
-        MoveDenseRowTo(d++, forwarded);
-      } else {
-        drained->push_back(MaterializeDense(d++));
-      }
-    } else {
-      if (decisions[r]) {
-        forwarded->is_dense_.push_back(0);
-        forwarded->fallback_.push_back(std::move(fallback_[fb++]));
-      } else {
-        drained->push_back(std::move(fallback_[fb++]));
-      }
-    }
-  }
-  Clear();
-}
-
-void ColumnarBatch::Partition(const uint8_t* decisions,
-                              ColumnarBatch* forwarded,
-                              ColumnarBatch* drained) {
-  size_t d = 0, fb = 0;
-  for (size_t r = 0; r < is_dense_.size(); ++r) {
-    ColumnarBatch* dst = decisions[r] ? forwarded : drained;
-    if (is_dense_[r]) {
-      MoveDenseRowTo(d++, dst);
-    } else {
-      dst->is_dense_.push_back(0);
-      dst->fallback_.push_back(std::move(fallback_[fb++]));
-    }
-  }
-  Clear();
-}
-
-void ColumnarBatch::SplitFront(size_t n, ColumnarBatch* front) {
-  front->Reset(schema_);
-  if (n == 0) return;
-  if (n >= num_rows()) {
-    // Whole-queue take: swap the buffers so both sides keep their
-    // capacities for reuse.
-    std::swap(front->columns_, columns_);
-    std::swap(front->event_time_, event_time_);
-    std::swap(front->window_start_, window_start_);
-    std::swap(front->is_dense_, is_dense_);
-    std::swap(front->fallback_, fallback_);
-    return;
-  }
-  size_t nd = 0;
-  for (size_t r = 0; r < n; ++r) nd += is_dense_[r];
-  const size_t nf = n - nd;
-
-  front->event_time_.assign(event_time_.begin(), event_time_.begin() + nd);
-  front->window_start_.assign(window_start_.begin(),
-                              window_start_.begin() + nd);
-  event_time_.erase(event_time_.begin(), event_time_.begin() + nd);
-  window_start_.erase(window_start_.begin(), window_start_.begin() + nd);
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    Column& src = columns_[j];
-    Column& dst = front->columns_[j];
-    switch (src.type) {
-      case ValueType::kInt64:
-        dst.i64.assign(src.i64.begin(), src.i64.begin() + nd);
-        src.i64.erase(src.i64.begin(), src.i64.begin() + nd);
-        break;
-      case ValueType::kDouble:
-        dst.f64.assign(src.f64.begin(), src.f64.begin() + nd);
-        src.f64.erase(src.f64.begin(), src.f64.begin() + nd);
-        break;
-      case ValueType::kString:
-        dst.str.assign(std::make_move_iterator(src.str.begin()),
-                       std::make_move_iterator(src.str.begin() + nd));
-        src.str.erase(src.str.begin(), src.str.begin() + nd);
-        break;
-    }
-  }
-  front->fallback_.assign(std::make_move_iterator(fallback_.begin()),
-                          std::make_move_iterator(fallback_.begin() + nf));
-  fallback_.erase(fallback_.begin(), fallback_.begin() + nf);
-  front->is_dense_.assign(is_dense_.begin(), is_dense_.begin() + n);
-  is_dense_.erase(is_dense_.begin(), is_dense_.begin() + n);
-}
-
-void ColumnarBatch::MoveDenseRange(size_t d0, size_t d1, ColumnarBatch* dst) {
-  if (d0 >= d1) return;
-  const size_t n = d1 - d0;
-  dst->event_time_.insert(dst->event_time_.end(), event_time_.begin() + d0,
-                          event_time_.begin() + d1);
-  dst->window_start_.insert(dst->window_start_.end(),
-                            window_start_.begin() + d0,
-                            window_start_.begin() + d1);
-  for (size_t j = 0; j < columns_.size(); ++j) {
-    Column& src = columns_[j];
-    Column& col = dst->columns_[j];
-    switch (src.type) {
-      case ValueType::kInt64:
-        col.i64.insert(col.i64.end(), src.i64.begin() + d0,
-                       src.i64.begin() + d1);
-        break;
-      case ValueType::kDouble:
-        col.f64.insert(col.f64.end(), src.f64.begin() + d0,
-                       src.f64.begin() + d1);
-        break;
-      case ValueType::kString:
-        col.str.insert(col.str.end(),
-                       std::make_move_iterator(src.str.begin() + d0),
-                       std::make_move_iterator(src.str.begin() + d1));
-        break;
-    }
-  }
-  dst->is_dense_.insert(dst->is_dense_.end(), n, 1);
-}
-
-uint64_t ColumnarBatch::RowWireBytes() const {
-  using ser::VarIntSize;
-  using ser::ZigZagEncode;
-  uint64_t total = 0;
-  const size_t nd = num_dense();
-  // Per dense row: kind byte + field-count varint + the two time varints.
-  total += nd * (1 + VarIntSize(columns_.size()));
-  for (size_t d = 0; d < nd; ++d) {
-    total += VarIntSize(ZigZagEncode(event_time_[d])) +
-             VarIntSize(ZigZagEncode(window_start_[d]));
-  }
-  for (const Column& col : columns_) {
-    switch (col.type) {
-      case ValueType::kInt64:
-        for (int64_t v : col.i64) total += 1 + VarIntSize(ZigZagEncode(v));
-        break;
-      case ValueType::kDouble:
-        total += nd * (1 + 8);
-        break;
-      case ValueType::kString:
-        for (const std::string& s : col.str) {
-          total += 1 + VarIntSize(s.size()) + s.size();
-        }
-        break;
-    }
-  }
-  for (const Record& rec : fallback_) total += WireSize(rec);
-  return total;
-}
-
 // ---------------------------------------------------------------------------
-// Columnar drain wire format
+// Columnar wire format
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -546,9 +206,6 @@ void WriteStringColumn(const std::vector<std::string>& values,
   for (const std::string& s : values) w->String(s);
 }
 
-/// Decodes the frame body (everything after the integrity header).
-Status DecodeColumnarBody(ser::BufferReader* in, RecordBatch* out);
-
 }  // namespace
 
 size_t SerializeColumnar(const ColumnarBatch& batch, ser::BufferWriter* out) {
@@ -556,7 +213,7 @@ size_t SerializeColumnar(const ColumnarBatch& batch, ser::BufferWriter* out) {
   const size_t n = batch.num_rows();
   const size_t nf = batch.num_columns();
   out->Reserve(32 + nf + n * 4);
-  out->PutU8(kColumnarFormatVersion);
+  out->PutU8(kColumnFormatVersion);
   // Integrity header: payload length + checksum, patched in place once the
   // body is written (the encoder stays single-pass, no staging buffer).
   const size_t len_pos = out->size();
@@ -641,225 +298,10 @@ size_t SerializeColumnar(const ColumnarBatch& batch, ser::BufferWriter* out) {
   return out->size() - start;
 }
 
-Status DeserializeColumnar(ser::BufferReader* in, RecordBatch* out) {
-  uint8_t version;
-  JARVIS_RETURN_IF_ERROR(in->GetU8(&version));
-  if (version != kColumnarFormatVersion) {
-    return Status::SerializationError("bad columnar format version");
-  }
-  uint32_t body_len, crc;
-  JARVIS_RETURN_IF_ERROR(in->GetU32(&body_len));
-  JARVIS_RETURN_IF_ERROR(in->GetU32(&crc));
-  if (body_len > in->remaining()) {
-    return Status::SerializationError("truncated columnar frame");
-  }
-  if (ser::FrameChecksum(in->cursor(), body_len) != crc) {
-    return Status::SerializationError("columnar frame checksum mismatch");
-  }
-  // Decode against a reader bounded to the declared payload: a corrupt body
-  // can never read past its frame, and a short decode (trailing garbage
-  // inside the frame) is itself corruption.
-  ser::BufferReader body(in->cursor(), body_len);
-  JARVIS_RETURN_IF_ERROR(DecodeColumnarBody(&body, out));
-  if (!body.AtEnd()) {
-    return Status::SerializationError("columnar frame payload length mismatch");
-  }
-  in->Advance(body_len);
-  return Status::OK();
-}
-
-namespace {
-
-Status DecodeColumnarBody(ser::BufferReader* in, RecordBatch* out) {
-  uint64_t n;
-  JARVIS_RETURN_IF_ERROR(in->GetVarU64(&n));
-  // Every row costs at least its two time varints downstream of the RLE
-  // flags, so a count beyond the remaining bytes is corrupt (DoS guard).
-  if (n > in->remaining()) {
-    return Status::SerializationError("implausible columnar record count");
-  }
-  uint64_t nf;
-  JARVIS_RETURN_IF_ERROR(in->GetVarU64(&nf));
-  if (nf > (1u << 20)) {
-    return Status::SerializationError("implausible schema field count");
-  }
-  std::vector<ValueType> tags(nf);
-  for (uint64_t j = 0; j < nf; ++j) {
-    uint8_t tag;
-    JARVIS_RETURN_IF_ERROR(in->GetU8(&tag));
-    if (tag > static_cast<uint8_t>(ValueType::kString)) {
-      return Status::SerializationError("bad schema type tag");
-    }
-    tags[j] = static_cast<ValueType>(tag);
-  }
-
-  // Flags RLE. resize() keeps already-present elements so a reused output
-  // batch retains its field vectors' capacities.
-  out->resize(n);
-  std::vector<uint8_t> flags(n);
-  uint64_t covered = 0;
-  while (covered < n) {
-    uint8_t f;
-    JARVIS_RETURN_IF_ERROR(in->GetU8(&f));
-    if (f != 0 && f != kColFlagPartial && f != kColFlagDense) {
-      return Status::SerializationError("bad columnar row flags");
-    }
-    uint64_t run;
-    JARVIS_RETURN_IF_ERROR(in->GetVarU64(&run));
-    if (run == 0 || run > n - covered) {
-      return Status::SerializationError("bad columnar flag run length");
-    }
-    std::fill(flags.begin() + covered, flags.begin() + covered + run, f);
-    covered += run;
-  }
-  uint64_t ndense = 0;
-  for (uint64_t r = 0; r < n; ++r) {
-    Record& rec = (*out)[r];
-    rec.kind = (flags[r] & kColFlagPartial) ? RecordKind::kPartial
-                                            : RecordKind::kData;
-    rec.fields.clear();
-    if (flags[r] & kColFlagDense) {
-      rec.fields.reserve(nf);
-      ++ndense;
-    }
-  }
-
-  // Time columns: kernel block decode into a stack buffer, then one
-  // row-order assignment pass.
-  const kernels::KernelTable& k = kernels::Active();
-  int64_t vals[kEncBlock];
-  {
-    uint64_t prev = 0;
-    for (uint64_t r = 0; r < n;) {
-      const size_t m = std::min<uint64_t>(kEncBlock, n - r);
-      const size_t used =
-          k.delta_varint_decode(in->cursor(), in->remaining(), m, &prev, vals);
-      if (used == 0) {
-        return Status::SerializationError("bad time column varint");
-      }
-      in->Advance(used);
-      for (size_t j = 0; j < m; ++j) {
-        (*out)[r + j].event_time = vals[j];
-      }
-      r += m;
-    }
-    prev = 0;
-    for (uint64_t r = 0; r < n;) {
-      const size_t m = std::min<uint64_t>(kEncBlock, n - r);
-      const size_t used =
-          k.delta_varint_decode(in->cursor(), in->remaining(), m, &prev, vals);
-      if (used == 0) {
-        return Status::SerializationError("bad time column varint");
-      }
-      in->Advance(used);
-      for (size_t j = 0; j < m; ++j) {
-        (*out)[r + j].window_start = vals[j];
-      }
-      r += m;
-    }
-  }
-
-  // Dense value columns; fields append in column order per record, which
-  // reconstructs field order because every pass touches records in row order.
-  for (uint64_t j = 0; j < nf; ++j) {
-    switch (tags[j]) {
-      case ValueType::kInt64: {
-        // The column's ndense varints are contiguous on the wire; decode
-        // them in blocks and fan out to the dense rows in row order.
-        uint64_t prev = 0;
-        uint64_t done = 0;
-        uint64_t r = 0;
-        while (done < ndense) {
-          const size_t m = std::min<uint64_t>(kEncBlock, ndense - done);
-          const size_t used = k.delta_varint_decode(in->cursor(),
-                                                    in->remaining(), m, &prev,
-                                                    vals);
-          if (used == 0) {
-            return Status::SerializationError("bad int64 column varint");
-          }
-          in->Advance(used);
-          // Walks rows until the block's m values are placed; b is the
-          // cursor into vals, r carries across blocks.
-          for (size_t b = 0; b < m; ++r) {
-            if (!(flags[r] & kColFlagDense)) continue;
-            (*out)[r].fields.emplace_back(vals[b++]);
-          }
-          done += m;
-        }
-        break;
-      }
-      case ValueType::kDouble:
-        for (uint64_t r = 0; r < n; ++r) {
-          if (!(flags[r] & kColFlagDense)) continue;
-          double v;
-          JARVIS_RETURN_IF_ERROR(in->GetDouble(&v));
-          (*out)[r].fields.emplace_back(v);
-        }
-        break;
-      case ValueType::kString: {
-        if (ndense == 0) break;
-        uint8_t marker;
-        JARVIS_RETURN_IF_ERROR(in->GetU8(&marker));
-        if (marker == kStrDict) {
-          uint64_t dict_size;
-          JARVIS_RETURN_IF_ERROR(in->GetVarU64(&dict_size));
-          if (dict_size == 0 || dict_size > 255) {
-            return Status::SerializationError("bad string dictionary size");
-          }
-          std::vector<std::string> dict(dict_size);
-          for (uint64_t k = 0; k < dict_size; ++k) {
-            JARVIS_RETURN_IF_ERROR(in->GetString(&dict[k]));
-          }
-          for (uint64_t r = 0; r < n; ++r) {
-            if (!(flags[r] & kColFlagDense)) continue;
-            uint8_t code;
-            JARVIS_RETURN_IF_ERROR(in->GetU8(&code));
-            if (code >= dict_size) {
-              return Status::SerializationError("bad string dictionary code");
-            }
-            (*out)[r].fields.emplace_back(dict[code]);
-          }
-        } else if (marker == kStrPlain) {
-          for (uint64_t r = 0; r < n; ++r) {
-            if (!(flags[r] & kColFlagDense)) continue;
-            std::string v;
-            JARVIS_RETURN_IF_ERROR(in->GetString(&v));
-            (*out)[r].fields.emplace_back(std::move(v));
-          }
-        } else {
-          return Status::SerializationError("bad string column marker");
-        }
-        break;
-      }
-    }
-  }
-
-  // Fallback rows (inline-tagged, like the record format).
-  for (uint64_t r = 0; r < n; ++r) {
-    if (flags[r] & kColFlagDense) continue;
-    Record& rec = (*out)[r];
-    uint64_t nfields;
-    JARVIS_RETURN_IF_ERROR(in->GetVarU64(&nfields));
-    if (nfields > (1u << 20)) {
-      return Status::SerializationError("implausible field count");
-    }
-    rec.fields.reserve(nfields);
-    for (uint64_t f = 0; f < nfields; ++f) {
-      Value v;
-      JARVIS_RETURN_IF_ERROR(ReadTaggedValue(in, &v));
-      rec.fields.push_back(std::move(v));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status DeserializeColumnarBatch(ser::BufferReader* in, ColumnarBatch* out) {
-  // Decodes the frame body straight into column form. The grammar walk
-  // mirrors DecodeColumnarBody exactly (same order, same guards); only the
-  // destination differs: dense values land in the typed column vectors /
-  // packed time arrays in bulk instead of fanning out to one Record per row.
+  // Decodes the frame body straight into column form: dense values land in
+  // the typed column vectors / packed time arrays in bulk, fallback rows
+  // rebuild their records.
   const auto decode_body = [out](ser::BufferReader* in) -> Status {
     uint64_t n;
     JARVIS_RETURN_IF_ERROR(in->GetVarU64(&n));
@@ -872,8 +314,7 @@ Status DeserializeColumnarBatch(ser::BufferReader* in, ColumnarBatch* out) {
       return Status::SerializationError("implausible schema field count");
     }
     // The wire is name-free, so the reconstructed schema carries empty field
-    // names; consumers of the decoded batch are positional (pipeline entry
-    // pushes, MoveToRows), which is exactly what the drain path needs.
+    // names; the checkpoint restore that reads it is positional.
     std::vector<Schema::Field> decoded_fields(nf);
     for (uint64_t j = 0; j < nf; ++j) {
       uint8_t tag;
@@ -1043,7 +484,7 @@ Status DeserializeColumnarBatch(ser::BufferReader* in, ColumnarBatch* out) {
 
   uint8_t version;
   JARVIS_RETURN_IF_ERROR(in->GetU8(&version));
-  if (version != kColumnarFormatVersion) {
+  if (version != kColumnFormatVersion) {
     return Status::SerializationError("bad columnar format version");
   }
   uint32_t body_len, crc;

@@ -1,8 +1,5 @@
 #include "stream/kernels.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "common/env.h"
 #include "ser/codec.h"
 
@@ -17,98 +14,6 @@ namespace {
 // They are compiled with the build's baseline flags only (no -mavx2 etc.),
 // so JARVIS_SIMD=scalar measures exactly what the compiler finds on its own
 // — the honest baseline the explicit kernels are judged against.
-
-/// One comparison per element with the functor resolved per column; the
-/// numeric instantiations auto-vectorize at the baseline ISA.
-template <typename T, typename Cmp>
-void FillCmpScalar(const T* v, size_t n, T c, uint8_t* sel, Cmp cmp) {
-  for (size_t i = 0; i < n; ++i) {
-    sel[i] = static_cast<uint8_t>(cmp(v[i], c));
-  }
-}
-
-template <typename T>
-void CmpFillScalar(const T* v, size_t n, T c, CmpOp op, uint8_t* sel) {
-  switch (op) {
-    case CmpOp::kEq:
-      FillCmpScalar(v, n, c, sel, [](T a, T b) { return a == b; });
-      break;
-    case CmpOp::kNe:
-      FillCmpScalar(v, n, c, sel, [](T a, T b) { return a != b; });
-      break;
-    case CmpOp::kLt:
-      FillCmpScalar(v, n, c, sel, [](T a, T b) { return a < b; });
-      break;
-    case CmpOp::kLe:
-      FillCmpScalar(v, n, c, sel, [](T a, T b) { return a <= b; });
-      break;
-    case CmpOp::kGt:
-      FillCmpScalar(v, n, c, sel, [](T a, T b) { return a > b; });
-      break;
-    case CmpOp::kGe:
-      FillCmpScalar(v, n, c, sel, [](T a, T b) { return a >= b; });
-      break;
-  }
-}
-
-void CmpFillI64Scalar(const int64_t* v, size_t n, int64_t c, CmpOp op,
-                      uint8_t* sel) {
-  CmpFillScalar(v, n, c, op, sel);
-}
-
-void CmpFillF64Scalar(const double* v, size_t n, double c, CmpOp op,
-                      uint8_t* sel) {
-  CmpFillScalar(v, n, c, op, sel);
-}
-
-void SelAndScalar(uint8_t* dst, const uint8_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] &= src[i];
-}
-
-void SelOrScalar(uint8_t* dst, const uint8_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) dst[i] |= src[i];
-}
-
-void SelNotScalar(uint8_t* dst, const uint8_t* src, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<uint8_t>(src[i] == 0);
-  }
-}
-
-uint64_t SelCountScalar(const uint8_t* sel, size_t n) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += sel[i] != 0;
-  return count;
-}
-
-size_t Compact64Scalar(void* data, const uint8_t* keep, size_t n) {
-  uint8_t* base = static_cast<uint8_t*>(data);
-  size_t w = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!keep[i]) continue;
-    if (w != i) std::memcpy(base + w * 8, base + i * 8, 8);
-    ++w;
-  }
-  return w;
-}
-
-size_t Compact8Scalar(uint8_t* data, const uint8_t* keep, size_t n) {
-  size_t w = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!keep[i]) continue;
-    data[w++] = data[i];
-  }
-  return w;
-}
-
-void DensityExpandScalar(const uint8_t* density, size_t n,
-                         const uint8_t* keep_dense,
-                         const uint8_t* keep_fallback, uint8_t* keep_rows) {
-  size_t d = 0, f = 0;
-  for (size_t r = 0; r < n; ++r) {
-    keep_rows[r] = density[r] ? keep_dense[d++] : keep_fallback[f++];
-  }
-}
 
 size_t DeltaVarintEncodeScalar(const int64_t* v, size_t n, uint64_t* prev,
                                uint8_t* out) {
@@ -135,10 +40,8 @@ size_t DeltaVarintDecodeScalar(const uint8_t* in, size_t avail, size_t n,
 }
 
 constexpr KernelTable kScalarTable = {
-    CmpFillI64Scalar,   CmpFillF64Scalar,        SelAndScalar,
-    SelOrScalar,        SelNotScalar,            SelCountScalar,
-    Compact64Scalar,    Compact8Scalar,          DensityExpandScalar,
-    DeltaVarintEncodeScalar, DeltaVarintDecodeScalar,
+    DeltaVarintEncodeScalar,
+    DeltaVarintDecodeScalar,
 };
 
 // ---------------------------------------------------------------------------

@@ -1,65 +1,30 @@
 #ifndef JARVIS_STREAM_KERNELS_H_
 #define JARVIS_STREAM_KERNELS_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string_view>
-
-#include "stream/predicate.h"
 
 namespace jarvis::stream::kernels {
 
-/// The columnar data plane's explicit SIMD kernel layer. Every hot loop the
-/// plane runs per record — typed compare fills, selection combines, Retain
-/// compaction, density-bitmap expansion, and the v2 drain codec's
-/// delta+zigzag varint block steps — is reachable only through this table,
-/// so one dispatch decision (made once at startup) switches the whole plane
-/// between the reference scalar loops and the per-ISA vector kernels.
+/// The SIMD kernel layer of the columnar format (stream/columnar.h): the
+/// delta + zigzag varint block steps behind its time and int64 columns are
+/// reachable only through this table, so one dispatch decision (made once
+/// at startup) switches every encoder and decoder between the reference
+/// scalar loops and the per-ISA vector kernels.
 ///
 /// Contracts shared by every implementation (the kernels_test fuzz suite
 /// enforces them bit for bit across ISAs):
-///  - selection arrays are one byte per element holding exactly 0 or 1,
-///  - every kernel is exact: outputs, byte streams, and carried state are
-///    identical across ISAs for identical inputs (including NaN handling in
-///    f64 compares, which follows the C++ operators),
-///  - n == 0 is always valid, and pointers may then be null,
-///  - no kernel reads or writes outside [ptr, ptr + n) of its operands, so
+///  - every kernel is exact: byte streams and carried state are identical
+///    across ISAs for identical inputs,
+///  - n == 0 is valid for the encoder, and pointers may then be null,
+///  - no kernel reads or writes outside its operands' stated bounds, so
 ///    misaligned heads and ragged tails are fine.
 struct KernelTable {
-  /// sel[i] = (v[i] <op> c) ? 1 : 0 for all six comparison operators.
-  void (*cmp_fill_i64)(const int64_t* v, size_t n, int64_t c, CmpOp op,
-                       uint8_t* sel);
-  void (*cmp_fill_f64)(const double* v, size_t n, double c, CmpOp op,
-                       uint8_t* sel);
-
-  /// Bytewise logical combines over 0/1 selection bytes (dst op= src), the
-  /// complement, and the population count (number of nonzero bytes).
-  void (*sel_and)(uint8_t* dst, const uint8_t* src, size_t n);
-  void (*sel_or)(uint8_t* dst, const uint8_t* src, size_t n);
-  void (*sel_not)(uint8_t* dst, const uint8_t* src, size_t n);
-  uint64_t (*sel_count)(const uint8_t* sel, size_t n);
-
-  /// Stable in-place compaction of n 8-byte elements (i64/f64/Micros —
-  /// moved as raw bytes, so double bit patterns survive exactly): keeps
-  /// element i iff keep[i] != 0, returns the kept count.
-  size_t (*compact64)(void* data, const uint8_t* keep, size_t n);
-
-  /// Stable in-place compaction of n bytes (density bitmap, flags).
-  size_t (*compact8)(uint8_t* data, const uint8_t* keep, size_t n);
-
-  /// Expands the per-lane keep masks through the density bitmap into one
-  /// per-row mask: keep_rows[r] = density[r] ? keep_dense[d++]
-  ///                                         : keep_fallback[f++].
-  void (*density_expand)(const uint8_t* density, size_t n,
-                         const uint8_t* keep_dense,
-                         const uint8_t* keep_fallback, uint8_t* keep_rows);
-
-  /// Delta + zigzag varint block encode (the v2 drain codec's int64/time
-  /// column step): emits varint(zigzag(v[i] - prev)) for each value into
-  /// `out` (which must hold at least 10 * n bytes) and returns the bytes
-  /// written. *prev carries the running baseline across blocks.
+  /// Delta + zigzag varint block encode (int64/time column step): emits
+  /// varint(zigzag(v[i] - prev)) for each value into `out` (which must hold
+  /// at least 10 * n bytes) and returns the bytes written. *prev carries
+  /// the running baseline across blocks.
   size_t (*delta_varint_encode)(const int64_t* v, size_t n, uint64_t* prev,
                                 uint8_t* out);
 
@@ -105,41 +70,6 @@ const KernelTable* GetNeonKernels();
 
 namespace detail {
 
-/// Scalar comparison shared by the reference kernels and every vector
-/// kernel's ragged tail, so tails are bit-identical by construction.
-template <typename T>
-inline bool CmpApply(T a, CmpOp op, T b) {
-  switch (op) {
-    case CmpOp::kEq:
-      return a == b;
-    case CmpOp::kNe:
-      return a != b;
-    case CmpOp::kLt:
-      return a < b;
-    case CmpOp::kLe:
-      return a <= b;
-    case CmpOp::kGt:
-      return a > b;
-    case CmpOp::kGe:
-      return a >= b;
-  }
-  return false;
-}
-
-/// 8-bit comparison mask -> eight 0/1 selection bytes packed in a u64
-/// (little-endian), shared by the vector compare fills.
-inline constexpr std::array<uint64_t, 256> kMaskExpand = [] {
-  std::array<uint64_t, 256> a{};
-  for (int m = 0; m < 256; ++m) {
-    uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      if (m & (1 << b)) v |= uint64_t{1} << (8 * b);
-    }
-    a[static_cast<size_t>(m)] = v;
-  }
-  return a;
-}();
-
 /// One LEB128 varint read, shared by the scalar decoder and every vector
 /// decoder's slow path, so the acceptance set (BufferReader::GetVarU64's:
 /// at most ten bytes, error once the continuation bit would shift past bit
@@ -158,36 +88,6 @@ inline bool DecodeVarU64Step(const uint8_t* in, size_t avail, size_t* pos,
   }
   *raw = v;
   return true;
-}
-
-/// Exact zero-byte detector for an 8-byte density group (nonzero = dense).
-inline bool HasZeroByte(uint64_t v) {
-  return ((v - 0x0101010101010101ULL) & ~v & 0x8080808080808080ULL) != 0;
-}
-
-/// Expands one 8-row group of a mixed density chunk: uniform groups are
-/// block copies from the matching keep mask, mixed groups take the scalar
-/// interleave. Shared by the AVX2 and NEON density_expand kernels so their
-/// sub-chunk behavior cannot diverge; *d / *f are the running lane cursors.
-inline void ExpandDensityGroup8(const uint8_t* density,
-                                const uint8_t* keep_dense,
-                                const uint8_t* keep_fallback,
-                                uint8_t* keep_rows, size_t* d, size_t* f) {
-  uint64_t group;
-  std::memcpy(&group, density, 8);
-  if (group == 0) {
-    std::memcpy(keep_rows, keep_fallback + *f, 8);
-    *f += 8;
-    return;
-  }
-  if (!HasZeroByte(group)) {
-    std::memcpy(keep_rows, keep_dense + *d, 8);
-    *d += 8;
-    return;
-  }
-  for (size_t j = 0; j < 8; ++j) {
-    keep_rows[j] = density[j] ? keep_dense[(*d)++] : keep_fallback[(*f)++];
-  }
 }
 
 }  // namespace detail

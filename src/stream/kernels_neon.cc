@@ -8,284 +8,11 @@
 
 #include <arm_neon.h>
 
-#include <cstring>
-
 #include "ser/codec.h"
 
 namespace jarvis::stream::kernels {
 
 namespace {
-
-using detail::CmpApply;
-using detail::kMaskExpand;
-
-// ---------------------------------------------------------------------------
-// Typed compare -> selection fills
-// ---------------------------------------------------------------------------
-
-/// 2-bit lane mask for one 2x i64 block; aarch64 has full 64-bit compares.
-template <CmpOp kOp>
-inline uint32_t Mask2I64(const int64_t* p, int64x2_t c) {
-  const int64x2_t x = vld1q_s64(p);
-  uint64x2_t m;
-  if constexpr (kOp == CmpOp::kEq) {
-    m = vceqq_s64(x, c);
-  } else if constexpr (kOp == CmpOp::kNe) {
-    m = vreinterpretq_u64_u32(vmvnq_u32(vreinterpretq_u32_u64(vceqq_s64(x, c))));
-  } else if constexpr (kOp == CmpOp::kLt) {
-    m = vcltq_s64(x, c);
-  } else if constexpr (kOp == CmpOp::kLe) {
-    m = vcleq_s64(x, c);
-  } else if constexpr (kOp == CmpOp::kGt) {
-    m = vcgtq_s64(x, c);
-  } else {  // kGe
-    m = vcgeq_s64(x, c);
-  }
-  return static_cast<uint32_t>(vgetq_lane_u64(m, 0) & 1) |
-         (static_cast<uint32_t>(vgetq_lane_u64(m, 1) & 1) << 1);
-}
-
-/// NEON float compares are ordered (false on NaN), matching the C++
-/// operators; != derives from the complement of ==, so NaN selects there.
-template <CmpOp kOp>
-inline uint32_t Mask2F64(const double* p, float64x2_t c) {
-  const float64x2_t x = vld1q_f64(p);
-  uint64x2_t m;
-  if constexpr (kOp == CmpOp::kEq) {
-    m = vceqq_f64(x, c);
-  } else if constexpr (kOp == CmpOp::kNe) {
-    m = vreinterpretq_u64_u32(vmvnq_u32(vreinterpretq_u32_u64(vceqq_f64(x, c))));
-  } else if constexpr (kOp == CmpOp::kLt) {
-    m = vcltq_f64(x, c);
-  } else if constexpr (kOp == CmpOp::kLe) {
-    m = vcleq_f64(x, c);
-  } else if constexpr (kOp == CmpOp::kGt) {
-    m = vcgtq_f64(x, c);
-  } else {  // kGe
-    m = vcgeq_f64(x, c);
-  }
-  return static_cast<uint32_t>(vgetq_lane_u64(m, 0) & 1) |
-         (static_cast<uint32_t>(vgetq_lane_u64(m, 1) & 1) << 1);
-}
-
-template <CmpOp kOp>
-void CmpFillI64T(const int64_t* v, size_t n, int64_t c, uint8_t* sel) {
-  const int64x2_t cc = vdupq_n_s64(c);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint32_t m = Mask2I64<kOp>(v + i, cc) |
-                       (Mask2I64<kOp>(v + i + 2, cc) << 2) |
-                       (Mask2I64<kOp>(v + i + 4, cc) << 4) |
-                       (Mask2I64<kOp>(v + i + 6, cc) << 6);
-    const uint64_t bytes = kMaskExpand[m];
-    std::memcpy(sel + i, &bytes, 8);
-  }
-  for (; i < n; ++i) sel[i] = static_cast<uint8_t>(CmpApply(v[i], kOp, c));
-}
-
-template <CmpOp kOp>
-void CmpFillF64T(const double* v, size_t n, double c, uint8_t* sel) {
-  const float64x2_t cc = vdupq_n_f64(c);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint32_t m = Mask2F64<kOp>(v + i, cc) |
-                       (Mask2F64<kOp>(v + i + 2, cc) << 2) |
-                       (Mask2F64<kOp>(v + i + 4, cc) << 4) |
-                       (Mask2F64<kOp>(v + i + 6, cc) << 6);
-    const uint64_t bytes = kMaskExpand[m];
-    std::memcpy(sel + i, &bytes, 8);
-  }
-  for (; i < n; ++i) sel[i] = static_cast<uint8_t>(CmpApply(v[i], kOp, c));
-}
-
-void CmpFillI64Neon(const int64_t* v, size_t n, int64_t c, CmpOp op,
-                    uint8_t* sel) {
-  switch (op) {
-    case CmpOp::kEq:
-      return CmpFillI64T<CmpOp::kEq>(v, n, c, sel);
-    case CmpOp::kNe:
-      return CmpFillI64T<CmpOp::kNe>(v, n, c, sel);
-    case CmpOp::kLt:
-      return CmpFillI64T<CmpOp::kLt>(v, n, c, sel);
-    case CmpOp::kLe:
-      return CmpFillI64T<CmpOp::kLe>(v, n, c, sel);
-    case CmpOp::kGt:
-      return CmpFillI64T<CmpOp::kGt>(v, n, c, sel);
-    case CmpOp::kGe:
-      return CmpFillI64T<CmpOp::kGe>(v, n, c, sel);
-  }
-}
-
-void CmpFillF64Neon(const double* v, size_t n, double c, CmpOp op,
-                    uint8_t* sel) {
-  switch (op) {
-    case CmpOp::kEq:
-      return CmpFillF64T<CmpOp::kEq>(v, n, c, sel);
-    case CmpOp::kNe:
-      return CmpFillF64T<CmpOp::kNe>(v, n, c, sel);
-    case CmpOp::kLt:
-      return CmpFillF64T<CmpOp::kLt>(v, n, c, sel);
-    case CmpOp::kLe:
-      return CmpFillF64T<CmpOp::kLe>(v, n, c, sel);
-    case CmpOp::kGt:
-      return CmpFillF64T<CmpOp::kGt>(v, n, c, sel);
-    case CmpOp::kGe:
-      return CmpFillF64T<CmpOp::kGe>(v, n, c, sel);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Selection combines
-// ---------------------------------------------------------------------------
-
-void SelAndNeon(uint8_t* dst, const uint8_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, vandq_u8(vld1q_u8(dst + i), vld1q_u8(src + i)));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
-void SelOrNeon(uint8_t* dst, const uint8_t* src, size_t n) {
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, vorrq_u8(vld1q_u8(dst + i), vld1q_u8(src + i)));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
-void SelNotNeon(uint8_t* dst, const uint8_t* src, size_t n) {
-  const uint8x16_t zero = vdupq_n_u8(0);
-  const uint8x16_t one = vdupq_n_u8(1);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vst1q_u8(dst + i, vandq_u8(vceqq_u8(vld1q_u8(src + i), zero), one));
-  }
-  for (; i < n; ++i) dst[i] = static_cast<uint8_t>(src[i] == 0);
-}
-
-uint64_t SelCountNeon(const uint8_t* sel, size_t n) {
-  const uint8x16_t zero = vdupq_n_u8(0);
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t nz =
-        vandq_u8(vmvnq_u8(vceqq_u8(vld1q_u8(sel + i), zero)), vdupq_n_u8(1));
-    count += vaddvq_u8(nz);
-  }
-  for (; i < n; ++i) count += sel[i] != 0;
-  return count;
-}
-
-// ---------------------------------------------------------------------------
-// Shuffle-table compaction
-// ---------------------------------------------------------------------------
-
-/// vqtbl1q byte-gather indices for compacting 2x u64 under a 2-bit mask.
-alignas(16) constexpr auto kCompactTbl64 = [] {
-  std::array<std::array<uint8_t, 16>, 4> t{};
-  for (int m = 0; m < 4; ++m) {
-    int w = 0;
-    for (int j = 0; j < 2; ++j) {
-      if (m & (1 << j)) {
-        for (int b = 0; b < 8; ++b) {
-          t[static_cast<size_t>(m)][static_cast<size_t>(w++)] =
-              static_cast<uint8_t>(8 * j + b);
-        }
-      }
-    }
-    for (; w < 16; ++w) t[static_cast<size_t>(m)][static_cast<size_t>(w)] = 0xFF;
-  }
-  return t;
-}();
-
-size_t Compact64Neon(void* data, const uint8_t* keep, size_t n) {
-  uint8_t* base = static_cast<uint8_t*>(data);
-  size_t w = 0;
-  size_t i = 0;
-  // Store-overlap safety: w <= i, so the 16-byte store at w*8 ends at
-  // w*8 + 16 <= i*8 + 16 <= n*8 inside the full-block loop.
-  for (; i + 2 <= n; i += 2) {
-    const uint32_t m =
-        (keep[i] != 0 ? 1u : 0u) | (keep[i + 1] != 0 ? 2u : 0u);
-    const uint8x16_t x = vld1q_u8(base + i * 8);
-    const uint8x16_t tbl = vld1q_u8(kCompactTbl64[m].data());
-    vst1q_u8(base + w * 8, vqtbl1q_u8(x, tbl));
-    w += (m & 1) + (m >> 1);
-  }
-  for (; i < n; ++i) {
-    if (!keep[i]) continue;
-    if (w != i) std::memcpy(base + w * 8, base + i * 8, 8);
-    ++w;
-  }
-  return w;
-}
-
-/// vtbl1 indices for compacting 8 bytes under an 8-bit keep mask.
-alignas(8) constexpr auto kCompactTbl8 = [] {
-  std::array<std::array<uint8_t, 8>, 256> t{};
-  for (int m = 0; m < 256; ++m) {
-    int w = 0;
-    for (int j = 0; j < 8; ++j) {
-      if (m & (1 << j)) {
-        t[static_cast<size_t>(m)][static_cast<size_t>(w++)] =
-            static_cast<uint8_t>(j);
-      }
-    }
-    for (; w < 8; ++w) t[static_cast<size_t>(m)][static_cast<size_t>(w)] = 0xFF;
-  }
-  return t;
-}();
-
-size_t Compact8Neon(uint8_t* data, const uint8_t* keep, size_t n) {
-  size_t w = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint32_t m = 0;
-    for (int j = 0; j < 8; ++j) m |= (keep[i + j] != 0 ? 1u : 0u) << j;
-    const uint8x8_t d = vld1_u8(data + i);
-    const uint8x8_t tbl = vld1_u8(kCompactTbl8[m].data());
-    vst1_u8(data + w, vtbl1_u8(d, tbl));
-    w += static_cast<size_t>(__builtin_popcount(m));
-  }
-  for (; i < n; ++i) {
-    if (keep[i]) data[w++] = data[i];
-  }
-  return w;
-}
-
-// ---------------------------------------------------------------------------
-// Density-bitmap expansion
-// ---------------------------------------------------------------------------
-
-void DensityExpandNeon(const uint8_t* density, size_t n,
-                       const uint8_t* keep_dense, const uint8_t* keep_fallback,
-                       uint8_t* keep_rows) {
-  size_t d = 0, f = 0;
-  size_t r = 0;
-  // Two-level uniformity, as in the AVX2 kernel: 16-row chunks first, then
-  // 8-row groups inside mixed chunks.
-  for (; r + 16 <= n; r += 16) {
-    const uint8x16_t dv = vld1q_u8(density + r);
-    if (vminvq_u8(dv) != 0) {
-      std::memcpy(keep_rows + r, keep_dense + d, 16);
-      d += 16;
-      continue;
-    }
-    if (vmaxvq_u8(dv) == 0) {
-      std::memcpy(keep_rows + r, keep_fallback + f, 16);
-      f += 16;
-      continue;
-    }
-    for (size_t g = r; g < r + 16; g += 8) {
-      detail::ExpandDensityGroup8(density + g, keep_dense, keep_fallback,
-                                  keep_rows + g, &d, &f);
-    }
-  }
-  for (; r < n; ++r) {
-    keep_rows[r] = density[r] ? keep_dense[d++] : keep_fallback[f++];
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Delta + zigzag varint block codec
@@ -358,10 +85,8 @@ size_t DeltaVarintDecodeNeon(const uint8_t* in, size_t avail, size_t n,
 }
 
 constexpr KernelTable kNeonTable = {
-    CmpFillI64Neon,   CmpFillF64Neon,        SelAndNeon,
-    SelOrNeon,        SelNotNeon,            SelCountNeon,
-    Compact64Neon,    Compact8Neon,          DensityExpandNeon,
-    DeltaVarintEncodeNeon, DeltaVarintDecodeNeon,
+    DeltaVarintEncodeNeon,
+    DeltaVarintDecodeNeon,
 };
 
 }  // namespace

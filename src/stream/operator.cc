@@ -1,7 +1,6 @@
 #include "stream/operator.h"
 
 #include "ser/buffer.h"
-#include "stream/columnar.h"
 
 namespace jarvis::stream {
 
@@ -47,18 +46,6 @@ Status Operator::ProcessBatchInPlace(RecordBatch* batch) {
   JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(batch));
   stats_.records_out += batch->size();
   if (count_bytes_) stats_.bytes_out += BatchBytes(*batch);
-  return Status::OK();
-}
-
-Status Operator::ProcessColumnar(ColumnarBatch* batch) {
-  stats_.records_in += batch->num_rows();
-  // RowWireBytes is the record-format byte count, so byte-level stats (and
-  // the relay ratios profiling derives from them) are identical to the row
-  // paths'.
-  if (count_bytes_) stats_.bytes_in += batch->RowWireBytes();
-  JARVIS_RETURN_IF_ERROR(DoProcessColumnar(batch));
-  stats_.records_out += batch->num_rows();
-  if (count_bytes_) stats_.bytes_out += batch->RowWireBytes();
   return Status::OK();
 }
 

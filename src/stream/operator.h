@@ -16,8 +16,6 @@ class BufferReader;
 
 namespace jarvis::stream {
 
-class ColumnarBatch;
-
 /// How much state ExportStateDelta serializes: the delta since the previous
 /// export, or a full keyframe re-encoding everything (what the checkpoint
 /// ring compacts onto).
@@ -94,18 +92,6 @@ class Operator {
   /// records (and stats) are identical to the copying paths.
   Status ProcessBatchInPlace(RecordBatch* batch);
 
-  /// True when this operator can rewrite a ColumnarBatch natively (the
-  /// vectorized fast path: stateless operators whose work factors into
-  /// per-column loops). A pipeline of columnar-capable operators never
-  /// materializes row records between ingest and the drain wire.
-  virtual bool HasColumnarBatch() const { return false; }
-
-  /// Rewrites `batch` in place on the columnar representation; only valid
-  /// when HasColumnarBatch(). Outputs (after conversion back to rows) and
-  /// stats are identical to the row-batch paths — fallback rows ride the
-  /// batch's row lane and go through the exact row-path logic.
-  Status ProcessColumnar(ColumnarBatch* batch);
-
   /// Toggles byte-level stats accounting (records are always counted).
   /// Walking every record's WireSize costs more than most operators
   /// themselves; the source executor enables it only for profiling epochs,
@@ -175,12 +161,6 @@ class Operator {
   virtual Status DoProcessBatchInPlace(RecordBatch* batch) {
     (void)batch;
     return Status::Internal("operator has no in-place batch path");
-  }
-
-  /// Columnar hook; implemented by operators that report HasColumnarBatch().
-  virtual Status DoProcessColumnar(ColumnarBatch* batch) {
-    (void)batch;
-    return Status::Internal("operator has no columnar batch path");
   }
 
   /// Lets subclasses account records emitted from OnWatermark /

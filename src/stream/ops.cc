@@ -1,8 +1,6 @@
 #include "stream/ops.h"
 
 #include "ser/buffer.h"
-#include "stream/columnar.h"
-#include "stream/kernels.h"
 
 namespace jarvis::stream {
 
@@ -35,26 +33,6 @@ Status WindowOp::DoProcessBatchInPlace(RecordBatch* batch) {
 Status WindowOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
   JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(&batch));
   MoveAppend(std::move(batch), out);
-  return Status::OK();
-}
-
-Status WindowOp::DoProcessColumnar(ColumnarBatch* batch) {
-  if (width_ <= 0) {
-    return Status::InvalidArgument("window width must be positive");
-  }
-  // Dense rows are kData by construction: one tight loop over the packed
-  // time arrays, no kind check per row.
-  const std::vector<Micros>& et = batch->event_times();
-  std::vector<Micros>& ws = batch->window_starts();
-  const size_t n = et.size();
-  for (size_t i = 0; i < n; ++i) {
-    ws[i] = et[i] - et[i] % width_;
-  }
-  for (Record& rec : batch->fallback()) {
-    if (rec.kind == RecordKind::kData) {
-      rec.window_start = rec.event_time - (rec.event_time % width_);
-    }
-  }
   return Status::OK();
 }
 
@@ -114,9 +92,9 @@ FilterOp::FilterOp(std::string name, Schema schema, TypedPredicate pred)
     : Operator(std::move(name), std::move(schema)),
       typed_(std::move(pred)),
       has_typed_(true) {
-  // The row paths evaluate the same compiled tree, so both representations
-  // agree record for record. The closure owns its copy of the tree rather
-  // than referencing this operator's member.
+  // Every process path evaluates the compiled tree through this closure,
+  // which owns its copy of the tree rather than referencing this operator's
+  // member.
   pred_ = [p = typed_](const Record& r) { return EvalPredicate(p, r); };
 }
 
@@ -148,32 +126,6 @@ Status FilterOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
       out->push_back(std::move(rec));
     }
   }
-  return Status::OK();
-}
-
-Status FilterOp::DoProcessColumnar(ColumnarBatch* batch) {
-  if (!has_typed_) {
-    return Status::Internal("function-form filter has no columnar path");
-  }
-  // Branch-free selection over the typed columns, then one stable
-  // compaction pass. Fallback rows take the row-path decision: kPartial
-  // passes untouched, divergent kData rows evaluate the same tree.
-  EvalPredicateColumnar(typed_, *batch, &sel_, &sel_pool_);
-  const std::vector<Record>& fb = batch->fallback();
-  keep_fallback_.resize(fb.size());
-  for (size_t f = 0; f < fb.size(); ++f) {
-    keep_fallback_[f] = fb[f].kind == RecordKind::kPartial ||
-                        EvalPredicate(typed_, fb[f]);
-  }
-  // All-pass batches (non-selective predicates are common at low load
-  // factors) skip compaction entirely; the popcount is one cheap pass.
-  const kernels::KernelTable& k = kernels::Active();
-  if (k.sel_count(sel_.data(), sel_.size()) == sel_.size() &&
-      k.sel_count(keep_fallback_.data(), keep_fallback_.size()) ==
-          keep_fallback_.size()) {
-    return Status::OK();
-  }
-  batch->Retain(sel_.data(), keep_fallback_.data());
   return Status::OK();
 }
 
@@ -252,23 +204,6 @@ Status ProjectOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
   JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(&batch));
   MoveAppend(std::move(batch), out);
   return Status::OK();
-}
-
-Status ProjectOp::DoProcessColumnar(ColumnarBatch* batch) {
-  // Fallback kData rows go through the row-path projection (kPartial rows
-  // pass untouched); the dense columns then swap as whole pointers.
-  for (Record& rec : batch->fallback()) {
-    if (rec.kind == RecordKind::kPartial) continue;
-    field_scratch_.clear();
-    for (size_t i : keep_) {
-      if (i >= rec.fields.size()) {
-        return Status::OutOfRange("project index out of range");
-      }
-      field_scratch_.push_back(std::move(rec.fields[i]));
-    }
-    std::swap(rec.fields, field_scratch_);
-  }
-  return batch->SelectColumns(keep_);
 }
 
 }  // namespace jarvis::stream

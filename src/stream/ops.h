@@ -21,7 +21,6 @@ class WindowOp : public Operator {
   OpKind kind() const override { return OpKind::kWindow; }
   Micros width() const { return width_; }
   bool HasInPlaceBatch() const override { return true; }
-  bool HasColumnarBatch() const override { return true; }
 
   /// The stamper holds no record state; a full export carries the window
   /// width as a config guard so restore onto a differently-shaped plan is
@@ -33,7 +32,6 @@ class WindowOp : public Operator {
   Status DoProcess(Record&& rec, RecordBatch* out) override;
   Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
   Status DoProcessBatchInPlace(RecordBatch* batch) override;
-  Status DoProcessColumnar(ColumnarBatch* batch) override;
 
  private:
   Micros width_;
@@ -43,11 +41,10 @@ class WindowOp : public Operator {
 /// false. Partial-state records pass through untouched (they carry already
 /// aggregated data owned by a downstream operator).
 ///
-/// Two predicate forms: the opaque `std::function` form (retained as the
-/// fully general fallback — arbitrary C++ over the record), and the typed
-/// `TypedPredicate` form compiled at plan time, which additionally unlocks
-/// the columnar fast path: evaluation runs branch-free over the batch's
-/// typed columns into a selection bitmap, with no indirect call per record.
+/// Two predicate forms: the opaque `std::function` form (fully general —
+/// arbitrary C++ over the record), and the typed `TypedPredicate` form
+/// compiled at plan time, whose structure the optimizer can inspect and
+/// fuse.
 class FilterOp : public Operator {
  public:
   using Predicate = std::function<bool(const Record&)>;
@@ -57,7 +54,6 @@ class FilterOp : public Operator {
 
   OpKind kind() const override { return OpKind::kFilter; }
   bool HasInPlaceBatch() const override { return true; }
-  bool HasColumnarBatch() const override { return has_typed_; }
 
   /// The typed form when this filter was built from one (else nullptr).
   const TypedPredicate* typed_predicate() const {
@@ -68,17 +64,11 @@ class FilterOp : public Operator {
   Status DoProcess(Record&& rec, RecordBatch* out) override;
   Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
   Status DoProcessBatchInPlace(RecordBatch* batch) override;
-  Status DoProcessColumnar(ColumnarBatch* batch) override;
 
  private:
   Predicate pred_;
   TypedPredicate typed_;
   bool has_typed_ = false;
-  // Columnar evaluation scratch (selection bytes per composition depth plus
-  // the fallback-lane keep mask), reused across batches.
-  std::vector<uint8_t> sel_;
-  std::vector<std::vector<uint8_t>> sel_pool_;
-  std::vector<uint8_t> keep_fallback_;
 };
 
 /// Stateless 1->N transform (parsing, splitting, bucketizing...). The
@@ -110,13 +100,11 @@ class ProjectOp : public Operator {
 
   OpKind kind() const override { return OpKind::kProject; }
   bool HasInPlaceBatch() const override { return true; }
-  bool HasColumnarBatch() const override { return true; }
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
   Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
   Status DoProcessBatchInPlace(RecordBatch* batch) override;
-  Status DoProcessColumnar(ColumnarBatch* batch) override;
 
  private:
   /// Non-virtual per-record body shared by both process paths.

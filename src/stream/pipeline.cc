@@ -1,7 +1,5 @@
 #include "stream/pipeline.h"
 
-#include "stream/columnar.h"
-
 namespace jarvis::stream {
 
 Status Pipeline::Push(Record&& rec, RecordBatch* out) {
@@ -47,28 +45,6 @@ Status Pipeline::PushBatchFrom(size_t start, RecordBatch&& batch,
     }
   }
   MoveAppend(std::move(*cur), out);
-  return Status::OK();
-}
-
-bool Pipeline::FullyColumnar() const {
-  return !ops_.empty() && FullyColumnarFrom(0);
-}
-
-bool Pipeline::FullyColumnarFrom(size_t start) const {
-  for (size_t i = start; i < ops_.size(); ++i) {
-    if (!ops_[i]->HasColumnarBatch()) return false;
-  }
-  return true;
-}
-
-Status Pipeline::PushColumnar(ColumnarBatch* batch) {
-  return PushColumnarFrom(0, batch);
-}
-
-Status Pipeline::PushColumnarFrom(size_t start, ColumnarBatch* batch) {
-  for (size_t i = start; i < ops_.size() && !batch->empty(); ++i) {
-    JARVIS_RETURN_IF_ERROR(ops_[i]->ProcessColumnar(batch));
-  }
   return Status::OK();
 }
 

@@ -44,27 +44,6 @@ class Pipeline {
   /// Batch analogue of PushFrom.
   Status PushBatchFrom(size_t start, RecordBatch&& batch, RecordBatch* out);
 
-  /// True when every operator has a native columnar path, i.e. the whole
-  /// chain can run on a ColumnarBatch without materializing rows (stateless
-  /// pipelines of Window / typed Filter / Project).
-  bool FullyColumnar() const;
-
-  /// True when every operator in [start, size()) has a native columnar path.
-  /// The stream processor uses this per drain entry operator: a columnar
-  /// drain chunk resuming at `start` can stay columnar through the rest of
-  /// the chain. Trivially true for start >= size().
-  bool FullyColumnarFrom(size_t start) const;
-
-  /// Pushes a columnar batch through the chain in place; only valid when
-  /// FullyColumnar(). Outputs (after conversion back to rows) and operator
-  /// stats are identical to PushBatch on the row form of the same batch.
-  /// Zero inter-stage moves, zero row materialization.
-  Status PushColumnar(ColumnarBatch* batch);
-
-  /// Columnar analogue of PushBatchFrom: runs the suffix [start, size()) on
-  /// the batch in place; only valid when FullyColumnarFrom(start).
-  Status PushColumnarFrom(size_t start, ColumnarBatch* batch);
-
   /// Advances the watermark through the chain; emissions from operator i are
   /// processed by operators i+1..end before being appended to `out`.
   Status OnWatermark(Micros wm, RecordBatch* out);

@@ -1,11 +1,5 @@
 #include "stream/predicate.h"
 
-#include <algorithm>
-#include <functional>
-
-#include "stream/columnar.h"
-#include "stream/kernels.h"
-
 namespace jarvis::stream {
 
 std::string_view CmpOpToString(CmpOp op) {
@@ -105,110 +99,6 @@ bool Compare(const T& a, CmpOp op, const T& b) {
   return false;
 }
 
-/// String compare fill (the one typed loop the SIMD kernel layer does not
-/// cover): one comparison per element with the functor resolved per column.
-void FillStr(const std::vector<std::string>& values,
-             const std::string& constant, CmpOp op, uint8_t* sel) {
-  const auto fill = [&](auto cmp) {
-    const size_t n = values.size();
-    for (size_t i = 0; i < n; ++i) {
-      sel[i] = static_cast<uint8_t>(cmp(values[i], constant));
-    }
-  };
-  switch (op) {
-    case CmpOp::kEq:
-      fill(std::equal_to<std::string>{});
-      break;
-    case CmpOp::kNe:
-      fill(std::not_equal_to<std::string>{});
-      break;
-    case CmpOp::kLt:
-      fill(std::less<std::string>{});
-      break;
-    case CmpOp::kLe:
-      fill(std::less_equal<std::string>{});
-      break;
-    case CmpOp::kGt:
-      fill(std::greater<std::string>{});
-      break;
-    case CmpOp::kGe:
-      fill(std::greater_equal<std::string>{});
-      break;
-  }
-}
-
-void EvalLeafColumnar(const TypedPredicate& pred, const ColumnarBatch& batch,
-                      std::vector<uint8_t>* sel) {
-  const size_t nd = batch.num_dense();
-  // A leaf that does not bind to the batch's columns (index or type
-  // mismatch) selects nothing — the same "diverging rows fail the leaf"
-  // semantics as the row path.
-  if (pred.field >= batch.num_columns() ||
-      batch.column(pred.field).type != TypeOf(pred.constant)) {
-    std::fill(sel->begin(), sel->end(), uint8_t{0});
-    return;
-  }
-  const Column& col = batch.column(pred.field);
-  const kernels::KernelTable& k = kernels::Active();
-  switch (col.type) {
-    case ValueType::kInt64:
-      k.cmp_fill_i64(col.i64.data(), nd, *std::get_if<int64_t>(&pred.constant),
-                     pred.cmp, sel->data());
-      break;
-    case ValueType::kDouble:
-      k.cmp_fill_f64(col.f64.data(), nd, *std::get_if<double>(&pred.constant),
-                     pred.cmp, sel->data());
-      break;
-    case ValueType::kString:
-      FillStr(col.str, *std::get_if<std::string>(&pred.constant), pred.cmp,
-              sel->data());
-      break;
-  }
-}
-
-/// Height of the composition tree: the number of per-depth scratch buffers
-/// evaluation needs. Sized once up front so the pool never resizes during
-/// recursion (a mid-recursion resize would invalidate outstanding buffers).
-size_t PredicateDepth(const TypedPredicate& pred) {
-  if (pred.node == TypedPredicate::Node::kLeaf) return 0;
-  size_t depth = 0;
-  for (const TypedPredicate& child : pred.children) {
-    depth = std::max(depth, PredicateDepth(child));
-  }
-  return depth + 1;
-}
-
-void EvalColumnarAtDepth(const TypedPredicate& pred,
-                         const ColumnarBatch& batch, std::vector<uint8_t>* sel,
-                         std::vector<std::vector<uint8_t>>* pool,
-                         size_t depth) {
-  if (pred.node == TypedPredicate::Node::kLeaf) {
-    EvalLeafColumnar(pred, batch, sel);
-    return;
-  }
-  const bool is_and = pred.node == TypedPredicate::Node::kAnd;
-  std::fill(sel->begin(), sel->end(), static_cast<uint8_t>(is_and ? 1 : 0));
-  if (pred.children.empty()) return;
-  const size_t n = sel->size();
-  for (size_t c = 0; c < pred.children.size(); ++c) {
-    // The first child may write straight into sel; the rest combine through
-    // the per-depth scratch buffer.
-    if (c == 0) {
-      EvalColumnarAtDepth(pred.children[c], batch, sel, pool, depth + 1);
-      continue;
-    }
-    std::vector<uint8_t>& scratch = (*pool)[depth];
-    scratch.resize(n);
-    EvalColumnarAtDepth(pred.children[c], batch, &scratch, pool, depth + 1);
-    const kernels::KernelTable& k = kernels::Active();
-    if (is_and) {
-      k.sel_and(sel->data(), scratch.data(), n);
-    } else {
-      k.sel_or(sel->data(), scratch.data(), n);
-    }
-  }
-}
-
 }  // namespace
 
 bool EvalPredicate(const TypedPredicate& pred, const Record& rec) {
@@ -241,16 +131,6 @@ bool EvalPredicate(const TypedPredicate& pred, const Record& rec) {
                      *std::get_if<std::string>(&pred.constant));
   }
   return false;
-}
-
-void EvalPredicateColumnar(const TypedPredicate& pred,
-                           const ColumnarBatch& batch,
-                           std::vector<uint8_t>* sel,
-                           std::vector<std::vector<uint8_t>>* pool) {
-  sel->resize(batch.num_dense());
-  const size_t depth = PredicateDepth(pred);
-  if (pool->size() < depth) pool->resize(depth);
-  EvalColumnarAtDepth(pred, batch, sel, pool, 0);
 }
 
 std::string PredicateToString(const TypedPredicate& pred) {

@@ -10,8 +10,6 @@
 
 namespace jarvis::stream {
 
-class ColumnarBatch;
-
 /// Comparison operators of the typed predicate mini-language.
 enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
@@ -20,11 +18,10 @@ std::string_view CmpOpToString(CmpOp op);
 /// A typed filter predicate: either a `{field, cmp_op, constant}` leaf or an
 /// and/or composition. Unlike FilterOp's opaque `std::function` form, the
 /// structure is known at plan time, so the filter can validate it against
-/// the schema once, evaluate it branch-free over a ColumnarBatch's typed
-/// columns, and the optimizer can fuse adjacent typed filters losslessly.
+/// the schema once, and the optimizer can fuse adjacent typed filters
+/// losslessly.
 ///
-/// Row semantics (the reference the columnar path must match): a leaf is
-/// true iff the field exists, has the constant's exact type, and the
+/// Semantics: a leaf is true iff the field exists, has the constant's exact type, and the
 /// comparison holds; records that diverge from the schema at the referenced
 /// field simply fail the leaf (no error, no variant access). kAnd of zero
 /// children is true, kOr of zero children is false.
@@ -42,7 +39,7 @@ struct TypedPredicate {
   std::vector<TypedPredicate> children;
 };
 
-/// Leaf constructors (the Value's type selects the typed compare loop).
+/// Leaf constructors (the Value's type selects the typed comparison).
 TypedPredicate PredI64(size_t field, CmpOp cmp, int64_t constant);
 TypedPredicate PredF64(size_t field, CmpOp cmp, double constant);
 TypedPredicate PredStr(size_t field, CmpOp cmp, std::string constant);
@@ -55,19 +52,8 @@ TypedPredicate PredOr(std::vector<TypedPredicate> children);
 /// mismatching leaf (the evaluators still degrade to `false` if they do).
 Status ValidatePredicate(const TypedPredicate& pred, const Schema& schema);
 
-/// Reference row-path evaluation (used by FilterOp's record and row-batch
-/// paths and for fallback rows on the columnar path).
+/// Evaluates the predicate on one record (FilterOp's process paths).
 bool EvalPredicate(const TypedPredicate& pred, const Record& rec);
-
-/// Vectorized evaluation over a ColumnarBatch's dense rows: fills `sel` with
-/// one 0/1 byte per dense row. Leaves run branch-free typed compare loops
-/// over the column arrays; and/or combine child selections bytewise. `pool`
-/// provides one scratch buffer per composition depth and is reused across
-/// calls, so steady-state evaluation allocates nothing.
-void EvalPredicateColumnar(const TypedPredicate& pred,
-                           const ColumnarBatch& batch,
-                           std::vector<uint8_t>* sel,
-                           std::vector<std::vector<uint8_t>>* pool);
 
 /// Debug rendering, e.g. "(#0==7&&#2<30)".
 std::string PredicateToString(const TypedPredicate& pred);

@@ -43,31 +43,22 @@ std::string LogAnalyticsGenerator::LineAt(uint64_t index) const {
          " Memory Util=" + std::to_string(mem) + "  ";
 }
 
-void LogAnalyticsGenerator::GenerateColumnar(Micros from, Micros to,
-                                             stream::ColumnarBatch* out) {
-  if (config_.lines_per_sec <= 0 || to <= from) return;
-  if (!(out->schema() == Schema())) out->Reset(Schema());
+RecordBatch LogAnalyticsGenerator::Generate(Micros from, Micros to) {
+  RecordBatch batch;
+  if (config_.lines_per_sec <= 0 || to <= from) return batch;
   const double per_us = config_.lines_per_sec / kMicrosPerSecond;
   const uint64_t first = static_cast<uint64_t>(
       std::ceil(static_cast<double>(from) * per_us));
   const uint64_t last = static_cast<uint64_t>(
       std::ceil(static_cast<double>(to) * per_us));
-  std::vector<std::string>& lines = out->column_mut(0).str;
-  std::vector<Micros>& times = out->event_times();
-  std::vector<Micros>& windows = out->window_starts();
+  batch.reserve(last > first ? last - first : 0);
   for (uint64_t i = first; i < last; ++i) {
-    lines.push_back(LineAt(i));
-    times.push_back(static_cast<Micros>(static_cast<double>(i) / per_us));
-    windows.push_back(Micros{-1});
+    Record& rec = batch.emplace_back();
+    rec.event_time = static_cast<Micros>(static_cast<double>(i) / per_us);
+    rec.window_start = -1;
+    rec.fields.reserve(1);
+    rec.fields.emplace_back(LineAt(i));
   }
-  out->CommitDenseRows(last - first);
-}
-
-RecordBatch LogAnalyticsGenerator::Generate(Micros from, Micros to) {
-  stream::ColumnarBatch columns(Schema());
-  GenerateColumnar(from, to, &columns);
-  RecordBatch batch;
-  columns.MoveToRows(&batch);
   return batch;
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "stream/columnar.h"
 #include "stream/record.h"
 
 namespace jarvis::workloads {
@@ -30,14 +29,8 @@ class LogAnalyticsGenerator {
   /// Single text field per record.
   static stream::Schema Schema();
 
-  /// Log lines with event_time in [from, to), appended directly into
-  /// `out`'s string column — the column-born ingest format of the native
-  /// data plane; no row record exists at any point. `out` is rebound to
-  /// Schema() if it carries a different schema.
-  void GenerateColumnar(Micros from, Micros to, stream::ColumnarBatch* out);
-
-  /// Row form of the same stream (thin wrapper over GenerateColumnar; the
-  /// conversion is exact, so both forms are bit-identical).
+  /// Log lines with event_time in [from, to), one record per line in line
+  /// order; window_start is left at -1 for the window operator to stamp.
   stream::RecordBatch Generate(Micros from, Micros to);
 
   /// Deterministic content of the i-th line overall (ground truth for

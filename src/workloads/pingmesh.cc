@@ -64,48 +64,33 @@ bool PingmeshGenerator::ProbeError(int64_t pair, Micros probe_time) const {
   return u < config_.error_rate;
 }
 
-void PingmeshGenerator::GenerateColumnar(Micros from, Micros to,
-                                         stream::ColumnarBatch* out) {
-  if (config_.probe_interval <= 0 || config_.num_pairs <= 0) return;
-  if (!(out->schema() == Schema())) out->Reset(Schema());
+RecordBatch PingmeshGenerator::Generate(Micros from, Micros to) {
+  RecordBatch batch;
+  if (config_.probe_interval <= 0 || config_.num_pairs <= 0) return batch;
   // Probe rounds are aligned to the interval grid; each round probes every
-  // configured pair once. Values land straight in the typed column vectors:
-  // the src columns are n-fold bulk fills, dst ip/cluster are affine in the
-  // pair index, and only rtt/errCode hash per probe.
+  // configured pair once.
   Micros first = from - (from % config_.probe_interval);
   if (first < from) first += config_.probe_interval;
-  const size_t n = static_cast<size_t>(config_.num_pairs);
+  if (first < to) {
+    const int64_t rounds = (to - first - 1) / config_.probe_interval + 1;
+    batch.reserve(static_cast<size_t>(rounds * config_.num_pairs));
+  }
+  const int64_t src_cluster = config_.source_ip / 1000;
   for (Micros t = first; t < to; t += config_.probe_interval) {
-    std::vector<int64_t>& src = out->column_mut(kSrcIp).i64;
-    std::vector<int64_t>& src_cluster = out->column_mut(kSrcCluster).i64;
-    std::vector<int64_t>& dst = out->column_mut(kDstIp).i64;
-    std::vector<int64_t>& dst_cluster = out->column_mut(kDstCluster).i64;
-    std::vector<double>& rtt = out->column_mut(kRttUs).f64;
-    std::vector<int64_t>& err = out->column_mut(kErrCode).i64;
-    src.insert(src.end(), n, config_.source_ip);
-    src_cluster.insert(src_cluster.end(), n, config_.source_ip / 1000);
     for (int64_t pair = 0; pair < config_.num_pairs; ++pair) {
       const int64_t dst_ip = config_.source_ip + 1 + pair;
-      dst.push_back(dst_ip);
-      dst_cluster.push_back(dst_ip / 1000);
+      Record& rec = batch.emplace_back();
+      rec.event_time = t;
+      rec.window_start = -1;
+      rec.fields.reserve(6);
+      rec.fields.emplace_back(config_.source_ip);
+      rec.fields.emplace_back(src_cluster);
+      rec.fields.emplace_back(dst_ip);
+      rec.fields.emplace_back(dst_ip / 1000);
+      rec.fields.emplace_back(ProbeRtt(pair, t));
+      rec.fields.emplace_back(ProbeError(pair, t) ? int64_t{1} : int64_t{0});
     }
-    for (int64_t pair = 0; pair < config_.num_pairs; ++pair) {
-      rtt.push_back(ProbeRtt(pair, t));
-    }
-    for (int64_t pair = 0; pair < config_.num_pairs; ++pair) {
-      err.push_back(ProbeError(pair, t) ? int64_t{1} : int64_t{0});
-    }
-    out->event_times().insert(out->event_times().end(), n, t);
-    out->window_starts().insert(out->window_starts().end(), n, Micros{-1});
-    out->CommitDenseRows(n);
   }
-}
-
-RecordBatch PingmeshGenerator::Generate(Micros from, Micros to) {
-  stream::ColumnarBatch columns(Schema());
-  GenerateColumnar(from, to, &columns);
-  RecordBatch batch;
-  columns.MoveToRows(&batch);
   return batch;
 }
 

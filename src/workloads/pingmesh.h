@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "common/units.h"
-#include "stream/columnar.h"
 #include "stream/record.h"
 
 namespace jarvis::workloads {
@@ -55,16 +54,9 @@ class PingmeshGenerator {
     kErrCode = 5,
   };
 
-  /// All probe records with event_time in [from, to), appended directly
-  /// into `out`'s typed column vectors — the column-born ingest format of
-  /// the native data plane (SourceExecutor::IngestColumnar): no row record
-  /// exists at any point. Each probe round fills the six metric columns in
-  /// column-major order (the constant/affine columns are bulk fills).
-  /// `out` is rebound to Schema() if it carries a different schema.
-  void GenerateColumnar(Micros from, Micros to, stream::ColumnarBatch* out);
-
-  /// Row form of the same stream (a thin wrapper over GenerateColumnar —
-  /// the conversion is exact, so both forms are bit-identical).
+  /// All probe records with event_time in [from, to), round by round, each
+  /// round one record per pair in pair order. Fields are laid out as
+  /// Schema(); window_start is left at -1 for the window operator to stamp.
   stream::RecordBatch Generate(Micros from, Micros to);
 
   /// Ground truth (recomputable without storing the stream): whether `pair`

@@ -36,6 +36,7 @@
 namespace jarvis::stream {
 namespace {
 
+using jarvis::testing::ToColumns;
 using OpFactory = std::function<std::unique_ptr<Operator>()>;
 
 Value RandomValueOfType(Rng& rng, ValueType t) {
@@ -426,9 +427,9 @@ TEST_P(BatchEquivalenceTest, BatchSerdeRoundTripsFuzzedBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar data plane: outputs, stats, and serde must match the row path
-// byte for byte. kPartial and schema-divergent rows ride the fallback lane
-// and must round-trip losslessly through every operation.
+// Typed filters, and the columnar checkpoint-section container: kPartial and
+// schema-divergent rows ride its fallback lane and must round-trip
+// losslessly through conversion and serde.
 // ---------------------------------------------------------------------------
 
 /// kData record that does NOT conform to KvSchema: randomized arity (at
@@ -462,32 +463,6 @@ RecordBatch RandomMixedKvBatch(Rng& rng, size_t n, bool windowed,
   return batch;
 }
 
-/// Feeds `input` through a fresh operator on the columnar plane (chunked
-/// row->column conversion, ProcessColumnar, column->row materialization) and
-/// requires outputs and stats identical to the record-at-a-time reference.
-void CheckColumnarEquivalence(const OpFactory& make, const RecordBatch& input,
-                              size_t chunk_size, const Schema& schema) {
-  auto ref_op = make();
-  RecordBatch ref_in = input;
-  const RecordBatch ref_out =
-      RunOp(*ref_op, std::move(ref_in), Mode::kRecord, chunk_size);
-
-  auto col_op = make();
-  ASSERT_TRUE(col_op->HasColumnarBatch());
-  RecordBatch col_in = input;
-  RecordBatch col_out;
-  for (RecordBatch& chunk : SliceInto(std::move(col_in), chunk_size)) {
-    ColumnarBatch cb = ColumnarBatch::FromRows(std::move(chunk), schema);
-    ASSERT_TRUE(col_op->ProcessColumnar(&cb).ok());
-    cb.MoveToRows(&col_out);
-  }
-  EXPECT_TRUE(col_op->OnWatermark(Seconds(1e9), &col_out).ok());
-  EXPECT_TRUE(col_op->ExportPartialState(&col_out).ok());
-
-  EXPECT_EQ(col_out, ref_out) << "ProcessColumnar output diverges";
-  ExpectStatsEq(col_op->stats(), ref_op->stats(), "ProcessColumnar stats");
-}
-
 /// Random typed predicate over KvSchema ({i64 k, f64 v}): leaves compare
 /// either field (occasionally an unbound index, which must fail closed),
 /// composed with And/Or up to depth 2.
@@ -515,48 +490,6 @@ TypedPredicate RandomTypedPredicate(Rng& rng, int depth) {
   }
 }
 
-TEST_P(BatchEquivalenceTest, ColumnarWindowMatchesRecordPath) {
-  Rng rng(GetParam() * 523);
-  for (int round = 0; round < 4; ++round) {
-    const size_t n = rng.NextBounded(200);
-    const size_t chunk = 1 + rng.NextBounded(17);
-    CheckColumnarEquivalence(
-        [&] {
-          return std::make_unique<WindowOp>("w", KvSchema(), Seconds(1));
-        },
-        RandomMixedKvBatch(rng, n, false, 0), chunk, KvSchema());
-  }
-}
-
-TEST_P(BatchEquivalenceTest, ColumnarTypedFilterMatchesRecordPath) {
-  Rng rng(GetParam() * 541);
-  for (int round = 0; round < 6; ++round) {
-    const size_t n = rng.NextBounded(200);
-    const size_t chunk = 1 + rng.NextBounded(17);
-    const TypedPredicate pred = RandomTypedPredicate(rng, 2);
-    CheckColumnarEquivalence(
-        [&] { return std::make_unique<FilterOp>("f", KvSchema(), pred); },
-        RandomMixedKvBatch(rng, n, false, 0), chunk, KvSchema());
-  }
-}
-
-TEST_P(BatchEquivalenceTest, ColumnarProjectMatchesRecordPath) {
-  Rng rng(GetParam() * 557);
-  for (int round = 0; round < 4; ++round) {
-    const size_t n = rng.NextBounded(200);
-    const size_t chunk = 1 + rng.NextBounded(17);
-    // Divergent kData rows keep >= 2 fields so projection {1, 0} stays in
-    // range on both paths (out-of-range fails the whole epoch identically
-    // on either plane; equivalence of successful outputs is what's fuzzed).
-    CheckColumnarEquivalence(
-        [&] {
-          return std::make_unique<ProjectOp>("p", KvSchema(),
-                                             std::vector<size_t>{1, 0});
-        },
-        RandomMixedKvBatch(rng, n, false, 2), chunk, KvSchema());
-  }
-}
-
 TEST_P(BatchEquivalenceTest, TypedFilterMatchesEquivalentFunctionFilter) {
   Rng rng(GetParam() * 569);
   for (int round = 0; round < 4; ++round) {
@@ -579,48 +512,6 @@ TEST_P(BatchEquivalenceTest, TypedFilterMatchesEquivalentFunctionFilter) {
   }
 }
 
-TEST_P(BatchEquivalenceTest, ColumnarPipelineMatchesRowPipeline) {
-  Rng rng(GetParam() * 587);
-  const Schema schema = KvSchema();
-  auto make_pipeline = [&] {
-    auto p = std::make_unique<Pipeline>();
-    p->Add(std::make_unique<WindowOp>("w", schema, Seconds(1)));
-    p->Add(std::make_unique<FilterOp>("f", schema,
-                                      PredI64(0, CmpOp::kNe, 0)));
-    p->Add(std::make_unique<FilterOp>("f2", schema,
-                                      PredF64(1, CmpOp::kLt, 80.0)));
-    p->Add(std::make_unique<ProjectOp>("p", schema,
-                                       std::vector<size_t>{1, 0}));
-    return p;
-  };
-  for (int round = 0; round < 4; ++round) {
-    const size_t n = rng.NextBounded(300);
-    const size_t chunk = 1 + rng.NextBounded(33);
-    RecordBatch input = RandomMixedKvBatch(rng, n, false, 2);
-
-    auto pipe_a = make_pipeline();
-    RecordBatch in_a = input, out_a;
-    for (Record& r : in_a) {
-      ASSERT_TRUE(pipe_a->Push(std::move(r), &out_a).ok());
-    }
-
-    auto pipe_b = make_pipeline();
-    ASSERT_TRUE(pipe_b->FullyColumnar());
-    RecordBatch out_b;
-    for (RecordBatch& c : SliceInto(std::move(input), chunk)) {
-      ColumnarBatch cb = ColumnarBatch::FromRows(std::move(c), schema);
-      ASSERT_TRUE(pipe_b->PushColumnar(&cb).ok());
-      cb.MoveToRows(&out_b);
-    }
-
-    EXPECT_EQ(out_b, out_a);
-    for (size_t i = 0; i < pipe_a->size(); ++i) {
-      ExpectStatsEq(pipe_b->op(i).stats(), pipe_a->op(i).stats(),
-                    "columnar pipeline op stats");
-    }
-  }
-}
-
 TEST_P(BatchEquivalenceTest, ColumnarConversionIsLossless) {
   Rng rng(GetParam() * 601);
   for (int round = 0; round < 8; ++round) {
@@ -631,11 +522,8 @@ TEST_P(BatchEquivalenceTest, ColumnarConversionIsLossless) {
       batch.push_back(RandomRecordForSchema(rng, schema));
     }
     const RecordBatch original = batch;
-    ColumnarBatch cb = ColumnarBatch::FromRows(std::move(batch), schema);
+    ColumnarBatch cb = ToColumns(std::move(batch), schema);
     EXPECT_EQ(cb.num_rows(), original.size());
-    uint64_t want_bytes = 0;
-    for (const Record& r : original) want_bytes += WireSize(r);
-    EXPECT_EQ(cb.RowWireBytes(), want_bytes);
     RecordBatch back;
     cb.MoveToRows(&back);
     EXPECT_EQ(back, original);
@@ -644,7 +532,7 @@ TEST_P(BatchEquivalenceTest, ColumnarConversionIsLossless) {
 
 TEST_P(BatchEquivalenceTest, ColumnarSerdeRoundTripsFuzzedBatches) {
   Rng rng(GetParam() * 613);
-  RecordBatch decoded;  // reused across rounds to exercise buffer reuse
+  ColumnarBatch decoded;  // reused across rounds to exercise buffer reuse
   for (int round = 0; round < 8; ++round) {
     const Schema schema = RandomSchema(rng);
     RecordBatch batch;
@@ -653,7 +541,7 @@ TEST_P(BatchEquivalenceTest, ColumnarSerdeRoundTripsFuzzedBatches) {
       batch.push_back(RandomRecordForSchema(rng, schema));
     }
     const RecordBatch original = batch;
-    ColumnarBatch cb = ColumnarBatch::FromRows(std::move(batch), schema);
+    ColumnarBatch cb = ToColumns(std::move(batch), schema);
     ser::BufferWriter w;
     w.PutU8(0xEE);  // leading sentinel: bytes must be position-exact
     const size_t before = w.size();
@@ -664,9 +552,11 @@ TEST_P(BatchEquivalenceTest, ColumnarSerdeRoundTripsFuzzedBatches) {
     uint8_t sentinel = 0;
     ASSERT_TRUE(r.GetU8(&sentinel).ok());
     EXPECT_EQ(sentinel, 0xEE);
-    ASSERT_TRUE(DeserializeColumnar(&r, &decoded).ok());
+    ASSERT_TRUE(DeserializeColumnarBatch(&r, &decoded).ok());
     EXPECT_TRUE(r.AtEnd());
-    EXPECT_EQ(decoded, original);
+    RecordBatch rows;
+    decoded.MoveToRows(&rows);
+    EXPECT_EQ(rows, original);
   }
 }
 
@@ -677,15 +567,15 @@ TEST_P(BatchEquivalenceTest, TruncatedColumnarFailsCleanly) {
   for (size_t i = 0; i < 20; ++i) {
     batch.push_back(RandomRecordForSchema(rng, schema));
   }
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(batch), schema);
+  ColumnarBatch cb = ToColumns(std::move(batch), schema);
   ser::BufferWriter w;
   SerializeColumnar(cb, &w);
   ASSERT_GT(w.size(), 4u);
-  RecordBatch decoded;
+  ColumnarBatch decoded;
   for (int i = 0; i < 16; ++i) {
     const size_t cut = rng.NextBounded(w.size());
     ser::BufferReader r(w.data().data(), cut);
-    (void)DeserializeColumnar(&r, &decoded);
+    EXPECT_FALSE(DeserializeColumnarBatch(&r, &decoded).ok());
   }
 }
 
@@ -706,118 +596,6 @@ TEST_P(BatchEquivalenceTest, TruncatedBatchFailsCleanly) {
     // Must fail (or in rare prefix-valid cases succeed) without UB; ASan/
     // UBSan builds verify no out-of-bounds access.
     (void)DeserializeBatch(&r, &decoded);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Native-edge plane equivalence: column-born ingest -> columnar stages ->
-// columnar drain -> SP consume must produce bit-identical results, stats,
-// and observations to row ingest on the row plane, across backpressure,
-// flush, checkpoint, and profile epochs, with kPartial and schema-divergent
-// rows riding the fallback lanes throughout.
-// ---------------------------------------------------------------------------
-
-TEST_P(BatchEquivalenceTest, NativeIngestToSpConsumeMatchesRowPlane) {
-  Rng rng(GetParam() * 641);
-  // Stateless query over KvSchema whose projection keeps the filtered field
-  // — so the optimizer's projection pushdown is exercised on both planes.
-  query::QueryBuilder builder(KvSchema());
-  builder.Window(Seconds(1));
-  builder.Filter("fk", PredI64(0, CmpOp::kNe, 3));
-  builder.Project({"v", "k"});
-  auto plan = builder.Build();
-  ASSERT_TRUE(plan.ok());
-  auto compiled = query::Compile(std::move(plan).value());
-  ASSERT_TRUE(compiled.ok());
-  auto costs = std::make_shared<core::FixedCostModel>(
-      std::vector<double>{1e-5, 1e-5, 1e-5});
-
-  for (int round = 0; round < 3; ++round) {
-    core::SourceExecutorOptions native_opts;
-    native_opts.cpu_budget_fraction = 0.002 + 0.002 * round;  // backpressure
-    core::SourceExecutorOptions row_opts = native_opts;
-    row_opts.enable_columnar = false;
-
-    core::SourceExecutor native(*compiled, costs, native_opts);
-    core::SourceExecutor rows(*compiled, costs, row_opts);
-    ASSERT_TRUE(native.Init().ok());
-    ASSERT_TRUE(rows.Init().ok());
-    core::SpExecutor native_sp(*compiled, 1), row_sp(*compiled, 1);
-    ASSERT_TRUE(native_sp.Init().ok());
-    ASSERT_TRUE(row_sp.Init().ok());
-    RecordBatch native_results, row_results;
-
-    for (int e = 0; e < 5; ++e) {
-      const std::vector<double> lfs = {rng.NextDouble(), rng.NextDouble(),
-                                       rng.NextDouble()};
-      native.SetLoadFactors(lfs);
-      rows.SetLoadFactors(lfs);
-      if (e == 2) {
-        native.RequestFlush();
-        rows.RequestFlush();
-      }
-      RecordBatch input =
-          RandomMixedKvBatch(rng, rng.NextBounded(300), false, 2);
-      RecordBatch input_copy = input;
-      // Column-born on the native side; the row side ingests rows.
-      native.IngestColumnar(
-          ColumnarBatch::FromRows(std::move(input), KvSchema()));
-      rows.Ingest(std::move(input_copy));
-
-      const bool profile = e % 2 == 1;
-      auto native_out = native.RunEpoch(Seconds(e + 1), profile);
-      auto row_out = rows.RunEpoch(Seconds(e + 1), profile);
-      ASSERT_TRUE(native_out.ok());
-      ASSERT_TRUE(row_out.ok());
-      EXPECT_EQ(native_out->drained_bytes, row_out->drained_bytes);
-      const core::EpochObservation& a = native_out->observation;
-      const core::EpochObservation& b = row_out->observation;
-      ASSERT_EQ(a.proxies.size(), b.proxies.size());
-      for (size_t i = 0; i < a.proxies.size(); ++i) {
-        EXPECT_EQ(a.proxies[i].arrived, b.proxies[i].arrived);
-        EXPECT_EQ(a.proxies[i].forwarded, b.proxies[i].forwarded);
-        EXPECT_EQ(a.proxies[i].drained, b.proxies[i].drained);
-        EXPECT_EQ(a.proxies[i].processed, b.proxies[i].processed);
-        EXPECT_EQ(a.proxies[i].pending, b.proxies[i].pending);
-      }
-      EXPECT_DOUBLE_EQ(a.cpu_spent_seconds, b.cpu_spent_seconds);
-      EXPECT_EQ(a.input_records, b.input_records);
-      ASSERT_EQ(a.profiles_valid, b.profiles_valid);
-      for (size_t i = 0; i < a.profiles.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.profiles[i].relay_records,
-                         b.profiles[i].relay_records);
-        EXPECT_DOUBLE_EQ(a.profiles[i].relay_bytes, b.profiles[i].relay_bytes);
-        EXPECT_EQ(a.profiles[i].sampled, b.profiles[i].sampled);
-      }
-
-      ASSERT_TRUE(native_sp
-                      .Consume(0, std::move(native_out).value(),
-                               &native_results)
-                      .ok());
-      ASSERT_TRUE(row_sp.Consume(0, std::move(row_out).value(), &row_results)
-                      .ok());
-      ASSERT_TRUE(native_sp.EndEpoch(&native_results).ok());
-      ASSERT_TRUE(row_sp.EndEpoch(&row_results).ok());
-      EXPECT_EQ(native_results, row_results) << "epoch " << e;
-    }
-
-    // Checkpoint state from either plane must be identical and must land
-    // identically on the SP.
-    auto native_cp = native.Checkpoint(Seconds(20));
-    auto row_cp = rows.Checkpoint(Seconds(20));
-    ASSERT_TRUE(native_cp.ok());
-    ASSERT_TRUE(row_cp.ok());
-    EXPECT_EQ(native_cp->drained_bytes, row_cp->drained_bytes);
-    ASSERT_TRUE(
-        native_sp.Consume(0, std::move(native_cp).value(), &native_results)
-            .ok());
-    ASSERT_TRUE(
-        row_sp.Consume(0, std::move(row_cp).value(), &row_results).ok());
-    ASSERT_TRUE(native_sp.EndEpoch(&native_results).ok());
-    ASSERT_TRUE(row_sp.EndEpoch(&row_results).ok());
-    ASSERT_TRUE(native_sp.Flush(&native_results).ok());
-    ASSERT_TRUE(row_sp.Flush(&row_results).ok());
-    EXPECT_EQ(native_results, row_results);
   }
 }
 

@@ -1,20 +1,15 @@
-// Deterministic unit coverage for the columnar data plane: ColumnarBatch
-// row<->column conversion and structural edits, typed-predicate semantics on
-// both the row and columnar evaluators, the columnar operator paths, and the
-// column-wise drain wire format (RLE flags, delta varints, dictionary
-// strings). The randomized cross-checks against the row path live in
-// batch_equivalence_test.
+// Deterministic unit coverage for ColumnarBatch, the container of
+// GroupAggregate's checkpoint sections: row<->column conversion, column-born
+// appends, and the column-wise wire format (RLE flags, delta varints,
+// dictionary strings); plus typed-predicate semantics.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "ser/buffer.h"
 #include "stream/columnar.h"
-#include "stream/ops.h"
-#include "stream/pipeline.h"
 #include "stream/predicate.h"
 #include "stream/record.h"
 #include "testing/test_util.h"
@@ -22,8 +17,9 @@
 namespace jarvis::stream {
 namespace {
 
+using jarvis::testing::DeserializeColumnarRows;
 using jarvis::testing::MakeRecord;
-using jarvis::testing::V;
+using jarvis::testing::ToColumns;
 
 Schema KvsSchema() {
   return Schema::Of({{"k", ValueType::kInt64},
@@ -48,8 +44,8 @@ RecordBatch MixedBatch() {
   return batch;
 }
 
-TEST(ColumnarBatchTest, FromRowsSplitsDenseAndFallback) {
-  ColumnarBatch cb = ColumnarBatch::FromRows(MixedBatch(), KvsSchema());
+TEST(ColumnarBatchTest, AppendRowSplitsDenseAndFallback) {
+  ColumnarBatch cb = ToColumns(MixedBatch(), KvsSchema());
   EXPECT_EQ(cb.num_rows(), 5u);
   EXPECT_EQ(cb.num_dense(), 3u);
   EXPECT_EQ(cb.num_fallback(), 2u);
@@ -62,99 +58,41 @@ TEST(ColumnarBatchTest, FromRowsSplitsDenseAndFallback) {
 
 TEST(ColumnarBatchTest, MoveToRowsRestoresOriginalOrderExactly) {
   const RecordBatch original = MixedBatch();
-  RecordBatch copy = original;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(copy), KvsSchema());
+  ColumnarBatch cb = ToColumns(original, KvsSchema());
   RecordBatch back;
   cb.MoveToRows(&back);
   EXPECT_EQ(back, original);
   EXPECT_TRUE(cb.empty());
 }
 
-TEST(ColumnarBatchTest, RowWireBytesMatchesRowPathWireSize) {
-  const RecordBatch original = MixedBatch();
-  uint64_t want = 0;
-  for (const Record& r : original) want += WireSize(r);
-  RecordBatch copy = original;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(copy), KvsSchema());
-  EXPECT_EQ(cb.RowWireBytes(), want);
-}
+TEST(ColumnarBatchTest, ColumnBornAppendMatchesRowAppend) {
+  // Direct column writes (the checkpoint exporter's path) must build the
+  // exact batch AppendRow would.
+  RecordBatch rows;
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back(MakeRecord(100 * i, int64_t{i}, i * 0.5,
+                              std::string("s") + std::to_string(i % 3)));
+  }
+  const RecordBatch original = rows;
+  ColumnarBatch by_rows = ToColumns(std::move(rows), KvsSchema());
 
-TEST(ColumnarBatchTest, RetainCompactsStably) {
-  ColumnarBatch cb = ColumnarBatch::FromRows(MixedBatch(), KvsSchema());
-  const std::vector<uint8_t> keep_dense = {1, 0, 1};  // drop k==2
-  const std::vector<uint8_t> keep_fallback = {1, 0};  // drop divergent row
-  cb.Retain(keep_dense.data(), keep_fallback.data());
-  EXPECT_EQ(cb.num_rows(), 3u);
-  EXPECT_EQ(cb.column(0).i64, (std::vector<int64_t>{1, 3}));
-  EXPECT_EQ(cb.density(), (std::vector<uint8_t>{1, 0, 1}));
-  RecordBatch back;
-  cb.MoveToRows(&back);
-  ASSERT_EQ(back.size(), 3u);
-  EXPECT_EQ(back[1].kind, RecordKind::kPartial);
-  EXPECT_EQ(back[2].i64(0), 3);
-}
+  ColumnarBatch by_columns(KvsSchema());
+  for (int i = 0; i < 20; ++i) {
+    by_columns.column_mut(0).i64.push_back(i);
+    by_columns.column_mut(1).f64.push_back(i * 0.5);
+    by_columns.column_mut(2).str.push_back(std::string("s") +
+                                           std::to_string(i % 3));
+    by_columns.event_times().push_back(100 * i);
+    by_columns.window_starts().push_back(-1);
+  }
+  by_columns.CommitDenseRows(20);
 
-TEST(ColumnarBatchTest, SelectColumnsSwapsAndReordersColumns) {
-  ColumnarBatch cb = ColumnarBatch::FromRows(MixedBatch(), KvsSchema());
-  ASSERT_TRUE(cb.SelectColumns({2, 0}).ok());
-  EXPECT_EQ(cb.num_columns(), 2u);
-  EXPECT_EQ(cb.schema().field(0).name, "s");
-  EXPECT_EQ(cb.schema().field(1).name, "k");
-  EXPECT_EQ(cb.column(0).str, (std::vector<std::string>{"a", "b", "a"}));
-  EXPECT_EQ(cb.column(1).i64, (std::vector<int64_t>{1, 2, 3}));
-}
-
-TEST(ColumnarBatchTest, SelectColumnsRejectsOutOfRangeIndex) {
-  ColumnarBatch cb = ColumnarBatch::FromRows(MixedBatch(), KvsSchema());
-  EXPECT_EQ(cb.SelectColumns({0, 7}).code(), StatusCode::kOutOfRange);
-}
-
-TEST(ColumnarBatchTest, SplitFrontPopsPrefixInRowOrder) {
-  const RecordBatch original = MixedBatch();
-  RecordBatch copy = original;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(copy), KvsSchema());
-  ColumnarBatch front;
-  cb.SplitFront(3, &front);
-  EXPECT_EQ(front.num_rows(), 3u);
-  EXPECT_EQ(cb.num_rows(), 2u);
-  RecordBatch head, tail;
-  front.MoveToRows(&head);
-  cb.MoveToRows(&tail);
-  RecordBatch joined = std::move(head);
-  for (Record& r : tail) joined.push_back(std::move(r));
-  EXPECT_EQ(joined, original);
-}
-
-TEST(ColumnarBatchTest, SplitFrontWholeBatchSwaps) {
-  const RecordBatch original = MixedBatch();
-  RecordBatch copy = original;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(copy), KvsSchema());
-  ColumnarBatch front;
-  cb.SplitFront(99, &front);
-  EXPECT_TRUE(cb.empty());
-  RecordBatch back;
-  front.MoveToRows(&back);
-  EXPECT_EQ(back, original);
-}
-
-TEST(ColumnarBatchTest, PartitionSplitsByDecisionInArrivalOrder) {
-  const RecordBatch original = MixedBatch();
-  RecordBatch copy = original;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(copy), KvsSchema());
-  ColumnarBatch forwarded(KvsSchema());
-  RecordBatch drained;
-  const std::vector<uint8_t> decisions = {1, 0, 0, 1, 1};
-  cb.Partition(decisions.data(), &forwarded, &drained);
-  EXPECT_TRUE(cb.empty());
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0], original[1]);
-  EXPECT_EQ(drained[1], original[2]);
-  RecordBatch fwd;
-  forwarded.MoveToRows(&fwd);
-  ASSERT_EQ(fwd.size(), 3u);
-  EXPECT_EQ(fwd[0], original[0]);
-  EXPECT_EQ(fwd[1], original[3]);
-  EXPECT_EQ(fwd[2], original[4]);
+  EXPECT_EQ(by_columns.num_rows(), by_rows.num_rows());
+  RecordBatch a, b;
+  by_columns.MoveToRows(&a);
+  by_rows.MoveToRows(&b);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, original);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,120 +153,13 @@ TEST(TypedPredicateTest, ValidateChecksFieldsAndTypes) {
       StatusCode::kInvalidArgument);
 }
 
-TEST(TypedPredicateTest, ColumnarEvalMatchesRowEvalOnDenseRows) {
-  RecordBatch rows;
-  for (int i = 0; i < 20; ++i) {
-    rows.push_back(MakeRecord(i, i % 7, i * 0.5, i % 2 ? "odd" : "even"));
-  }
-  const TypedPredicate pred =
-      PredOr({PredAnd({PredI64(0, CmpOp::kGe, 2), PredF64(1, CmpOp::kLt, 8.0)}),
-              PredStr(2, CmpOp::kEq, "even")});
-  std::vector<uint8_t> want;
-  for (const Record& r : rows) {
-    want.push_back(EvalPredicate(pred, r) ? 1 : 0);
-  }
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(rows), KvsSchema());
-  std::vector<uint8_t> sel;
-  std::vector<std::vector<uint8_t>> pool;
-  EvalPredicateColumnar(pred, cb, &sel, &pool);
-  EXPECT_EQ(sel, want);
-}
-
-// ---------------------------------------------------------------------------
-// Columnar operator paths
-// ---------------------------------------------------------------------------
-
-TEST(ColumnarOpsTest, TypedFilterColumnarMatchesRowPath) {
-  const TypedPredicate pred = PredI64(0, CmpOp::kNe, 2);
-  const RecordBatch input = MixedBatch();
-
-  FilterOp row_op("f", KvsSchema(), pred);
-  RecordBatch row_in = input, row_out;
-  for (Record& r : row_in) {
-    ASSERT_TRUE(row_op.Process(std::move(r), &row_out).ok());
-  }
-
-  FilterOp col_op("f", KvsSchema(), pred);
-  RecordBatch col_in = input;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(col_in), KvsSchema());
-  ASSERT_TRUE(col_op.HasColumnarBatch());
-  ASSERT_TRUE(col_op.ProcessColumnar(&cb).ok());
-  RecordBatch col_out;
-  cb.MoveToRows(&col_out);
-
-  EXPECT_EQ(col_out, row_out);
-  EXPECT_EQ(col_op.stats().records_in, row_op.stats().records_in);
-  EXPECT_EQ(col_op.stats().records_out, row_op.stats().records_out);
-  EXPECT_EQ(col_op.stats().bytes_in, row_op.stats().bytes_in);
-  EXPECT_EQ(col_op.stats().bytes_out, row_op.stats().bytes_out);
-}
-
-TEST(ColumnarOpsTest, FunctionFilterHasNoColumnarPath) {
-  FilterOp op("f", KvsSchema(), [](const Record&) { return true; });
-  EXPECT_FALSE(op.HasColumnarBatch());
-}
-
-TEST(ColumnarOpsTest, WindowAndProjectColumnarMatchRowPath) {
-  auto make_pipeline = [] {
-    auto p = std::make_unique<Pipeline>();
-    p->Add(std::make_unique<WindowOp>("w", KvsSchema(), Seconds(1)));
-    p->Add(std::make_unique<FilterOp>("f", KvsSchema(),
-                                      PredF64(1, CmpOp::kLt, 3.0)));
-    p->Add(std::make_unique<ProjectOp>("p", KvsSchema(),
-                                       std::vector<size_t>{2, 0}));
-    return p;
-  };
-  RecordBatch input;
-  for (int i = 0; i < 50; ++i) {
-    input.push_back(
-        MakeRecord(Seconds(1) * i / 10 + i, i % 5, i * 0.1, "h"));
-  }
-  input.push_back(Partial(42));
-
-  auto row_pipe = make_pipeline();
-  ASSERT_TRUE(row_pipe->FullyColumnar());
-  RecordBatch row_in = input, row_out;
-  ASSERT_TRUE(row_pipe->PushBatch(std::move(row_in), &row_out).ok());
-
-  auto col_pipe = make_pipeline();
-  RecordBatch col_in = input;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(col_in), KvsSchema());
-  ASSERT_TRUE(col_pipe->PushColumnar(&cb).ok());
-  RecordBatch col_out;
-  cb.MoveToRows(&col_out);
-
-  EXPECT_EQ(col_out, row_out);
-  for (size_t i = 0; i < row_pipe->size(); ++i) {
-    EXPECT_EQ(col_pipe->op(i).stats().records_in,
-              row_pipe->op(i).stats().records_in);
-    EXPECT_EQ(col_pipe->op(i).stats().records_out,
-              row_pipe->op(i).stats().records_out);
-    EXPECT_EQ(col_pipe->op(i).stats().bytes_in,
-              row_pipe->op(i).stats().bytes_in);
-    EXPECT_EQ(col_pipe->op(i).stats().bytes_out,
-              row_pipe->op(i).stats().bytes_out);
-  }
-}
-
-TEST(ColumnarOpsTest, PipelineWithMapIsNotFullyColumnar) {
-  Pipeline p;
-  p.Add(std::make_unique<WindowOp>("w", KvsSchema(), Seconds(1)));
-  p.Add(std::make_unique<MapOp>("m", KvsSchema(),
-                                [](Record&& r, RecordBatch* out) {
-                                  out->push_back(std::move(r));
-                                  return Status::OK();
-                                }));
-  EXPECT_FALSE(p.FullyColumnar());
-}
-
 // ---------------------------------------------------------------------------
 // Columnar wire format
 // ---------------------------------------------------------------------------
 
 TEST(ColumnarWireTest, RoundTripsMixedBatch) {
   const RecordBatch original = MixedBatch();
-  RecordBatch copy = original;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(copy), KvsSchema());
+  ColumnarBatch cb = ToColumns(original, KvsSchema());
   ser::BufferWriter w;
   w.PutU8(0xEE);  // sentinel: encoded bytes must be position-exact
   const size_t bytes = SerializeColumnar(cb, &w);
@@ -337,10 +168,14 @@ TEST(ColumnarWireTest, RoundTripsMixedBatch) {
   ser::BufferReader r(w.data());
   uint8_t sentinel = 0;
   ASSERT_TRUE(r.GetU8(&sentinel).ok());
-  RecordBatch decoded;
-  ASSERT_TRUE(DeserializeColumnar(&r, &decoded).ok());
+  ColumnarBatch decoded;
+  ASSERT_TRUE(DeserializeColumnarBatch(&r, &decoded).ok());
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded, original);
+  EXPECT_EQ(decoded.num_dense(), 3u);
+  EXPECT_EQ(decoded.density(), cb.density());
+  RecordBatch rows;
+  decoded.MoveToRows(&rows);
+  EXPECT_EQ(rows, original);
 }
 
 TEST(ColumnarWireTest, RoundTripsEmptyBatch) {
@@ -348,10 +183,9 @@ TEST(ColumnarWireTest, RoundTripsEmptyBatch) {
   ser::BufferWriter w;
   SerializeColumnar(cb, &w);
   ser::BufferReader r(w.data());
-  RecordBatch decoded;
-  decoded.push_back(MakeRecord(1, 1));  // must be cleared by the decoder
-  ASSERT_TRUE(DeserializeColumnar(&r, &decoded).ok());
-  EXPECT_TRUE(decoded.empty());
+  ColumnarBatch decoded = ToColumns(MixedBatch(), KvsSchema());
+  ASSERT_TRUE(DeserializeColumnarBatch(&r, &decoded).ok());
+  EXPECT_TRUE(decoded.empty());  // the decoder resets its target
   EXPECT_TRUE(r.AtEnd());
 }
 
@@ -370,14 +204,14 @@ TEST(ColumnarWireTest, DictionaryEncodingShrinksLowCardinalityStrings) {
   ser::BufferWriter batch_w;
   SerializeBatch(original, schema, &batch_w);
 
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(rows), schema);
+  ColumnarBatch cb = ToColumns(std::move(rows), schema);
   ser::BufferWriter col_w;
   SerializeColumnar(cb, &col_w);
   EXPECT_LT(col_w.size(), batch_w.size());
 
   ser::BufferReader r(col_w.data());
   RecordBatch decoded;
-  ASSERT_TRUE(DeserializeColumnar(&r, &decoded).ok());
+  ASSERT_TRUE(DeserializeColumnarRows(&r, &decoded).ok());
   EXPECT_EQ(decoded, original);
 }
 
@@ -391,133 +225,34 @@ TEST(ColumnarWireTest, UniqueStringsUsePlainLayout) {
                                      std::to_string(i * 7919)));
   }
   const RecordBatch original = rows;
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(rows), schema);
+  ColumnarBatch cb = ToColumns(std::move(rows), schema);
   ser::BufferWriter w;
   SerializeColumnar(cb, &w);
   ser::BufferReader r(w.data());
   RecordBatch decoded;
-  ASSERT_TRUE(DeserializeColumnar(&r, &decoded).ok());
+  ASSERT_TRUE(DeserializeColumnarRows(&r, &decoded).ok());
   EXPECT_EQ(decoded, original);
 }
 
 TEST(ColumnarWireTest, TruncatedInputFailsCleanly) {
-  RecordBatch rows = MixedBatch();
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(rows), KvsSchema());
+  ColumnarBatch cb = ToColumns(MixedBatch(), KvsSchema());
   ser::BufferWriter w;
   SerializeColumnar(cb, &w);
-  RecordBatch decoded;
+  ColumnarBatch decoded;
   for (size_t cut = 0; cut < w.size(); ++cut) {
     ser::BufferReader r(w.data().data(), cut);
-    // Must fail (or in rare prefix-valid cases succeed) without UB; the
-    // ASan/UBSan build verifies no out-of-bounds access.
-    (void)DeserializeColumnar(&r, &decoded);
+    // The integrity header's exact payload length makes every strict
+    // prefix fail; the ASan/UBSan build verifies no out-of-bounds access.
+    EXPECT_FALSE(DeserializeColumnarBatch(&r, &decoded).ok()) << cut;
   }
-}
-
-TEST(ColumnarBatchTest, ColumnBornAppendMatchesRowAppend) {
-  // Direct column writes (the generator/ingest fast path) must build the
-  // exact batch AppendRow would.
-  ColumnarBatch by_rows(KvsSchema());
-  ColumnarBatch by_columns(KvsSchema());
-  RecordBatch rows;
-  for (int i = 0; i < 20; ++i) {
-    rows.push_back(MakeRecord(100 * i, int64_t{i}, i * 0.5,
-                              std::string("s") + std::to_string(i % 3)));
-  }
-  const RecordBatch original = rows;
-  by_rows.AppendRows(std::move(rows));
-
-  for (int i = 0; i < 20; ++i) {
-    by_columns.column_mut(0).i64.push_back(i);
-    by_columns.column_mut(1).f64.push_back(i * 0.5);
-    by_columns.column_mut(2).str.push_back(std::string("s") +
-                                           std::to_string(i % 3));
-    by_columns.event_times().push_back(100 * i);
-    by_columns.window_starts().push_back(-1);
-  }
-  by_columns.CommitDenseRows(20);
-
-  EXPECT_EQ(by_columns.num_rows(), by_rows.num_rows());
-  EXPECT_EQ(by_columns.RowWireBytes(), by_rows.RowWireBytes());
-  RecordBatch a, b;
-  by_columns.MoveToRows(&a);
-  by_rows.MoveToRows(&b);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, original);
-}
-
-TEST(ColumnarBatchTest, AppendBatchConcatenatesSameSchema) {
-  RecordBatch rows = MixedBatch();
-  RecordBatch expected = rows;
-  RecordBatch tail = MixedBatch();
-  for (const Record& r : tail) expected.push_back(r);
-
-  ColumnarBatch a = ColumnarBatch::FromRows(std::move(rows), KvsSchema());
-  ColumnarBatch b = ColumnarBatch::FromRows(std::move(tail), KvsSchema());
-  a.AppendBatch(std::move(b));
-  EXPECT_TRUE(b.empty());
-  EXPECT_EQ(a.num_rows(), expected.size());
-  RecordBatch back;
-  a.MoveToRows(&back);
-  EXPECT_EQ(back, expected);
-}
-
-TEST(ColumnarBatchTest, AppendBatchIntoEmptyAdoptsBuffers) {
-  ColumnarBatch dst(KvsSchema());
-  ColumnarBatch src = ColumnarBatch::FromRows(MixedBatch(), KvsSchema());
-  dst.AppendBatch(std::move(src));
-  EXPECT_TRUE(src.empty());
-  EXPECT_EQ(dst.num_rows(), 5u);
-  RecordBatch back;
-  dst.MoveToRows(&back);
-  EXPECT_EQ(back, MixedBatch());
-}
-
-TEST(ColumnarBatchTest, AppendBatchSchemaMismatchDegradesToRows) {
-  // A mismatched producer lands losslessly in the fallback lane (or dense
-  // where it happens to conform) instead of corrupting column types.
-  const Schema narrow = Schema::Of({{"k", ValueType::kInt64}});
-  RecordBatch rows;
-  rows.push_back(MakeRecord(10, int64_t{1}));
-  rows.push_back(MakeRecord(20, int64_t{2}));
-  const RecordBatch original = rows;
-  ColumnarBatch src = ColumnarBatch::FromRows(std::move(rows), narrow);
-  ColumnarBatch dst(KvsSchema());
-  dst.AppendBatch(std::move(src));
-  EXPECT_EQ(dst.num_rows(), 2u);
-  EXPECT_EQ(dst.num_fallback(), 2u);  // 1-field rows diverge from Kvs
-  RecordBatch back;
-  dst.MoveToRows(&back);
-  EXPECT_EQ(back, original);
-}
-
-TEST(ColumnarBatchTest, ColumnarPartitionMatchesRowDrainingPartition) {
-  // The fully columnar split must route exactly like the row-draining one.
-  const std::vector<uint8_t> decisions = {1, 0, 0, 1, 1};
-  ColumnarBatch a = ColumnarBatch::FromRows(MixedBatch(), KvsSchema());
-  ColumnarBatch fwd_a(KvsSchema());
-  RecordBatch drained_rows;
-  a.Partition(decisions.data(), &fwd_a, &drained_rows);
-
-  ColumnarBatch b = ColumnarBatch::FromRows(MixedBatch(), KvsSchema());
-  ColumnarBatch fwd_b(KvsSchema());
-  ColumnarBatch drained_cols(KvsSchema());
-  b.Partition(decisions.data(), &fwd_b, &drained_cols);
-
-  RecordBatch fwd_rows_a, fwd_rows_b, drained_back;
-  fwd_a.MoveToRows(&fwd_rows_a);
-  fwd_b.MoveToRows(&fwd_rows_b);
-  drained_cols.MoveToRows(&drained_back);
-  EXPECT_EQ(fwd_rows_b, fwd_rows_a);
-  EXPECT_EQ(drained_back, drained_rows);
 }
 
 TEST(ColumnarWireTest, BadVersionRejected) {
   ser::BufferWriter w;
   w.PutU8(0x7F);
   ser::BufferReader r(w.data());
-  RecordBatch decoded;
-  EXPECT_EQ(DeserializeColumnar(&r, &decoded).code(),
+  ColumnarBatch decoded;
+  EXPECT_EQ(DeserializeColumnarBatch(&r, &decoded).code(),
             StatusCode::kSerializationError);
 }
 

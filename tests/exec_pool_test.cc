@@ -34,8 +34,6 @@ TEST(ExecPoolTest, RunsEverySubmittedTask) {
   }
   pool.WaitIdle();
   EXPECT_EQ(ran.load(), 100);
-  EXPECT_EQ(pool.tasks_executed(), 100u);
-  EXPECT_EQ(pool.tasks_pending(), 0u);
 }
 
 TEST(ExecPoolTest, PerKeyTasksRunInSubmissionOrder) {
@@ -85,7 +83,6 @@ TEST(ExecPoolTest, WaitIdleIsAnEpochBarrier) {
     // Every source finished — including its decision tail — before the
     // barrier released; nothing from this epoch leaks into the next.
     EXPECT_EQ(done.load(), 8);
-    EXPECT_EQ(pool.tasks_pending(), 0u);
   }
 }
 
@@ -113,27 +110,6 @@ TEST(ExecPoolTest, DestructorDrainsPendingWork) {
     for (int i = 0; i < 32; ++i) pool.Submit(i, [&] { ++ran; });
   }
   EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(ExecPoolTest, ResizePreservesQueuedWorkAndOrder) {
-  ExecPool pool(1);
-  std::vector<int> seen;  // key 0 only: serialized, no lock needed
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit(0, [&seen, i] {
-      if (i == 0) SleepMs(5);
-      seen.push_back(i);
-    });
-  }
-  pool.Resize(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  for (int i = 50; i < 100; ++i) {
-    pool.Submit(0, [&seen, i] { seen.push_back(i); });
-  }
-  pool.Resize(2);
-  EXPECT_EQ(pool.num_threads(), 2u);
-  pool.WaitIdle();
-  ASSERT_EQ(seen.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(seen[i], i);
 }
 
 TEST(ExecPoolTest, BoundedQueueBackpressuresProducers) {
@@ -258,8 +234,8 @@ TEST(ExecPoolTest, ResolveThreadsConventions) {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzzed lifecycle: random keys, task counts, barriers, and resizes must
-// never lose, duplicate, or reorder per-key work.
+// Fuzzed lifecycle: random keys, task counts, and barriers must never lose,
+// duplicate, or reorder per-key work.
 // ---------------------------------------------------------------------------
 
 class ExecPoolFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -271,7 +247,6 @@ TEST_P(ExecPoolFuzzTest, RandomizedLifecyclePreservesPerKeyHistory) {
   ExecPool pool(threads);
   std::vector<std::vector<uint32_t>> seen(keys);  // per-key: pool-serialized
   std::vector<uint32_t> next_tag(keys, 0);
-  uint64_t submitted = 0;
 
   const int rounds = 3 + static_cast<int>(rng.NextBounded(5));
   for (int r = 0; r < rounds; ++r) {
@@ -284,22 +259,11 @@ TEST_P(ExecPoolFuzzTest, RandomizedLifecyclePreservesPerKeyHistory) {
         if (dawdle) SleepMs(1);
         seen[k].push_back(tag);
       }));
-      ++submitted;
     }
-    switch (rng.NextBounded(4)) {
-      case 0:
-        pool.WaitIdle();
-        EXPECT_EQ(pool.tasks_pending(), 0u);
-        break;
-      case 1:
-        pool.Resize(1 + rng.NextBounded(4));
-        break;
-      default:
-        break;  // keep piling on
-    }
+    // A barrier one round in four; otherwise keep piling on.
+    if (rng.NextBounded(4) == 0) pool.WaitIdle();
   }
   pool.Stop();  // drains everything still queued
-  EXPECT_EQ(pool.tasks_executed(), submitted);
   for (size_t k = 0; k < keys; ++k) {
     ASSERT_EQ(seen[k].size(), next_tag[k]) << "key " << k;
     for (uint32_t i = 0; i < next_tag[k]; ++i) {

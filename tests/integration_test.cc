@@ -242,20 +242,10 @@ TEST(IntegrationTest, DrainedRecordsSurviveSerialization) {
     source.Ingest(gen.Generate(Seconds(e), Seconds(e + 1)));
     auto out = source.RunEpoch(Seconds(e + 1), false);
     ASSERT_TRUE(out.ok());
-    // Round-trip every drain chunk through its wire format: columnar
-    // slices through SerializeColumnar, row runs through the record format.
+    // Round-trip every drained record through the record format.
     SourceEpochOutput rebuilt;
     rebuilt.watermark = out->watermark;
     for (core::DrainChunk& chunk : out->to_sp) {
-      if (!chunk.columns.empty()) {
-        ser::BufferWriter w;
-        stream::SerializeColumnar(chunk.columns, &w);
-        ser::BufferReader r(w.data());
-        RecordBatch decoded;
-        ASSERT_TRUE(stream::DeserializeColumnar(&r, &decoded).ok());
-        ASSERT_EQ(decoded.size(), chunk.columns.num_rows());
-        rebuilt.AppendDrainRows(chunk.sp_entry_op, std::move(decoded));
-      }
       for (const Record& rec : chunk.rows) {
         ser::BufferWriter w;
         stream::SerializeRecord(rec, &w);
@@ -272,10 +262,10 @@ TEST(IntegrationTest, DrainedRecordsSurviveSerialization) {
   EXPECT_FALSE(results.empty());
 }
 
-TEST(IntegrationTest, ColumnarDrainChunksSurviveSerialization) {
-  // Same round-trip guarantee on the native plane: a stateless query drains
-  // columnar chunks; SerializeColumnar -> DeserializeColumnar must carry
-  // them to the SP with results identical to direct handoff.
+TEST(IntegrationTest, StatelessDrainSurvivesTheWire) {
+  // Same round-trip guarantee for a stateless query through the real drain
+  // wire: SerializeDrain -> DecodeDrain must carry every chunk to the SP
+  // with results identical to direct handoff.
   query::QueryBuilder builder(workloads::PingmeshGenerator::Schema());
   builder.Window(Seconds(1)).FilterI64Eq("errCode", 0);
   builder.Project({"srcIp", "dstIp", "rtt"});
@@ -297,27 +287,18 @@ TEST(IntegrationTest, ColumnarDrainChunksSurviveSerialization) {
 
   RecordBatch direct_results, wire_results;
   for (int e = 0; e < 6; ++e) {
-    stream::ColumnarBatch born(workloads::PingmeshGenerator::Schema());
-    gen.GenerateColumnar(Seconds(e), Seconds(e + 1), &born);
-    source.IngestColumnar(std::move(born));
+    source.Ingest(gen.Generate(Seconds(e), Seconds(e + 1)));
     auto out = source.RunEpoch(Seconds(e + 1), false);
     ASSERT_TRUE(out.ok());
 
+    SourceEpochOutput copy = *out;
+    uint32_t seq = 0;
+    const core::WireDrain wire = core::SerializeDrain(&copy, &seq);
+    EXPECT_GT(wire.frame_count, 0u);
     SourceEpochOutput rebuilt;
     rebuilt.watermark = out->watermark;
-    size_t columnar_chunks = 0;
-    for (core::DrainChunk& chunk : out->to_sp) {
-      ASSERT_TRUE(chunk.rows.empty());  // native plane: columnar only
-      ++columnar_chunks;
-      ser::BufferWriter w;
-      stream::SerializeColumnar(chunk.columns, &w);
-      ser::BufferReader r(w.data());
-      RecordBatch decoded;
-      ASSERT_TRUE(stream::DeserializeColumnar(&r, &decoded).ok());
-      ASSERT_TRUE(r.AtEnd());
-      rebuilt.AppendDrainRows(chunk.sp_entry_op, std::move(decoded));
-    }
-    EXPECT_GT(columnar_chunks, 0u);
+    ASSERT_TRUE(core::DecodeDrain(wire, &rebuilt.to_sp).ok());
+    ASSERT_EQ(rebuilt.DrainedRecords(), out->DrainedRecords());
     ASSERT_TRUE(wire_sp.Consume(0, std::move(rebuilt), &wire_results).ok());
     ASSERT_TRUE(
         direct_sp.Consume(0, std::move(out).value(), &direct_results).ok());

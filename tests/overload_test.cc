@@ -17,7 +17,6 @@
 
 #include "core/building_block.h"
 #include "core/overload.h"
-#include "stream/columnar.h"
 #include "stream/record.h"
 #include "stream/watermark.h"
 #include "testing/test_util.h"
@@ -175,58 +174,6 @@ TEST(TrafficShaperTest, SkewRewritesRoughlyTheRequestedFraction) {
 }
 
 // ---------------------------------------------------------------------------
-// Drain shedding
-// ---------------------------------------------------------------------------
-
-stream::ColumnarBatch Columns(size_t n) {
-  stream::ColumnarBatch cb(KvSchema());
-  cb.AppendRows(SteadyBatch(n));
-  return cb;
-}
-
-TEST(ShedDrainChunksTest, DropsLowestEntryColumnarChunksFirst) {
-  SourceEpochOutput out;
-  for (size_t entry : {2u, 0u, 1u}) {
-    DrainChunk c;
-    c.sp_entry_op = entry;
-    c.columns = Columns(10);
-    out.to_sp.push_back(std::move(c));
-  }
-  DrainChunk rows;
-  rows.sp_entry_op = 0;
-  rows.rows = SteadyBatch(5);
-  out.to_sp.push_back(std::move(rows));
-  out.drained_bytes = 1 << 20;
-
-  // Cap of 20: the 35 drained records must shrink to <= 20. Candidates are
-  // the columnar chunks in ascending entry order (least SP work done), so
-  // entry 0 then entry 1 go; the row chunk is immune (it may carry partial
-  // operator state or watermark-bearing emissions).
-  uint64_t chunks_shed = 0;
-  const uint64_t shed = ShedDrainChunks(20, &out, &chunks_shed);
-  EXPECT_EQ(shed, 20u);
-  EXPECT_EQ(chunks_shed, 2u);
-  ASSERT_EQ(out.to_sp.size(), 2u);
-  EXPECT_EQ(out.to_sp[0].sp_entry_op, 2u);  // surviving columnar chunk
-  EXPECT_FALSE(out.to_sp[0].columns.empty());
-  EXPECT_EQ(out.to_sp[1].rows.size(), 5u);  // row chunk untouched
-  EXPECT_EQ(out.DrainedRecords(), 15u);
-  EXPECT_LT(out.drained_bytes, uint64_t{1} << 20);  // bytes follow records
-}
-
-TEST(ShedDrainChunksTest, NoOpWhenUnderCap) {
-  SourceEpochOutput out;
-  DrainChunk c;
-  c.sp_entry_op = 0;
-  c.columns = Columns(8);
-  out.to_sp.push_back(std::move(c));
-  uint64_t chunks_shed = 0;
-  EXPECT_EQ(ShedDrainChunks(8, &out, &chunks_shed), 0u);
-  EXPECT_EQ(chunks_shed, 0u);
-  EXPECT_EQ(out.DrainedRecords(), 8u);
-}
-
-// ---------------------------------------------------------------------------
 // The escalation ladder, synthetic samples
 // ---------------------------------------------------------------------------
 
@@ -253,13 +200,13 @@ TEST(OverloadControllerTest, WalksTheLadderOneRungPerEpoch) {
   EXPECT_EQ(d.level, OverloadLevel::kThrottled);
   EXPECT_EQ(d.admit_cap, 150u);  // cap * catchup
   EXPECT_EQ(d.defer_cap, 200u);  // cap * defer_epochs
-  EXPECT_EQ(d.drain_cap, IngressDirective::kUnlimited);
   EXPECT_GT(d.pressure, 0.0);
   EXPECT_TRUE(ctl.EscalatedLastTick());
 
   d = ctl.Tick(0, Offered(1000));
   EXPECT_EQ(d.level, OverloadLevel::kShedding);
-  EXPECT_EQ(d.drain_cap, 100u);  // cap * shed_headroom
+  EXPECT_EQ(d.admit_cap, 150u);
+  EXPECT_EQ(d.defer_cap, 200u);  // overflow beyond it sheds at ingress
 
   d = ctl.Tick(0, Offered(1000));
   EXPECT_EQ(d.level, OverloadLevel::kQuarantined);
@@ -433,12 +380,10 @@ TEST(OverloadEndToEndTest, FlashBurstShedsReconvergesAndConserves) {
   // The controller intervened: the burst pushed source 0 off kSteady, shed
   // something, and triggered at least one degrade re-plan.
   EXPECT_GT(run.overload.throttled_epochs, 0u);
-  EXPECT_GT(run.overload.records_shed_ingress + run.overload.records_shed_drain,
-            0u);
+  EXPECT_GT(run.overload.records_shed_ingress, 0u);
   EXPECT_GT(run.overload.escalations, 0u);
   EXPECT_GE(run.stats.replans_triggered, 1u);
-  EXPECT_EQ(run.stats.records_shed,
-            run.overload.records_shed_ingress + run.overload.records_shed_drain);
+  EXPECT_EQ(run.stats.records_shed, run.overload.records_shed_ingress);
 
   // Widened conservation, exactly.
   EXPECT_EQ(run.stats.records_sent,

@@ -1,8 +1,8 @@
-// Adversarial decode hardening for the drain wire formats: every decode path
-// must return a Status — never assert, crash, over-read, or silently accept
-// wrong bytes — on truncated or bit-flipped input. The suite runs a corpus
-// of batch (v2) and columnar (v3) frames through exhaustive truncation and
-// seeded bit-flips; the ASan/UBSan CI leg is the real judge of the "no UB"
+// Adversarial decode hardening for the wire formats: every decode path must
+// return a Status — never assert, crash, over-read, or silently accept wrong
+// bytes — on truncated or bit-flipped input. The suite runs a corpus of
+// batch (v2, the drain's row lane) and columnar (v3, G+R checkpoint
+// sections) frames through exhaustive truncation and seeded bit-flips; the ASan/UBSan CI leg is the real judge of the "no UB"
 // half of the contract. Only the checksummed versions decode: a flipped
 // version byte is rejected outright.
 
@@ -17,6 +17,9 @@
 #include "core/checkpoint.h"
 #include "core/drain_wire.h"
 #include "core/source_executor.h"
+#include "core/sp_executor.h"
+#include "query/compile.h"
+#include "query/query_builder.h"
 #include "ser/buffer.h"
 #include "stream/columnar.h"
 #include "stream/group_aggregate.h"
@@ -78,10 +81,8 @@ std::vector<uint8_t> EncodeBatch(const Corpus& c) {
 }
 
 std::vector<uint8_t> EncodeColumnar(const Corpus& c) {
-  RecordBatch rows = c.rows;  // FromRows consumes
-  ColumnarBatch cb = ColumnarBatch::FromRows(std::move(rows), c.schema);
   ser::BufferWriter w;
-  SerializeColumnar(cb, &w);
+  SerializeColumnar(jarvis::testing::ToColumns(c.rows, c.schema), &w);
   return w.Release();
 }
 
@@ -95,7 +96,7 @@ struct Format {
 
 constexpr Format kFormats[] = {
     {"batch", &EncodeBatch, &DeserializeBatch},
-    {"columnar", &EncodeColumnar, &DeserializeColumnar},
+    {"columnar", &EncodeColumnar, &jarvis::testing::DeserializeColumnarRows},
 };
 
 Status DecodeBytes(const Format& fmt, const std::vector<uint8_t>& bytes,
@@ -373,72 +374,14 @@ TEST(SerCorruptionTest, CheckpointStoreFallsBackPastCorruptEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar bulk decode (DeserializeColumnarBatch): the decode-worker path
-// must invert the same frames the row-at-a-time decoder inverts, bit for bit
-// ---------------------------------------------------------------------------
-
-TEST(SerCorruptionTest, ColumnarBatchDecodeMatchesRowDecode) {
-  for (const Corpus& c : BuildCorpus()) {
-    SCOPED_TRACE(c.name);
-    const std::vector<uint8_t> bytes = EncodeColumnar(
-        Corpus{c.name, c.rows, c.schema});
-    RecordBatch row_decoded;
-    {
-      ser::BufferReader r(bytes.data(), bytes.size());
-      ASSERT_TRUE(DeserializeColumnar(&r, &row_decoded).ok());
-      ASSERT_TRUE(r.AtEnd());
-    }
-    ColumnarBatch batch;
-    {
-      ser::BufferReader r(bytes.data(), bytes.size());
-      ASSERT_TRUE(DeserializeColumnarBatch(&r, &batch).ok());
-      ASSERT_TRUE(r.AtEnd());
-    }
-    RecordBatch batch_decoded;
-    batch.MoveToRows(&batch_decoded);
-    EXPECT_EQ(batch_decoded, row_decoded);
-    EXPECT_EQ(batch_decoded, c.rows);
-  }
-}
-
-TEST(SerCorruptionTest, ColumnarBatchDecodeSurvivesTruncationAndFlips) {
-  for (const Corpus& c : BuildCorpus()) {
-    SCOPED_TRACE(c.name);
-    const std::vector<uint8_t> bytes = EncodeColumnar(
-        Corpus{c.name, c.rows, c.schema});
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      ColumnarBatch out;
-      ser::BufferReader r(bytes.data(), len);
-      EXPECT_FALSE(DeserializeColumnarBatch(&r, &out).ok())
-          << "prefix length " << len << " of " << bytes.size() << " decoded";
-    }
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      for (const int bit : {0, 3, 7}) {
-        std::vector<uint8_t> bad = bytes;
-        bad[i] ^= static_cast<uint8_t>(1u << bit);
-        ColumnarBatch out;
-        ser::BufferReader r(bad.data(), bad.size());
-        // Status; sanitizers judge. A version-byte flip is always rejected.
-        const Status st = DeserializeColumnarBatch(&r, &out);
-        if (i == 0) {
-          EXPECT_FALSE(st.ok()) << "version flip bit " << bit << " decoded";
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Compressed wire frames (drain wire v2/LZ4): truncation and flips surface
 // as Status — the NACK that triggers retransmission — never as UB
 // ---------------------------------------------------------------------------
 
-/// An epoch drain with redundant-but-distinct strings (the dictionary lane
-/// can't fold them, so LZ4 does real work), plus a row-lane chunk.
+/// An epoch drain with redundant-but-distinct strings (so LZ4 does real
+/// work), plus a second chunk of another shape.
 core::SourceEpochOutput MakeCompressibleDrain() {
   core::SourceEpochOutput out;
-  const Schema log_schema = Schema::Of(
-      {{"line", ValueType::kString}, {"code", ValueType::kInt64}});
   RecordBatch rows;
   for (int i = 0; i < 96; ++i) {
     rows.push_back(MakeRecord(
@@ -446,8 +389,7 @@ core::SourceEpochOutput MakeCompressibleDrain() {
                         "/profile HTTP/1.1 response_served_from=edge-cache",
         int64_t{200 + i % 3}));
   }
-  out.AppendDrainColumns(
-      0, ColumnarBatch::FromRows(std::move(rows), log_schema));
+  out.AppendDrainRows(0, std::move(rows));
   RecordBatch tail;
   for (int i = 0; i < 8; ++i) {
     tail.push_back(MakeRecord(Seconds(100 + i), int64_t{i}, 0.5 * i));
@@ -459,7 +401,6 @@ core::SourceEpochOutput MakeCompressibleDrain() {
 RecordBatch FlattenChunks(std::vector<core::DrainChunk>&& chunks) {
   RecordBatch rows;
   for (core::DrainChunk& c : chunks) {
-    c.columns.MoveToRows(&rows);
     for (Record& r : c.rows) rows.push_back(std::move(r));
     c.rows.clear();
   }
@@ -605,6 +546,62 @@ TEST(SerCorruptionTest, CompressedCheckpointFrameVerifiesEndToEnd) {
           << "flip at byte " << i << " bit " << bit << " validated";
     }
   }
+}
+
+/// A stored data frame with an arbitrary lane byte and a valid header
+/// checksum (seq 0, entry operator 0).
+core::WireFrame FrameWithLane(uint8_t lane, const std::vector<uint8_t>& payload,
+                              uint32_t records) {
+  ser::BufferWriter w;
+  w.PutU8(core::kWireFrameVersion);
+  const size_t crc_pos = w.size();
+  w.PutU32(0);
+  const size_t header_start = w.size();
+  w.PutVarU64(0);
+  w.PutVarU64(0);
+  w.PutU8(lane);
+  w.PatchU32(crc_pos, ser::FrameChecksum(w.data().data() + header_start,
+                                         w.size() - header_start));
+  w.PutBytes(payload.data(), payload.size());
+  core::WireFrame f;
+  f.records = records;
+  f.bytes = w.Release();
+  return f;
+}
+
+TEST(SerCorruptionTest, RetiredLaneZeroIsRejected) {
+  // Lane byte 0 named the retired columnar lane. A frame carrying it, with
+  // a valid header checksum and a well-formed columnar payload, must fail
+  // the header check and be NACKed as corrupt, never decoded.
+  const Corpus kv = BuildCorpus()[1];
+  const auto n = static_cast<uint32_t>(kv.rows.size());
+  const core::WireFrame lane0 = FrameWithLane(0, EncodeColumnar(kv), n);
+  const Result<core::WireFrameHeader> hdr = core::PeekFrameHeader(lane0);
+  ASSERT_FALSE(hdr.ok());
+  EXPECT_EQ(hdr.status().code(), StatusCode::kSerializationError);
+  // Control: the same header on the row lane, with a batch payload.
+  const core::WireFrame lane1 = FrameWithLane(1, EncodeBatch(kv), n);
+  ASSERT_TRUE(core::PeekFrameHeader(lane1).ok());
+
+  query::QueryBuilder q(KvSchema());
+  q.Window(Seconds(1));
+  auto plan = q.Build();
+  ASSERT_TRUE(plan.ok());
+  auto compiled = query::Compile(std::move(plan).value());
+  ASSERT_TRUE(compiled.ok());
+  core::SpExecutor sp(*compiled, 1);
+  ASSERT_TRUE(sp.Init().ok());
+  RecordBatch results;
+  Result<core::FrameDisposition> d = sp.ConsumeFrame(0, lane0, &results);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(*d, core::FrameDisposition::kCorrupt);
+  EXPECT_EQ(sp.expected_seq(0), 0u);
+  EXPECT_EQ(sp.records_consumed(), 0u);
+  d = sp.ConsumeFrame(0, lane1, &results);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(*d, core::FrameDisposition::kDelivered);
+  EXPECT_EQ(sp.expected_seq(0), 1u);
+  EXPECT_EQ(sp.records_consumed(), n);
 }
 
 TEST(SerCorruptionTest, RandomMultiByteCorruptionIsSafe) {

@@ -2,7 +2,6 @@
 
 #include "core/source_executor.h"
 #include "core/stepwise_adapt.h"
-#include "query/query_builder.h"
 #include "workloads/pingmesh.h"
 #include "workloads/queries.h"
 
@@ -164,19 +163,28 @@ TEST(SourceExecutorTest, UndersampledProfileUnderestimatesCost) {
 }
 
 TEST(SourceExecutorTest, DrainedBytesAccounted) {
+  // Everything drained at entry 0, then drains split across entries: the
+  // chunks are maximal same-entry runs and the bytes are exactly theirs.
   query::CompiledQuery q = CompileS2S();
   SourceExecutor exec(q, S2SCosts(), SourceExecutorOptions{});
   ASSERT_TRUE(exec.Init().ok());
-  exec.SetLoadFactors({0, 0, 0});
-  exec.Ingest(ProbeBatch(10));
-  auto out = exec.RunEpoch(Seconds(1), false);
-  ASSERT_TRUE(out.ok());
-  const uint64_t reported = out->drained_bytes;
-  uint64_t expected = 0;
-  for (const DrainRecord& dr : out->FlattenDrain()) {
-    expected += stream::WireSize(dr.record);
+  const std::vector<std::vector<double>> plans = {{0, 0, 0}, {1, 0.5, 0.25}};
+  for (size_t e = 0; e < plans.size(); ++e) {
+    exec.SetLoadFactors(plans[e]);
+    exec.Ingest(ProbeBatch(40, Seconds(e)));
+    auto out = exec.RunEpoch(Seconds(e + 1), false);
+    ASSERT_TRUE(out.ok());
+    ASSERT_FALSE(out->to_sp.empty());
+    for (size_t c = 1; c < out->to_sp.size(); ++c) {
+      EXPECT_NE(out->to_sp[c].sp_entry_op, out->to_sp[c - 1].sp_entry_op);
+    }
+    const uint64_t reported = out->drained_bytes;
+    uint64_t expected = 0;
+    for (const DrainRecord& dr : out->FlattenDrain()) {
+      expected += stream::WireSize(dr.record);
+    }
+    EXPECT_EQ(reported, expected) << "plan " << e;
   }
-  EXPECT_EQ(reported, expected);
 }
 
 TEST(SourceExecutorTest, SetCpuBudgetTakesEffect) {
@@ -206,184 +214,6 @@ TEST(SourceExecutorTest, ObservationInputRecordsMatchesIngest) {
   auto out = exec.RunEpoch(Seconds(1), false);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->observation.input_records, 123u);
-}
-
-// ---------------------------------------------------------------------------
-// Columnar data plane: a stateless source pipeline (Window -> typed Filter
-// -> Project) runs entirely on ColumnarBatch stage queues. Everything the
-// executor reports — drain records and their entry tags, drained bytes,
-// proxy observations, profiles — must be identical to the row plane.
-// ---------------------------------------------------------------------------
-
-query::CompiledQuery CompileStateless() {
-  query::QueryBuilder q(workloads::PingmeshGenerator::Schema());
-  q.Window(Seconds(1)).FilterI64Eq("errCode", 0);
-  q.Project({"srcIp", "dstIp", "rtt"});
-  auto plan = q.Build();
-  EXPECT_TRUE(plan.ok());
-  auto compiled = query::Compile(std::move(plan).value());
-  EXPECT_TRUE(compiled.ok());
-  return std::move(compiled).value();
-}
-
-void ExpectEpochOutputsEq(SourceEpochOutput& col, SourceEpochOutput& row) {
-  // Chunking may differ between the planes (columnar slices vs row runs);
-  // the flattened (entry, record) sequence must be bit-identical.
-  std::vector<DrainRecord> col_drain = col.FlattenDrain();
-  std::vector<DrainRecord> row_drain = row.FlattenDrain();
-  ASSERT_EQ(col_drain.size(), row_drain.size());
-  for (size_t i = 0; i < col_drain.size(); ++i) {
-    EXPECT_EQ(col_drain[i].sp_entry_op, row_drain[i].sp_entry_op) << i;
-    EXPECT_EQ(col_drain[i].record, row_drain[i].record) << i;
-  }
-  EXPECT_EQ(col.drained_bytes, row.drained_bytes);
-  EXPECT_EQ(col.watermark, row.watermark);
-  const EpochObservation& a = col.observation;
-  const EpochObservation& b = row.observation;
-  ASSERT_EQ(a.proxies.size(), b.proxies.size());
-  for (size_t i = 0; i < a.proxies.size(); ++i) {
-    EXPECT_EQ(a.proxies[i].arrived, b.proxies[i].arrived) << i;
-    EXPECT_EQ(a.proxies[i].forwarded, b.proxies[i].forwarded) << i;
-    EXPECT_EQ(a.proxies[i].drained, b.proxies[i].drained) << i;
-    EXPECT_EQ(a.proxies[i].processed, b.proxies[i].processed) << i;
-    EXPECT_EQ(a.proxies[i].pending, b.proxies[i].pending) << i;
-  }
-  EXPECT_DOUBLE_EQ(a.cpu_spent_seconds, b.cpu_spent_seconds);
-  EXPECT_EQ(a.input_records, b.input_records);
-  ASSERT_EQ(a.profiles_valid, b.profiles_valid);
-  ASSERT_EQ(a.profiles.size(), b.profiles.size());
-  for (size_t i = 0; i < a.profiles.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.profiles[i].relay_records, b.profiles[i].relay_records);
-    EXPECT_DOUBLE_EQ(a.profiles[i].relay_bytes, b.profiles[i].relay_bytes);
-    EXPECT_EQ(a.profiles[i].sampled, b.profiles[i].sampled);
-  }
-}
-
-TEST(SourceExecutorTest, ColumnarPlaneMatchesRowPlane) {
-  query::CompiledQuery q = CompileStateless();
-  auto costs = std::make_shared<FixedCostModel>(
-      std::vector<double>{kCostW, kCostF, kCostF});
-  SourceExecutorOptions col_opts;
-  col_opts.cpu_budget_fraction = 0.02;  // forces pending backpressure
-  SourceExecutorOptions row_opts = col_opts;
-  row_opts.enable_columnar = false;
-
-  SourceExecutor col_exec(q, costs, col_opts);
-  SourceExecutor row_exec(q, costs, row_opts);
-  ASSERT_TRUE(col_exec.Init().ok());
-  ASSERT_TRUE(row_exec.Init().ok());
-
-  // Several epochs over varying load factors, profile and steady epochs
-  // interleaved, with mid-stream backpressure and a reconfiguration flush.
-  const std::vector<std::vector<double>> plans = {
-      {1, 1, 1}, {1, 0.5, 1}, {0.7, 1, 0.3}, {1, 1, 1}};
-  for (size_t e = 0; e < plans.size(); ++e) {
-    col_exec.SetLoadFactors(plans[e]);
-    row_exec.SetLoadFactors(plans[e]);
-    if (e == 2) {
-      col_exec.RequestFlush();
-      row_exec.RequestFlush();
-    }
-    stream::RecordBatch in = ProbeBatch(400, Seconds(e));
-    stream::RecordBatch in_copy = in;
-    col_exec.Ingest(std::move(in));
-    row_exec.Ingest(std::move(in_copy));
-    const bool profile = e % 2 == 1;
-    auto col_out = col_exec.RunEpoch(Seconds(e + 1), profile);
-    auto row_out = row_exec.RunEpoch(Seconds(e + 1), profile);
-    ASSERT_TRUE(col_out.ok());
-    ASSERT_TRUE(row_out.ok());
-    ExpectEpochOutputsEq(*col_out, *row_out);
-  }
-
-  // Checkpoint must ship identical pending state from either plane.
-  auto col_cp = col_exec.Checkpoint(Seconds(9));
-  auto row_cp = row_exec.Checkpoint(Seconds(9));
-  ASSERT_TRUE(col_cp.ok());
-  ASSERT_TRUE(row_cp.ok());
-  ExpectEpochOutputsEq(*col_cp, *row_cp);
-}
-
-TEST(SourceExecutorTest, ColumnarIngestMatchesRowIngest) {
-  // Column-born ingest (generator -> IngestColumnar) must be observably
-  // identical to row ingest of the same records, epoch by epoch.
-  query::CompiledQuery q = CompileStateless();
-  auto costs = std::make_shared<FixedCostModel>(
-      std::vector<double>{kCostW, kCostF, kCostF});
-  SourceExecutorOptions opts;
-  opts.cpu_budget_fraction = 0.03;  // some backpressure
-  SourceExecutor native(q, costs, opts);
-  SourceExecutor rows(q, costs, opts);
-  ASSERT_TRUE(native.Init().ok());
-  ASSERT_TRUE(rows.Init().ok());
-
-  workloads::PingmeshConfig cfg;
-  cfg.num_pairs = 300;
-  cfg.probe_interval = Seconds(1);
-  workloads::PingmeshGenerator gen(cfg);
-
-  for (int e = 0; e < 4; ++e) {
-    const std::vector<double> lfs = {1, 0.6, e % 2 ? 0.4 : 1.0};
-    native.SetLoadFactors(lfs);
-    rows.SetLoadFactors(lfs);
-    stream::ColumnarBatch born(workloads::PingmeshGenerator::Schema());
-    gen.GenerateColumnar(Seconds(e), Seconds(e + 1), &born);
-    native.IngestColumnar(std::move(born));
-    rows.Ingest(gen.Generate(Seconds(e), Seconds(e + 1)));
-    auto native_out = native.RunEpoch(Seconds(e + 1), e == 1);
-    auto rows_out = rows.RunEpoch(Seconds(e + 1), e == 1);
-    ASSERT_TRUE(native_out.ok());
-    ASSERT_TRUE(rows_out.ok());
-    ExpectEpochOutputsEq(*native_out, *rows_out);
-  }
-}
-
-TEST(SourceExecutorTest, NativeDrainShipsColumnarChunks) {
-  // On a stateless pipeline with clean (conforming) input, nothing on the
-  // default path materializes a row record: every drain chunk must be a
-  // columnar slice, and its byte accounting must equal the row wire size.
-  query::CompiledQuery q = CompileStateless();
-  auto costs = std::make_shared<FixedCostModel>(
-      std::vector<double>{kCostW, kCostF, kCostF});
-  SourceExecutor exec(q, costs, SourceExecutorOptions{});
-  ASSERT_TRUE(exec.Init().ok());
-  exec.SetLoadFactors({1, 0.5, 0.25});
-  stream::ColumnarBatch born(workloads::PingmeshGenerator::Schema());
-  workloads::PingmeshConfig cfg;
-  cfg.num_pairs = 200;
-  cfg.probe_interval = Seconds(1);
-  workloads::PingmeshGenerator gen(cfg);
-  gen.GenerateColumnar(0, Seconds(1), &born);
-  exec.IngestColumnar(std::move(born));
-  auto out = exec.RunEpoch(Seconds(1), false);
-  ASSERT_TRUE(out.ok());
-  ASSERT_GT(out->DrainedRecords(), 0u);
-  uint64_t bytes = 0;
-  for (const DrainChunk& chunk : out->to_sp) {
-    EXPECT_TRUE(chunk.rows.empty());
-    EXPECT_FALSE(chunk.columns.empty());
-    EXPECT_EQ(chunk.columns.num_fallback(), 0u);
-    bytes += chunk.columns.RowWireBytes();
-  }
-  EXPECT_EQ(out->drained_bytes, bytes);
-}
-
-TEST(SourceExecutorTest, StatefulQueryStaysOnRowPlane) {
-  // The S2S query ends in G+R (no columnar path), so the executor must run
-  // the row plane even with columnar enabled — and behave as before.
-  query::CompiledQuery q = CompileS2S();
-  SourceExecutorOptions opts;
-  ASSERT_TRUE(opts.enable_columnar);
-  SourceExecutor exec(q, S2SCosts(), opts);
-  ASSERT_TRUE(exec.Init().ok());
-  exec.SetLoadFactors({1, 1, 1});
-  exec.Ingest(ProbeBatch(100));
-  auto out = exec.RunEpoch(Seconds(20), false);
-  ASSERT_TRUE(out.ok());
-  ASSERT_GT(out->DrainedRecords(), 0u);
-  for (const DrainRecord& dr : out->FlattenDrain()) {
-    EXPECT_EQ(dr.record.kind, stream::RecordKind::kPartial);
-  }
 }
 
 }  // namespace

@@ -130,42 +130,10 @@ TEST(SpExecutorTest, FlushEmitsRemainingState) {
   EXPECT_FALSE(results.empty());
 }
 
-SourceEpochOutput ColumnarEpoch(const stream::RecordBatch& records,
-                                size_t entry, Micros wm) {
-  SourceEpochOutput out;
-  stream::RecordBatch copy = records;
-  out.AppendDrainColumns(
-      entry, stream::ColumnarBatch::FromRows(
-                 std::move(copy), workloads::PingmeshGenerator::Schema()));
-  out.watermark = wm;
-  return out;
-}
-
-TEST(SpExecutorTest, ColumnarChunksMatchRowChunksOnStatefulQuery) {
-  // The S2S chain ends in G+R (no columnar path): a columnar chunk must
-  // regroup to rows at the Consume boundary and produce exactly the results
-  // of the equivalent row chunk.
-  query::CompiledQuery q = CompileS2S();
-  SpExecutor row_sp(q, 1), col_sp(q, 1);
-  ASSERT_TRUE(row_sp.Init().ok());
-  ASSERT_TRUE(col_sp.Init().ok());
-  stream::RecordBatch row_results, col_results;
-  const stream::RecordBatch probes = Probes(80, 0);
-  ASSERT_TRUE(
-      row_sp.Consume(0, RawEpoch(probes, Seconds(11)), &row_results).ok());
-  ASSERT_TRUE(
-      col_sp.Consume(0, ColumnarEpoch(probes, 0, Seconds(11)), &col_results)
-          .ok());
-  ASSERT_TRUE(row_sp.EndEpoch(&row_results).ok());
-  ASSERT_TRUE(col_sp.EndEpoch(&col_results).ok());
-  EXPECT_FALSE(row_results.empty());
-  EXPECT_EQ(col_results, row_results);
-}
-
-TEST(SpExecutorTest, ColumnarChunksStayColumnarOnStatelessSuffix) {
-  // A stateless chain (Window -> typed Filter -> Project) is fully columnar
-  // on the SP too: columnar chunks push through PushColumnar and the final
-  // results must be bit-identical to row-chunk consumption.
+TEST(SpExecutorTest, FramesMatchInMemoryChunks) {
+  // ConsumeFrame's decode-and-push must produce exactly the results Consume
+  // gets from the same chunks in memory: raw input at entry 0 plus a run
+  // resuming past the filter, shipped as compressed frames.
   query::QueryBuilder builder(workloads::PingmeshGenerator::Schema());
   builder.Window(Seconds(1)).FilterI64Eq("errCode", 0);
   builder.Project({"srcIp", "dstIp", "rtt"});
@@ -174,26 +142,32 @@ TEST(SpExecutorTest, ColumnarChunksStayColumnarOnStatelessSuffix) {
   auto compiled = query::Compile(std::move(plan).value());
   ASSERT_TRUE(compiled.ok());
 
-  SpExecutor row_sp(*compiled, 1), col_sp(*compiled, 1);
-  ASSERT_TRUE(row_sp.Init().ok());
-  ASSERT_TRUE(col_sp.Init().ok());
-  stream::RecordBatch row_results, col_results;
-  const stream::RecordBatch probes = Probes(120, 0);
-  // Mixed entries: raw input at 0 plus a run resuming past the filter.
-  SourceEpochOutput row_out = RawEpoch(probes, Seconds(2));
-  SourceEpochOutput col_out = ColumnarEpoch(probes, 0, Seconds(2));
+  SpExecutor mem_sp(*compiled, 1), wire_sp(*compiled, 1);
+  ASSERT_TRUE(mem_sp.Init().ok());
+  ASSERT_TRUE(wire_sp.Init().ok());
+  SourceEpochOutput out = RawEpoch(Probes(120, 0), Seconds(2));
   stream::RecordBatch tail = Probes(30, Seconds(1), 99);
   for (stream::Record& r : tail) r.window_start = Seconds(1);
-  row_out.AppendDrainRows(2, stream::RecordBatch(tail));
-  col_out.AppendDrainColumns(
-      2, stream::ColumnarBatch::FromRows(
-             std::move(tail), workloads::PingmeshGenerator::Schema()));
-  ASSERT_TRUE(row_sp.Consume(0, std::move(row_out), &row_results).ok());
-  ASSERT_TRUE(col_sp.Consume(0, std::move(col_out), &col_results).ok());
-  ASSERT_TRUE(row_sp.EndEpoch(&row_results).ok());
-  ASSERT_TRUE(col_sp.EndEpoch(&col_results).ok());
-  EXPECT_FALSE(row_results.empty());
-  EXPECT_EQ(col_results, row_results);
+  out.AppendDrainRows(2, std::move(tail));
+
+  SourceEpochOutput copy = out;
+  uint32_t seq = 0;
+  const WireDrain wire =
+      SerializeDrain(&copy, &seq, WireCodecOptions{.compress = true});
+  ASSERT_EQ(wire.frame_count, 2u);
+  stream::RecordBatch mem_results, wire_results;
+  for (const WireFrame& f : wire.frames) {
+    Result<FrameDisposition> d = wire_sp.ConsumeFrame(0, f, &wire_results);
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, FrameDisposition::kDelivered);
+  }
+  wire_sp.ConsumeWatermark(0, out.watermark);
+  ASSERT_TRUE(mem_sp.Consume(0, std::move(out), &mem_results).ok());
+  ASSERT_TRUE(mem_sp.EndEpoch(&mem_results).ok());
+  ASSERT_TRUE(wire_sp.EndEpoch(&wire_results).ok());
+  EXPECT_FALSE(mem_results.empty());
+  EXPECT_EQ(wire_results, mem_results);
+  EXPECT_EQ(wire_sp.records_consumed(), mem_sp.records_consumed());
 }
 
 TEST(SpExecutorTest, WatermarkNeverRegresses) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "workloads/cost_profiles.h"
 #include "workloads/loganalytics.h"
 #include "workloads/pingmesh.h"
@@ -104,47 +107,59 @@ TEST(PingmeshTest, RecordStreamMatchesGroundTruthHelpers) {
   }
 }
 
-TEST(PingmeshTest, GenerateColumnarMatchesRowGenerate) {
-  // Column-born generation is the native ingest format; it must carry
-  // exactly the records of the row form — all dense, bit-identical.
+/// Portable FNV-1a digest over every record's times, kind and field values
+/// (doubles by bit pattern), so a generator change that reorders, drops or
+/// perturbs a single record moves it.
+uint64_t RowsDigest(const stream::RecordBatch& rows) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const stream::Record& r : rows) {
+    mix(static_cast<uint64_t>(r.event_time));
+    mix(static_cast<uint64_t>(r.window_start));
+    mix(static_cast<uint64_t>(r.kind));
+    mix(r.fields.size());
+    for (const stream::Value& f : r.fields) {
+      mix(f.index());
+      if (const int64_t* i = std::get_if<int64_t>(&f)) {
+        mix(static_cast<uint64_t>(*i));
+      } else if (const double* d = std::get_if<double>(&f)) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, d, sizeof(bits));
+        mix(bits);
+      } else {
+        const std::string& str = std::get<std::string>(f);
+        mix(str.size());
+        for (char c : str) mix(static_cast<uint8_t>(c));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(PingmeshTest, GenerateIsPinned) {
+  // The constant pins Generate's output: any change to the records, their
+  // order or a value's bits moves the digest.
   PingmeshConfig cfg;
   cfg.num_pairs = 120;
   cfg.probe_interval = Seconds(2);
   PingmeshGenerator gen(cfg);
-  stream::ColumnarBatch columns(PingmeshGenerator::Schema());
-  gen.GenerateColumnar(Seconds(1), Seconds(7), &columns);
-  EXPECT_EQ(columns.num_fallback(), 0u);
-  EXPECT_EQ(columns.num_rows(), columns.num_dense());
-  stream::RecordBatch rows;
-  columns.MoveToRows(&rows);
-  EXPECT_EQ(rows, gen.Generate(Seconds(1), Seconds(7)));
+  const stream::RecordBatch rows = gen.Generate(Seconds(1), Seconds(7));
+  ASSERT_EQ(rows.size(), 360u);
+  EXPECT_EQ(RowsDigest(rows), 0x4cec7f97e67c54b8ull);
 }
 
-TEST(PingmeshTest, GenerateColumnarAppendsAcrossCalls) {
-  // Per-epoch calls into one reused batch concatenate (the executor's
-  // columnar ingest buffer relies on this).
-  PingmeshConfig cfg;
-  cfg.num_pairs = 30;
-  cfg.probe_interval = Seconds(1);
-  PingmeshGenerator gen(cfg);
-  stream::ColumnarBatch columns(PingmeshGenerator::Schema());
-  gen.GenerateColumnar(0, Seconds(1), &columns);
-  gen.GenerateColumnar(Seconds(1), Seconds(2), &columns);
-  stream::RecordBatch rows;
-  columns.MoveToRows(&rows);
-  EXPECT_EQ(rows, gen.Generate(0, Seconds(2)));
-}
-
-TEST(LogAnalyticsTest, GenerateColumnarMatchesRowGenerate) {
+TEST(LogAnalyticsTest, GenerateIsPinned) {
   LogAnalyticsConfig cfg;
   cfg.lines_per_sec = 700;
   LogAnalyticsGenerator gen(cfg);
-  stream::ColumnarBatch columns(LogAnalyticsGenerator::Schema());
-  gen.GenerateColumnar(Seconds(3), Seconds(5), &columns);
-  EXPECT_EQ(columns.num_fallback(), 0u);
-  stream::RecordBatch rows;
-  columns.MoveToRows(&rows);
-  EXPECT_EQ(rows, gen.Generate(Seconds(3), Seconds(5)));
+  const stream::RecordBatch rows = gen.Generate(Seconds(3), Seconds(5));
+  ASSERT_EQ(rows.size(), 1400u);
+  EXPECT_EQ(RowsDigest(rows), 0xb47ec9bfc10ca0bbull);
 }
 
 TEST(LogAnalyticsTest, LineRateRespected) {

@@ -19,6 +19,7 @@ SpExecutor::SpExecutor(const query::CompiledQuery& query, size_t num_sources)
   // partitioning LP profiles on the source side); start with byte stats off
   // and let profiling turn them on explicitly.
   pipeline_->SetByteAccounting(false);
+  entry_width_ = pipeline_->InPlaceWidths();
 }
 
 Status SpExecutor::Consume(size_t source_id, SourceEpochOutput&& out,
@@ -92,9 +93,9 @@ Result<FrameDisposition> SpExecutor::ConsumeFrame(
   if (!payload.ok()) return FrameDisposition::kCorrupt;
   ser::BufferReader r(payload->first, payload->second);
   entry_batch_.clear();
-  if (!stream::DeserializeBatch(&r, &entry_batch_).ok() || !r.AtEnd()) {
-    return FrameDisposition::kCorrupt;
-  }
+  const Status decoded =
+      stream::DeserializeBatch(&r, &entry_batch_, entry_width_[hdr->entry_op]);
+  if (!decoded.ok() || !r.AtEnd()) return FrameDisposition::kCorrupt;
   JARVIS_RETURN_IF_ERROR(pipeline_->PushBatchFrom(
       hdr->entry_op, std::move(entry_batch_), results));
   entry_batch_.clear();

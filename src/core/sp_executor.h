@@ -136,6 +136,9 @@ class SpExecutor {
   // the decoded rows of a data frame.
   std::vector<uint8_t> payload_scratch_;
   stream::RecordBatch entry_batch_;
+  // Pipeline::InPlaceWidths, per entry operator: ConsumeFrame decodes each
+  // frame's rows with that much room, so the SP's Joins append in place.
+  std::vector<size_t> entry_width_;
   // Per-source next expected wire sequence number (exactly-once delivery).
   std::vector<uint32_t> expect_seq_;
   uint64_t records_consumed_ = 0;

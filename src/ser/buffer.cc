@@ -68,88 +68,37 @@ void BufferWriter::PutBytes(const uint8_t* data, size_t len) {
   buf_.insert(buf_.end(), data, data + len);
 }
 
-Status BufferReader::Require(size_t n) {
-  if (pos_ + n > size_) {
-    return Status::SerializationError("truncated buffer");
-  }
-  return Status::OK();
+Status BufferReader::Truncated() {
+  return Status::SerializationError("truncated buffer");
 }
 
-Status BufferReader::GetU8(uint8_t* out) {
-  JARVIS_RETURN_IF_ERROR(Require(1));
-  *out = data_[pos_++];
-  return Status::OK();
+Status BufferReader::Overlong() {
+  return Status::SerializationError("varint too long");
 }
 
-Status BufferReader::GetU32(uint32_t* out) {
-  JARVIS_RETURN_IF_ERROR(Require(4));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  *out = v;
-  return Status::OK();
-}
-
-Status BufferReader::GetU64(uint64_t* out) {
-  JARVIS_RETURN_IF_ERROR(Require(8));
+Status BufferReader::GetVarU64Slow(uint64_t* out) {
+  // Fewer than kMaxVarIntBytes remain: bounds-check every byte.
+  *out = 0;
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  *out = v;
-  return Status::OK();
-}
-
-Status BufferReader::GetVarU64(uint64_t* out) {
-  // Fast path: enough bytes remain that no per-byte bounds check is needed
-  // (a varint is at most 10 bytes).
-  if (size_ - pos_ >= 10) {
-    const uint8_t* p = data_ + pos_;
-    uint64_t v = 0;
-    int shift = 0;
-    size_t i = 0;
-    while (true) {
-      const uint8_t b = p[i++];
-      v |= static_cast<uint64_t>(b & 0x7f) << shift;
-      if (!(b & 0x80)) break;
-      shift += 7;
-      if (shift > 63) return Status::SerializationError("varint too long");
+  for (size_t i = 0; i < kMaxVarIntBytes; ++i) {
+    if (pos_ + i >= size_) return Truncated();
+    const uint8_t b = data_[pos_ + i];
+    v |= static_cast<uint64_t>(b & 0x7f) << (7 * i);
+    if (!(b & 0x80)) {
+      pos_ += i + 1;
+      *out = v;
+      return Status::OK();
     }
-    pos_ += i;
-    *out = v;
-    return Status::OK();
   }
-  uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (shift > 63) return Status::SerializationError("varint too long");
-    uint8_t b;
-    JARVIS_RETURN_IF_ERROR(GetU8(&b));
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if (!(b & 0x80)) break;
-    shift += 7;
-  }
-  *out = v;
-  return Status::OK();
-}
-
-Status BufferReader::GetVarI64(int64_t* out) {
-  uint64_t raw;
-  JARVIS_RETURN_IF_ERROR(GetVarU64(&raw));
-  *out = ZigZagDecode(raw);
-  return Status::OK();
-}
-
-Status BufferReader::GetDouble(double* out) {
-  uint64_t bits;
-  JARVIS_RETURN_IF_ERROR(GetU64(&bits));
-  std::memcpy(out, &bits, sizeof(*out));
-  return Status::OK();
+  return Overlong();
 }
 
 Status BufferReader::GetString(std::string* out) {
   uint64_t len;
   JARVIS_RETURN_IF_ERROR(GetVarU64(&len));
-  JARVIS_RETURN_IF_ERROR(Require(len));
+  // Compared against what is left, not as pos_ + len: a length read off the
+  // wire near 2^64 would wrap that sum and pass.
+  if (len > size_ - pos_) return Truncated();
   out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
   return Status::OK();

@@ -20,6 +20,14 @@ constexpr size_t VarIntSize(uint64_t v) {
   return static_cast<size_t>(std::bit_width(v | 1) + 6) / 7;
 }
 
+/// Zigzag transform helpers (exposed for testing).
+constexpr uint64_t ZigZagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+constexpr int64_t ZigZagDecode(uint64_t v) {
+  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
 /// Little-endian fixed-width store into a caller-provided buffer; gcc/clang
 /// collapse the shift loop into a single unaligned store on LE targets.
 /// Shared by BufferWriter's fixed-width puts and batch column emission so
@@ -30,6 +38,20 @@ inline void StoreLe(T v, uint8_t* p) {
     p[i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
+
+/// Little-endian fixed-width load, the inverse of StoreLe; gcc/clang
+/// collapse the shift loop into a single unaligned load on LE targets.
+template <typename T>
+inline T LoadLe(const uint8_t* p) {
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<T>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+/// Longest valid LEB128 encoding of a 64-bit value.
+inline constexpr size_t kMaxVarIntBytes = 10;
 
 /// Encodes `v` as unsigned LEB128 into `p` (which must have >= 10 bytes of
 /// room) and returns the number of bytes written. Exposed so batch
@@ -96,7 +118,14 @@ class BufferWriter {
 };
 
 /// Sequential decoder over a byte span; all getters fail with
-/// SerializationError on truncated input instead of reading out of bounds.
+/// SerializationError on truncated input instead of reading out of bounds
+/// (a failed numeric getter leaves zero in its output).
+///
+/// The per-value getters every decoder calls in its inner loop (batch rows,
+/// tagged values, column sections, checkpoint bodies, frame headers) are
+/// inline: one bounds check per value, and on success the returned OK
+/// Status folds away at the call site. Building an error Status, and the
+/// byte-at-a-time varint tail near the end of the span, stay out of line.
 class BufferReader {
  public:
   BufferReader(const uint8_t* data, size_t size)
@@ -104,12 +133,49 @@ class BufferReader {
   explicit BufferReader(const std::vector<uint8_t>& buf)
       : BufferReader(buf.data(), buf.size()) {}
 
-  Status GetU8(uint8_t* out);
-  Status GetU32(uint32_t* out);
-  Status GetU64(uint64_t* out);
-  Status GetVarU64(uint64_t* out);
-  Status GetVarI64(int64_t* out);
-  Status GetDouble(double* out);
+  Status GetU8(uint8_t* out) {
+    if (pos_ < size_) [[likely]] {
+      *out = data_[pos_++];
+      return Status::OK();
+    }
+    *out = 0;
+    return Truncated();
+  }
+  Status GetU32(uint32_t* out) { return GetFixed(out); }
+  Status GetU64(uint64_t* out) { return GetFixed(out); }
+  /// Unsigned LEB128. With a full varint's worth of bytes left, no byte
+  /// needs its own bounds check; closer to the end the slow path checks
+  /// each byte.
+  Status GetVarU64(uint64_t* out) {
+    if (size_ - pos_ < kMaxVarIntBytes) [[unlikely]] {
+      return GetVarU64Slow(out);
+    }
+    const uint8_t* p = data_ + pos_;
+    uint64_t v = 0;
+    for (size_t i = 0; i < kMaxVarIntBytes; ++i) {
+      v |= static_cast<uint64_t>(p[i] & 0x7f) << (7 * i);
+      if (!(p[i] & 0x80)) {
+        pos_ += i + 1;
+        *out = v;
+        return Status::OK();
+      }
+    }
+    *out = 0;
+    return Overlong();
+  }
+  /// Zigzag-encoded signed LEB128.
+  Status GetVarI64(int64_t* out) {
+    uint64_t raw = 0;
+    Status st = GetVarU64(&raw);
+    *out = ZigZagDecode(raw);
+    return st;
+  }
+  Status GetDouble(double* out) {
+    uint64_t bits = 0;
+    Status st = GetU64(&bits);
+    std::memcpy(out, &bits, sizeof(*out));
+    return st;
+  }
   Status GetString(std::string* out);
 
   size_t position() const { return pos_; }
@@ -123,7 +189,19 @@ class BufferReader {
   void Advance(size_t n) { pos_ += n; }
 
  private:
-  Status Require(size_t n);
+  template <typename T>
+  Status GetFixed(T* out) {
+    if (size_ - pos_ >= sizeof(T)) [[likely]] {
+      *out = LoadLe<T>(data_ + pos_);
+      pos_ += sizeof(T);
+      return Status::OK();
+    }
+    *out = 0;
+    return Truncated();
+  }
+  Status GetVarU64Slow(uint64_t* out);
+  static Status Truncated();
+  static Status Overlong();
 
   const uint8_t* data_;
   size_t size_;
@@ -139,14 +217,6 @@ uint32_t FrameChecksum(const uint8_t* data, size_t len);
 
 inline uint32_t FrameChecksum(const std::vector<uint8_t>& buf) {
   return FrameChecksum(buf.data(), buf.size());
-}
-
-/// Zigzag transform helpers (exposed for testing).
-constexpr uint64_t ZigZagEncode(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-constexpr int64_t ZigZagDecode(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
 }  // namespace jarvis::ser

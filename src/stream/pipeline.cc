@@ -1,5 +1,7 @@
 #include "stream/pipeline.h"
 
+#include <algorithm>
+
 namespace jarvis::stream {
 
 Status Pipeline::Push(Record&& rec, RecordBatch* out) {
@@ -46,6 +48,19 @@ Status Pipeline::PushBatchFrom(size_t start, RecordBatch&& batch,
   }
   MoveAppend(std::move(*cur), out);
   return Status::OK();
+}
+
+std::vector<size_t> Pipeline::InPlaceWidths() const {
+  // Walks back from the end: each covered operator passes on the width of
+  // what follows it, raised to its own output arity.
+  std::vector<size_t> widths(ops_.size() + 1, 0);
+  for (size_t i = ops_.size(); i-- > 0;) {
+    if (ops_[i]->HasInPlaceBatch() && !ops_[i]->IsStateful()) {
+      widths[i] =
+          std::max(ops_[i]->output_schema().num_fields(), widths[i + 1]);
+    }
+  }
+  return widths;
 }
 
 Status Pipeline::OnWatermark(Micros wm, RecordBatch* out) {

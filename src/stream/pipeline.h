@@ -44,6 +44,15 @@ class Pipeline {
   /// Batch analogue of PushFrom.
   Status PushBatchFrom(size_t start, RecordBatch&& batch, RecordBatch* out);
 
+  /// For each start operator (and size(), which goes straight to the
+  /// output): the most fields a row holds while PushBatchFrom rewrites it in
+  /// place from there. The walk covers operators that rewrite in place and
+  /// keep no state (Window, Filter, Join, Project) and ends at the first Map
+  /// or G+R, neither of which hands its input rows on; 0 where it ends at
+  /// once. A decoder that reserves this many fields per row lets the Joins
+  /// append without reallocating.
+  std::vector<size_t> InPlaceWidths() const;
+
   /// Advances the watermark through the chain; emissions from operator i are
   /// processed by operators i+1..end before being appended to `out`.
   Status OnWatermark(Micros wm, RecordBatch* out);

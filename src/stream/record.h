@@ -184,8 +184,14 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
 
 /// Decodes a batch previously written by SerializeBatch. The format is
 /// self-describing (type tags ride in the batch header), so no schema is
-/// needed on the read side.
+/// needed on the read side. Each row's field vector is sized to its arity.
 Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out);
+
+/// The same decode, with room reserved for max(arity, `width`) fields in
+/// every row: a consumer whose operators append fields in place (the SP's
+/// Joins) passes the widest arity its rows reach, so no append reallocates.
+Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out,
+                        size_t width);
 
 /// Writes one value with its inline type tag (the record-format payload
 /// encoding). Shared by the batch and columnar formats' fallback sections so

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "stream/group_aggregate.h"
+#include "stream/join.h"
 #include "stream/ops.h"
 #include "stream/pipeline.h"
 #include "testing/test_util.h"
@@ -103,6 +104,35 @@ TEST(PipelineTest, ResetStatsClearsAllOperators) {
 TEST(PipelineTest, OutputSchemaIsLastOperators) {
   Pipeline p = MakeWindowFilterAgg();
   EXPECT_EQ(p.output_schema().field(1).name, "cnt");
+}
+
+TEST(PipelineTest, InPlaceWidthsStopAtMapAndGroupAggregate) {
+  // window(2) join(3) join(4) project(1) map(2) filter(2) g+r: a row
+  // entering before the joins reaches 4 fields in place; the Map and the
+  // G+R hand on rows of their own, so the walk ends there.
+  auto table = std::make_shared<StaticTable>(
+      "k", Schema::Field{"t", ValueType::kInt64});
+  const Schema kv = KvSchema();
+  const Schema one = kv.Append({"t1", ValueType::kInt64});
+  const Schema two = one.Append({"t2", ValueType::kInt64});
+  Pipeline p;
+  p.Add(std::make_unique<WindowOp>("w", kv, Seconds(10)));
+  p.Add(std::make_unique<JoinOp>("j1", kv, table, 0));
+  p.Add(std::make_unique<JoinOp>("j2", one, table, 0));
+  p.Add(std::make_unique<ProjectOp>("p", two, std::vector<size_t>{3}));
+  p.Add(std::make_unique<MapOp>(
+      "m", kv, [](Record&& rec, RecordBatch* out) {
+        out->push_back(std::move(rec));
+        return Status::OK();
+      }));
+  p.Add(std::make_unique<FilterOp>(
+      "f", kv, [](const Record& r) { return r.i64(0) != 0; }));
+  p.Add(std::make_unique<GroupAggregateOp>(
+      "g", kv, std::vector<size_t>{0},
+      std::vector<AggSpec>{{AggKind::kCount, 0, "cnt"}}, Seconds(10), false));
+  EXPECT_EQ(p.InPlaceWidths(),
+            (std::vector<size_t>{4, 4, 4, 1, 0, 2, 0, 0}));
+  EXPECT_EQ(Pipeline().InPlaceWidths(), std::vector<size_t>{0});
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include "common/rng.h"
 #include "stream/record.h"
+#include "testing/test_util.h"
 
 namespace jarvis::stream {
 namespace {
+
+using jarvis::testing::SealBatchBody;
 
 Record MakeRecord() {
   Record r;
@@ -95,6 +98,27 @@ TEST(SerdeTest, BadKindRejected) {
   Record out;
   EXPECT_EQ(DeserializeRecord(&reader, &out).code(),
             StatusCode::kSerializationError);
+}
+
+TEST(SerdeTest, FieldCountBeyondTheBytesIsRejectedBeforeReserving) {
+  // A field count read from a few bytes must not reserve 2^20 Values
+  // (40 MB): every tagged value takes at least two bytes.
+  for (const uint64_t count : {uint64_t{1} << 20, uint64_t{3}}) {
+    ser::BufferWriter w;
+    w.PutU8(static_cast<uint8_t>(RecordKind::kData));
+    w.PutVarI64(5);
+    w.PutVarI64(0);
+    w.PutVarU64(count);
+    w.PutU8(static_cast<uint8_t>(ValueType::kInt64));
+    w.PutVarI64(1);
+    w.PutU8(static_cast<uint8_t>(ValueType::kInt64));  // 5 bytes: 2 values
+    ser::BufferReader reader(w.data());
+    Record out;
+    EXPECT_EQ(DeserializeRecord(&reader, &out).code(),
+              StatusCode::kSerializationError)
+        << count;
+    EXPECT_EQ(out.fields.capacity(), 0u) << count;
+  }
 }
 
 TEST(SerdeTest, TruncatedRecordRejected) {
@@ -277,27 +301,6 @@ TEST(BatchSerdeTest, BadVersionRejected) {
             StatusCode::kSerializationError);
 }
 
-TEST(BatchSerdeTest, ImplausibleRecordCountRejected) {
-  ser::BufferWriter w;
-  w.PutU8(kBatchFormatVersion);
-  w.PutVarU64(1u << 30);  // far more records than remaining bytes
-  ser::BufferReader r(w.data());
-  RecordBatch out;
-  EXPECT_EQ(DeserializeBatch(&r, &out).code(),
-            StatusCode::kSerializationError);
-}
-
-TEST(BatchSerdeTest, BadFlagsRejected) {
-  ser::BufferWriter w;
-  w.PutU8(kBatchFormatVersion);
-  w.PutVarU64(1);  // one record
-  w.PutVarU64(0);  // zero schema fields
-  w.PutU8(0x80);   // unknown flag bit
-  ser::BufferReader r(w.data());
-  RecordBatch out;
-  EXPECT_EQ(DeserializeBatch(&r, &out).code(),
-            StatusCode::kSerializationError);
-}
 
 TEST(BatchSerdeTest, TruncatedBatchRejected) {
   const Schema schema = TestSchema();
@@ -308,6 +311,101 @@ TEST(BatchSerdeTest, TruncatedBatchRejected) {
   for (size_t cut : {w.size() - 1, w.size() / 2, size_t{3}}) {
     ser::BufferReader r(w.data().data(), cut);
     EXPECT_FALSE(DeserializeBatch(&r, &out).ok()) << cut;
+  }
+}
+
+TEST(BatchSerdeTest, ImplausibleRecordCountRejected) {
+  ser::BufferWriter body;
+  body.PutVarU64(1u << 30);  // far more records than remaining bytes
+  body.PutVarU64(0);
+  const std::vector<uint8_t> frame = SealBatchBody(body.data());
+  ser::BufferReader r(frame.data(), frame.size());
+  RecordBatch out;
+  EXPECT_EQ(DeserializeBatch(&r, &out).code(),
+            StatusCode::kSerializationError);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(BatchSerdeTest, BadFlagsRejected) {
+  ser::BufferWriter body;
+  body.PutVarU64(1);  // one record
+  body.PutVarU64(0);  // zero schema fields
+  body.PutU8(0x80);   // unknown flag bit
+  body.PutVarI64(0);
+  body.PutVarI64(0);
+  body.PutVarU64(0);  // no tagged fields
+  const std::vector<uint8_t> frame = SealBatchBody(body.data());
+  ser::BufferReader r(frame.data(), frame.size());
+  RecordBatch out;
+  EXPECT_EQ(DeserializeBatch(&r, &out).code(),
+            StatusCode::kSerializationError);
+}
+
+TEST(BatchSerdeTest, TaggedCountBeyondTheBytesIsRejectedBeforeReserving) {
+  ser::BufferWriter body;
+  body.PutVarU64(1);  // one record
+  body.PutVarU64(0);  // no schema fields: the record rides the tagged lane
+  body.PutU8(0);      // flags: kData, non-conforming
+  body.PutVarI64(5);
+  body.PutVarI64(0);
+  body.PutVarU64(uint64_t{1} << 20);  // field count
+  body.PutU8(static_cast<uint8_t>(ValueType::kInt64));
+  body.PutVarI64(1);
+  const std::vector<uint8_t> frame = SealBatchBody(body.data());
+  for (const size_t width : {size_t{0}, size_t{8}}) {
+    ser::BufferReader r(frame.data(), frame.size());
+    RecordBatch out;
+    EXPECT_EQ(DeserializeBatch(&r, &out, width).code(),
+              StatusCode::kSerializationError);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_LE(out[0].fields.capacity(), width) << width;
+  }
+}
+
+TEST(BatchSerdeTest, ColumnsBeyondTheBytesAreRejectedBeforeReserving) {
+  // Each conforming row reserves the schema's field count, so schema
+  // fields times conforming rows beyond the bytes left (one at least per
+  // column value) is rejected before a row reserves.
+  constexpr int kFields = 64, kRows = 8;
+  ser::BufferWriter body;
+  body.PutVarU64(kRows);
+  body.PutVarU64(kFields);
+  for (int j = 0; j < kFields; ++j) {
+    body.PutU8(static_cast<uint8_t>(ValueType::kInt64));
+  }
+  for (int i = 0; i < kRows; ++i) {
+    body.PutU8(0x02);  // conforming
+    body.PutVarI64(1);
+    body.PutVarI64(0);
+  }
+  for (int v = 0; v < kRows; ++v) body.PutVarI64(v);  // 8 of 512 values
+  const std::vector<uint8_t> frame = SealBatchBody(body.data());
+  ser::BufferReader r(frame.data(), frame.size());
+  RecordBatch out;
+  EXPECT_EQ(DeserializeBatch(&r, &out).code(),
+            StatusCode::kSerializationError);
+  for (const Record& rec : out) EXPECT_EQ(rec.fields.capacity(), 0u);
+}
+
+TEST(BatchSerdeTest, WidthReservesRoomForAppendsAndKeepsTheRows) {
+  const Schema schema = TestSchema();
+  RecordBatch batch = MakeConformingBatch();
+  batch.push_back(MakeRecord());  // conforms too
+  Record partial;
+  partial.kind = RecordKind::kPartial;
+  partial.fields = {Value(int64_t{7}), Value(2.0)};  // tagged lane
+  batch.push_back(partial);
+  ser::BufferWriter w;
+  SerializeBatch(batch, schema, &w);
+  for (const size_t width : {size_t{0}, size_t{2}, size_t{8}}) {
+    ser::BufferReader r(w.data());
+    RecordBatch out;
+    ASSERT_TRUE(DeserializeBatch(&r, &out, width).ok());
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(out, batch);
+    for (const Record& rec : out) {
+      EXPECT_GE(rec.fields.capacity(), std::max(rec.fields.size(), width));
+    }
   }
 }
 

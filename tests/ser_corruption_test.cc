@@ -4,7 +4,9 @@
 // batch (v2, the drain's row lane) and columnar (v3, G+R checkpoint
 // sections) frames through exhaustive truncation and seeded bit-flips; the ASan/UBSan CI leg is the real judge of the "no UB"
 // half of the contract. Only the checksummed versions decode: a flipped
-// version byte is rejected outright.
+// version byte is rejected outright. The header's length and checksum stop
+// those sweeps before the body decoder runs, so a further sweep re-seals
+// corrupt batch bodies to reach the decoder's own checks.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +35,7 @@ using jarvis::testing::FuzzSeeds;
 using jarvis::testing::KvSchema;
 using jarvis::testing::MakeRecord;
 using jarvis::testing::MakeWindowedRecord;
+using jarvis::testing::SealBatchBody;
 
 /// One corpus entry: a row batch plus the schema its columnar form uses.
 struct Corpus {
@@ -174,6 +177,81 @@ TEST(SerCorruptionTest, SingleBitFlipsNeverCrash) {
           }
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Re-sealed batch bodies: corruption past the integrity header
+// ---------------------------------------------------------------------------
+
+/// The batch frame's integrity header: [u8 version][u32 len][u32 checksum].
+constexpr size_t kBatchHeaderBytes = 9;
+
+Status DecodeResealed(const std::vector<uint8_t>& body, size_t width,
+                      RecordBatch* out) {
+  const std::vector<uint8_t> frame = SealBatchBody(body);
+  ser::BufferReader r(frame.data(), frame.size());
+  return DeserializeBatch(&r, out, width);
+}
+
+TEST(SerCorruptionTest, ResealedBodyCorruptionReachesTheDecoder) {
+  // Eleven continuation bytes, one more than any 64-bit varint holds, and a
+  // string length of 2^64 - 3, which wraps `position + length` below the
+  // span end. Each decode below returns a Status or rows; a throw fails the
+  // test, and the sanitizer legs judge the rest.
+  const std::vector<uint8_t> overlong(ser::kMaxVarIntBytes + 1, 0x80);
+  ser::BufferWriter len_writer;
+  len_writer.PutVarU64(~uint64_t{2});
+  const std::vector<uint8_t> huge_len = len_writer.Release();
+  for (const Corpus& c : BuildCorpus()) {
+    SCOPED_TRACE(c.name);
+    const std::vector<uint8_t> frame = EncodeBatch(c);
+    const std::vector<uint8_t> body(frame.begin() + kBatchHeaderBytes,
+                                    frame.end());
+    ASSERT_EQ(SealBatchBody(body), frame);
+    for (const size_t width : {size_t{0}, size_t{8}}) {
+      RecordBatch out;
+      ASSERT_TRUE(DecodeResealed(body, width, &out).ok());
+      EXPECT_EQ(out, c.rows);
+    }
+    // A whole body's decode reads every byte, so every proper prefix runs
+    // out of bytes somewhere.
+    for (size_t len = 0; len < body.size(); ++len) {
+      const std::vector<uint8_t> prefix(body.begin(), body.begin() + len);
+      RecordBatch out;
+      EXPECT_FALSE(DecodeResealed(prefix, 8, &out).ok())
+          << "body prefix " << len << " of " << body.size() << " decoded";
+    }
+    // Splices at every offset, written over the body and clipped to it
+    // (within ten bytes of the end only the byte-checked varint path can
+    // read them) and inserted whole (the inline path).
+    for (const std::vector<uint8_t>* splice : {&overlong, &huge_len}) {
+      for (size_t at = 0; at <= body.size(); ++at) {
+        std::vector<uint8_t> over = body;
+        for (size_t k = 0; k < splice->size() && at + k < over.size(); ++k) {
+          over[at + k] = (*splice)[k];
+        }
+        RecordBatch out;
+        (void)DecodeResealed(over, 8, &out);
+        std::vector<uint8_t> inserted = body;
+        inserted.insert(inserted.begin() + static_cast<ptrdiff_t>(at),
+                        splice->begin(), splice->end());
+        (void)DecodeResealed(inserted, 0, &out);
+      }
+    }
+    // Seeded multi-byte flips, half of them also cut short.
+    for (const uint64_t seed : FuzzSeeds()) {
+      Rng rng(seed ^ 0x5ea1ed);
+      std::vector<uint8_t> bad = body;
+      const size_t flips = 1 + rng.NextBounded(8);
+      for (size_t f = 0; f < flips; ++f) {
+        bad[rng.NextBounded(bad.size())] ^=
+            static_cast<uint8_t>(1 + rng.NextBounded(255));
+      }
+      if (rng.NextBounded(2) == 0) bad.resize(rng.NextBounded(bad.size()));
+      RecordBatch out;
+      (void)DecodeResealed(bad, rng.NextBounded(2) == 0 ? 0 : 8, &out);
     }
   }
 }

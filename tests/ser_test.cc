@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "ser/buffer.h"
+#include "testing/test_util.h"
 
 namespace jarvis::ser {
 namespace {
@@ -120,6 +121,53 @@ TEST(BufferTest, OverlongVarIntFails) {
   BufferReader r(bad.data(), bad.size());
   uint64_t out;
   EXPECT_EQ(r.GetVarU64(&out).code(), StatusCode::kSerializationError);
+}
+
+TEST(BufferTest, HugeStringLengthFailsWithoutWrapping) {
+  // Lengths near 2^64 wrap `position + length` below the span end; the
+  // check must compare against what is left, or the string copy is asked
+  // for ~2^64 bytes and throws.
+  for (const uint64_t len :
+       {~uint64_t{0}, ~uint64_t{2}, uint64_t{1} << 63, uint64_t{1} << 32}) {
+    BufferWriter w;
+    w.PutVarU64(len);
+    w.PutBytes(reinterpret_cast<const uint8_t*>("abcdefgh"), 8);
+    BufferReader r(w.data());
+    std::string out = "kept";
+    EXPECT_EQ(r.GetString(&out).code(), StatusCode::kSerializationError)
+        << len;
+    EXPECT_EQ(out, "kept");
+  }
+}
+
+TEST(BufferTest, VarIntNearTheEndDecodesLikeTheFastPath) {
+  // The same varints read with a full varint's worth of bytes left (the
+  // inline path) and as the span's last bytes (the byte-checked path).
+  for (const uint64_t seed : jarvis::testing::FuzzSeeds()) {
+    Rng rng(seed);
+    const uint64_t v = rng.NextU64() >> rng.NextBounded(64);
+    BufferWriter exact;
+    exact.PutVarU64(v);
+    BufferWriter padded;
+    padded.PutVarU64(v);
+    padded.PutBytes(std::vector<uint8_t>(kMaxVarIntBytes, 0).data(),
+                    kMaxVarIntBytes);
+    BufferReader slow(exact.data()), fast(padded.data());
+    uint64_t a = 0, b = 0;
+    ASSERT_TRUE(slow.GetVarU64(&a).ok()) << v;
+    ASSERT_TRUE(fast.GetVarU64(&b).ok()) << v;
+    EXPECT_EQ(a, v);
+    EXPECT_EQ(b, v);
+    EXPECT_EQ(slow.position(), fast.position());
+    EXPECT_TRUE(slow.AtEnd());
+    // Every cut of it fails on the byte-checked path and leaves zero.
+    for (size_t cut = 0; cut < exact.size(); ++cut) {
+      BufferReader r(exact.data().data(), cut);
+      uint64_t out = 7;
+      EXPECT_EQ(r.GetVarU64(&out).code(), StatusCode::kSerializationError);
+      EXPECT_EQ(out, 0u);
+    }
+  }
 }
 
 TEST(BufferTest, EmptyReaderReportsAtEnd) {

@@ -170,6 +170,61 @@ TEST(SpExecutorTest, FramesMatchInMemoryChunks) {
   EXPECT_EQ(wire_sp.records_consumed(), mem_sp.records_consumed());
 }
 
+TEST(SpExecutorTest, T2TEntryWidthsCoverBothJoins) {
+  // The SP's T2T chain: window filter join join project g+r. Rows entering
+  // at or before the second join reach 8 fields in place, the projection
+  // keeps 3, and rows entering at the G+R (or past the end) keep their own
+  // arity.
+  auto src = workloads::MakeIpToTorTable(0, 1000, 10, "srcToR");
+  auto dst = workloads::MakeIpToTorTable(0, 1000, 10, "dstToR");
+  auto plan = workloads::MakeT2TProbeQuery(src, dst);
+  ASSERT_TRUE(plan.ok());
+  auto compiled = query::Compile(std::move(plan).value());
+  ASSERT_TRUE(compiled.ok());
+  auto pipeline = compiled->MakeSpPipeline();
+  ASSERT_TRUE(pipeline.ok());
+  EXPECT_EQ((*pipeline)->InPlaceWidths(),
+            (std::vector<size_t>{8, 8, 8, 8, 3, 0, 0}));
+}
+
+TEST(SpExecutorTest, JoinsAppendToDecodedRowsInPlace) {
+  // A chain that ends at its joins hands back the decoded rows themselves.
+  // Decoded at the joined width, each holds exactly its 8 fields: reserve
+  // allocates what it is asked for, and an append past a row decoded at its
+  // 6-field wire arity would have doubled the capacity instead.
+  auto src = workloads::MakeIpToTorTable(0, 1000, 10, "srcToR");
+  auto dst = workloads::MakeIpToTorTable(0, 1000, 10, "dstToR");
+  query::QueryBuilder builder(workloads::PingmeshGenerator::Schema());
+  builder.Window(Seconds(1)).FilterI64Eq("errCode", 0);
+  builder.Join(src, "srcIp");
+  builder.Join(dst, "dstIp");
+  auto plan = builder.Build();
+  ASSERT_TRUE(plan.ok());
+  auto compiled = query::Compile(std::move(plan).value());
+  ASSERT_TRUE(compiled.ok());
+
+  SpExecutor mem_sp(*compiled, 1), wire_sp(*compiled, 1);
+  ASSERT_TRUE(mem_sp.Init().ok());
+  ASSERT_TRUE(wire_sp.Init().ok());
+  SourceEpochOutput out = RawEpoch(Probes(200, 0), Seconds(2));
+  SourceEpochOutput copy = out;
+  uint32_t seq = 0;
+  const WireDrain wire = SerializeDrain(&copy, &seq, WireCodecOptions{});
+  stream::RecordBatch mem_results, wire_results;
+  for (const WireFrame& f : wire.frames) {
+    Result<FrameDisposition> d = wire_sp.ConsumeFrame(0, f, &wire_results);
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, FrameDisposition::kDelivered);
+  }
+  ASSERT_TRUE(mem_sp.Consume(0, std::move(out), &mem_results).ok());
+  ASSERT_FALSE(wire_results.empty());
+  EXPECT_EQ(wire_results, mem_results);
+  for (const stream::Record& rec : wire_results) {
+    ASSERT_EQ(rec.fields.size(), 8u);
+    EXPECT_EQ(rec.fields.capacity(), 8u);
+  }
+}
+
 TEST(SpExecutorTest, WatermarkNeverRegresses) {
   query::CompiledQuery q = CompileS2S();
   SpExecutor sp(q, 1);

@@ -115,6 +115,18 @@ inline Status DeserializeColumnarRows(ser::BufferReader* in,
   return Status::OK();
 }
 
+/// Wraps a batch body in a fresh, valid integrity header
+/// ([u8 version][u32 length][u32 checksum]), so whatever the body holds
+/// passes the frame checks and reaches the body decoder itself.
+inline std::vector<uint8_t> SealBatchBody(const std::vector<uint8_t>& body) {
+  ser::BufferWriter w;
+  w.PutU8(stream::kBatchFormatVersion);
+  w.PutU32(static_cast<uint32_t>(body.size()));
+  w.PutU32(ser::FrameChecksum(body));
+  w.PutBytes(body.data(), body.size());
+  return w.Release();
+}
+
 /// Builds a batch by calling `make(i)` for i in [0, n).
 inline stream::RecordBatch MakeBatch(
     size_t n, const std::function<stream::Record(size_t)>& make) {

@@ -8,22 +8,17 @@
 //   (c) wire format: per-record SerializeRecord/DeserializeRecord vs
 //       SerializeBatch/DeserializeBatch (MB/s of record-format payload
 //       bytes, so both paths are normalized to the same data volume)
-//   (f) kernel_micro: GB/s of the reference scalar delta-varint codec vs
-//       the dispatched SIMD kernel table (stream/kernels.h), the step behind
-//       the columnar checkpoint sections' time and int64 columns.
 //   (g) wire_compress: the LZ4 drain wire (v5 compressed framing) — raw vs
 //       compressed bytes per record on numeric and log-text row-lane
 //       drains, codec throughput, and the measured wire ratios fed to the
 //       LP's bandwidth term.
 //
 // Output lines are machine-parseable ("op ...", "pipeline ...", "wire ...",
-// "kernel ..."); scripts/run_benches.sh folds them into the
+// "wire_compress ..."); scripts/run_benches.sh folds them into the
 // BENCH_<label>.json snapshot.
 //
-// Usage: fig12_dataplane [--smoke] [--kernels] [--wire]
+// Usage: fig12_dataplane [--smoke] [--wire]
 //   --smoke     1 tiny trial, for CI
-//   --kernels   run only section (f)'s kernel micro rows (the CI kernel
-//               smoke step; honors JARVIS_SIMD for the dispatched column)
 //   --wire      run only section (g)'s wire_compress rows (the CI
 //               compressed-wire smoke step)
 
@@ -45,7 +40,6 @@
 #include "ser/buffer.h"
 #include "stream/group_aggregate.h"
 #include "stream/join.h"
-#include "stream/kernels.h"
 #include "stream/ops.h"
 #include "stream/pipeline.h"
 #include "stream/record.h"
@@ -535,124 +529,15 @@ void RunWireCompressSection(const Config& cfg) {
   BenchLpWireRatio(cfg);
 }
 
-// ---------------------------------------------------------------------------
-// (f) kernel micro: scalar reference loops vs the dispatched SIMD table
-// ---------------------------------------------------------------------------
-
-/// Best-of-trials GB/s of `fn`, which must process `bytes` per call.
-template <typename Fn>
-double BenchGbps(Fn&& fn, size_t bytes, int iters, int trials) {
-  double best = 0;
-  for (int t = 0; t < trials; ++t) {
-    const double t0 = NowSeconds();
-    for (int i = 0; i < iters; ++i) fn();
-    const double s = NowSeconds() - t0;
-    if (s > 0) {
-      best = std::max(best, static_cast<double>(bytes) * iters / s / 1e9);
-    }
-  }
-  return best;
-}
-
-/// Throughput of the scalar table vs the dispatched table over identical
-/// inputs (one 64K-value working set: near-monotone deltas for the
-/// one-byte fast path, wide deltas for the byte-by-byte path). All calls
-/// go through the table's function pointers, exactly as the columnar
-/// encoder and decoder call them.
-void BenchKernels(const Config& cfg) {
-  namespace kn = stream::kernels;
-  const kn::KernelTable& sc = kn::Scalar();
-  const kn::KernelTable& dp = kn::Active();
-  std::printf("kernel_isa %.*s\n",
-              static_cast<int>(kn::IsaName(kn::ActiveIsa()).size()),
-              kn::IsaName(kn::ActiveIsa()).data());
-
-  const size_t n = size_t{1} << 16;
-  const bool smoke = cfg.trials <= 1;
-  const int iters = smoke ? 2 : 48;
-  const int trials = smoke ? 1 : cfg.trials;
-  Rng rng(20220707);
-
-  std::vector<int64_t> times(n);
-  int64_t t_acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    t_acc += static_cast<int64_t>(rng.NextBounded(50));
-    times[i] = t_acc;
-  }
-  std::vector<uint8_t> enc(n * 10);
-  uint64_t enc_prev = 0;
-  const size_t enc_len =
-      sc.delta_varint_encode(times.data(), n, &enc_prev, enc.data());
-  std::vector<int64_t> dec_out(n);
-
-  const auto row = [&](const char* name, size_t bytes, auto make_fn) {
-    const double s = BenchGbps(make_fn(sc), bytes, iters, trials);
-    const double d = BenchGbps(make_fn(dp), bytes, iters, trials);
-    std::printf("kernel %s scalar_gbps %.6g dispatch_gbps %.6g speedup %.2f\n",
-                name, s, d, s > 0 ? d / s : 0.0);
-  };
-
-  row("delta_varint_encode", n * 8, [&](const kn::KernelTable& k) {
-    return [&] {
-      uint64_t prev = 0;
-      if (k.delta_varint_encode(times.data(), n, &prev, enc.data()) == 0) {
-        std::abort();
-      }
-    };
-  });
-  row("delta_varint_decode", n * 8, [&](const kn::KernelTable& k) {
-    return [&] {
-      uint64_t prev = 0;
-      if (k.delta_varint_decode(enc.data(), enc_len, n, &prev,
-                                dec_out.data()) != enc_len) {
-        std::abort();
-      }
-    };
-  });
-  // Multi-byte-dominated deltas (zigzag lands in two varint bytes): the
-  // all-one-byte fast path never fires, so every ISA decodes byte by byte.
-  std::vector<int64_t> times_wide(n);
-  int64_t tw_acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    tw_acc += 64 + static_cast<int64_t>(rng.NextBounded(8000));
-    times_wide[i] = tw_acc;
-  }
-  std::vector<uint8_t> enc_wide(n * 10);
-  uint64_t enc_wide_prev = 0;
-  const size_t enc_wide_len = sc.delta_varint_encode(
-      times_wide.data(), n, &enc_wide_prev, enc_wide.data());
-  row("delta_varint_decode_wide", n * 8, [&](const kn::KernelTable& k) {
-    return [&] {
-      uint64_t prev = 0;
-      if (k.delta_varint_decode(enc_wide.data(), enc_wide_len, n, &prev,
-                                dec_out.data()) != enc_wide_len) {
-        std::abort();
-      }
-    };
-  });
-}
-
-void RunKernelSection(const Config& cfg) {
-  std::printf(
-      "\n(f) kernel micro: delta-varint GB/s, reference scalar loops vs the\n"
-      "    dispatched SIMD table (stream/kernels.h; JARVIS_SIMD overrides\n"
-      "    dispatch). Identical inputs, calls through the same function\n"
-      "    pointers the columnar encoder and decoder use.\n");
-  BenchKernels(cfg);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
-  bool kernels_only = false;
   bool wire_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       cfg.records = 2000;
       cfg.trials = 1;
-    } else if (std::strcmp(argv[i], "--kernels") == 0) {
-      kernels_only = true;
     } else if (std::strcmp(argv[i], "--wire") == 0) {
       wire_only = true;
     }
@@ -661,17 +546,9 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader(
       "fig12: batch-at-a-time data plane vs record-at-a-time (same build)");
-  std::printf("records/trial %zu  batch_size %zu  trials %d  simd %.*s\n\n",
-              cfg.records, cfg.batch_size, cfg.trials,
-              static_cast<int>(
-                  stream::kernels::IsaName(stream::kernels::ActiveIsa())
-                      .size()),
-              stream::kernels::IsaName(stream::kernels::ActiveIsa()).data());
+  std::printf("records/trial %zu  batch_size %zu  trials %d\n\n",
+              cfg.records, cfg.batch_size, cfg.trials);
 
-  if (kernels_only) {
-    RunKernelSection(cfg);
-    return 0;
-  }
   if (wire_only) {
     RunWireCompressSection(cfg);
     return 0;
@@ -735,6 +612,5 @@ int main(int argc, char** argv) {
   BenchWireFormat(&rng, cfg, ProbeSchema(), /*numeric=*/false, "_str");
 
   RunWireCompressSection(cfg);
-  RunKernelSection(cfg);
   return 0;
 }

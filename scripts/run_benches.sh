@@ -104,12 +104,10 @@ def parse_fig7(text):
 def parse_fig12(text):
     """Machine-parseable rows: 'op <Name> record_rps X batch_rps Y speedup Z',
     'pipeline <label> ...', 'wire <what> record_mbps X batch_mbps Y speedup Z',
-    'wire bytes_per_record[<suffix>] record X batch Y ratio Z', plus the
-    delta-varint kernel section: 'kernel_isa <name>' and 'kernel <name>
-    scalar_gbps X dispatch_gbps Y speedup Z'."""
+    'wire bytes_per_record[<suffix>] record X batch Y ratio Z', and
+    'wire_compress <section> k1 v1 ...'."""
     data = {"operator_rps": {}, "pipeline_rps": {}, "wire_mbps": {},
-            "wire_bytes_per_record": {}, "kernel_micro_gbps": {},
-            "kernel_isa": None, "wire_compress": {}}
+            "wire_bytes_per_record": {}, "wire_compress": {}}
     for line in text.splitlines():
         # 'wire_compress <section> k1 v1 k2 v2 ...' (lp_wire_ratio spreads
         # one op per line; merge them into one dict).
@@ -122,18 +120,6 @@ def parse_fig12(text):
             except ValueError:
                 continue  # the section banner, not a data row
             data["wire_compress"].setdefault(m.group(1), {}).update(vals)
-            continue
-        m = re.match(r"kernel_isa\s+(\S+)", line)
-        if m:
-            data["kernel_isa"] = m.group(1)
-            continue
-        m = re.match(
-            r"kernel\s+(\S+)\s+scalar_gbps\s+(\S+)\s+dispatch_gbps\s+(\S+)"
-            r"\s+speedup\s+(\S+)", line)
-        if m:
-            data["kernel_micro_gbps"][m.group(1)] = {
-                "scalar": float(m.group(2)), "dispatch": float(m.group(3)),
-                "speedup": float(m.group(4))}
             continue
         m = re.match(
             r"(op|pipeline)\s+(\S+)\s+record_rps\s+(\S+)\s+batch_rps\s+(\S+)"
@@ -263,8 +249,6 @@ assert snapshot["latency"], "latency parse produced no data"
 dp = snapshot["dataplane"]
 assert dp["operator_rps"] and dp["pipeline_rps"] and dp["wire_mbps"], \
     "fig12 parse produced no data"
-assert dp["kernel_micro_gbps"] and dp["kernel_isa"], \
-    "fig12 kernel micro section parse produced no data"
 wc = dp["wire_compress"]
 for section in ("numeric", "loganalytics_str", "lp_wire_ratio"):
     assert section in wc, f"fig12 wire_compress section '{section}' missing"

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace jarvis::env {
 namespace {
@@ -58,25 +59,6 @@ Result<bool> Flag(const char* name, bool def) {
                                  "0/off/false/no)");
 }
 
-Result<size_t> Enum(const char* name, size_t def,
-                    std::initializer_list<std::string_view> values) {
-  std::optional<std::string> raw = Raw(name);
-  if (!raw) return def;
-  const std::string v = Lower(*raw);
-  size_t i = 0;
-  for (std::string_view candidate : values) {
-    if (v == candidate) return i;
-    ++i;
-  }
-  std::string accepted;
-  for (std::string_view candidate : values) {
-    if (!accepted.empty()) accepted += ", ";
-    accepted += candidate;
-  }
-  return Status::InvalidArgument(std::string(name) + "=\"" + *raw +
-                                 "\" is not one of {" + accepted + "}");
-}
-
 long IntOrDie(const char* name, long def, long min_value, long max_value) {
   Result<long> r = Int(name, def, min_value, max_value);
   if (!r.ok()) Die(r.status());
@@ -85,13 +67,6 @@ long IntOrDie(const char* name, long def, long min_value, long max_value) {
 
 bool FlagOrDie(const char* name, bool def) {
   Result<bool> r = Flag(name, def);
-  if (!r.ok()) Die(r.status());
-  return *r;
-}
-
-size_t EnumOrDie(const char* name, size_t def,
-                 std::initializer_list<std::string_view> values) {
-  Result<size_t> r = Enum(name, def, values);
   if (!r.ok()) Die(r.status());
   return *r;
 }

@@ -2,10 +2,8 @@
 #define JARVIS_COMMON_ENV_H_
 
 #include <cstddef>
-#include <initializer_list>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "common/status.h"
 
@@ -21,8 +19,8 @@ namespace jarvis::env {
 //
 // Call sites with a Status channel (plan parsing, BuildingBlock::Init) use
 // the Result-returning forms; call sites resolved before any Status can
-// propagate (thread-count resolution, SIMD dispatch, codec selection) use
-// the *OrDie forms, which abort with the same message.
+// propagate (thread-count resolution, codec selection) use the *OrDie
+// forms, which abort with the same message.
 
 /// Raw lookup: unset or empty both mean "knob not provided" and return
 /// nullopt, so `JARVIS_FAULTS=""` behaves like an unset variable.
@@ -37,18 +35,10 @@ Result<long> Int(const char* name, long def, long min_value, long max_value);
 /// insensitive); unset returns `def`; anything else is an error.
 Result<bool> Flag(const char* name, bool def);
 
-/// One-of-a-set knob (e.g. JARVIS_SIMD=scalar|avx2|neon). Returns the index
-/// of the matched value, or `def` when unset. An unknown value is an error
-/// listing the accepted set.
-Result<size_t> Enum(const char* name, size_t def,
-                    std::initializer_list<std::string_view> values);
-
 /// Fatal variants for call sites without a Status channel: a malformed
 /// value prints the same diagnostic to stderr and aborts at startup.
 long IntOrDie(const char* name, long def, long min_value, long max_value);
 bool FlagOrDie(const char* name, bool def);
-size_t EnumOrDie(const char* name, size_t def,
-                 std::initializer_list<std::string_view> values);
 
 }  // namespace jarvis::env
 

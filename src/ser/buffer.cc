@@ -94,12 +94,19 @@ Status BufferReader::GetVarU64Slow(uint64_t* out) {
 }
 
 Status BufferReader::GetString(std::string* out) {
+  std::string_view v;
+  JARVIS_RETURN_IF_ERROR(GetStringView(&v));
+  out->assign(v);
+  return Status::OK();
+}
+
+Status BufferReader::GetStringView(std::string_view* out) {
   uint64_t len;
   JARVIS_RETURN_IF_ERROR(GetVarU64(&len));
   // Compared against what is left, not as pos_ + len: a length read off the
   // wire near 2^64 would wrap that sum and pass.
   if (len > size_ - pos_) return Truncated();
-  out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+  *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
   return Status::OK();
 }

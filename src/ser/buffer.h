@@ -177,14 +177,16 @@ class BufferReader {
     return st;
   }
   Status GetString(std::string* out);
+  /// Length-prefixed string as a view into the span (valid while it is).
+  Status GetStringView(std::string_view* out);
 
   size_t position() const { return pos_; }
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ >= size_; }
 
-  /// Raw cursor access for block decoders (the stream/kernels varint block
-  /// steps): the kernel consumes bytes straight from the span and the
-  /// caller advances past them. `n` must not exceed remaining().
+  /// Raw cursor access for framed sections: a decoder hands the next
+  /// length-checked bytes to a nested reader and advances past them. `n`
+  /// must not exceed remaining().
   const uint8_t* cursor() const { return data_ + pos_; }
   void Advance(size_t n) { pos_ += n; }
 

@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <string_view>
 
 #include "ser/buffer.h"
 
@@ -11,8 +11,8 @@ namespace jarvis::ser {
 
 /// Accumulates encoded bytes in a stack chunk and flushes to the
 /// BufferWriter in bulk: column emission costs one vector append per ~4KB of
-/// payload instead of one per value. Shared by the schema-elided batch format
-/// (record.cc) and the columnar checkpoint-section format (columnar.cc).
+/// payload instead of one per value. The schema-elided batch format's
+/// encoder (stream/record.cc) writes through it.
 class ChunkWriter {
  public:
   explicit ChunkWriter(BufferWriter* out) : out_(out) {}
@@ -56,7 +56,7 @@ class ChunkWriter {
     std::memcpy(buf_ + n_, p, len);
     n_ += len;
   }
-  void String(const std::string& s) {
+  void String(std::string_view s) {
     VarU64(s.size());
     Bytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }

@@ -3,15 +3,12 @@
 
 #include <cstdint>
 
-#include "ser/buffer.h"
-
 namespace jarvis::ser {
 
-/// Streaming delta codec shared by the schema-elided batch format
-/// (stream/record.cc), the columnar section format (stream/columnar.cc), and
-/// the scalar reference kernels (stream/kernels.cc). Deltas are computed in
-/// uint64_t so wraparound is well-defined and the decoder's addition inverts
-/// the encoder exactly; the delta is then zigzag-varint encoded on the wire.
+/// Streaming delta codec of the schema-elided batch format's time varints
+/// (stream/record.cc). Deltas are computed in uint64_t so wraparound is
+/// well-defined and the decoder's addition inverts the encoder exactly; the
+/// delta is then zigzag-varint encoded on the wire.
 struct DeltaEncoder {
   uint64_t prev = 0;
 
@@ -23,9 +20,6 @@ struct DeltaEncoder {
     prev = u;
     return d;
   }
-
-  /// Same step, already zigzag-transformed (what block encoders emit).
-  uint64_t ZigZagDelta(int64_t v) { return ZigZagEncode(Delta(v)); }
 };
 
 /// Inverse of DeltaEncoder: feeds decoded deltas back into the running sum.

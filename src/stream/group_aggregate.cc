@@ -338,33 +338,37 @@ Status GroupAggregateOp::DoProcessBatchInPlace(RecordBatch* batch) {
   return Status::OK();
 }
 
+Status GroupAggregateOp::FillGroupRow(Micros window_start,
+                                      const GroupTable& groups, uint32_t g,
+                                      bool partial, Record* r) const {
+  r->event_time = window_start + window_width_;
+  r->window_start = window_start;
+  r->kind = partial ? RecordKind::kPartial : RecordKind::kData;
+  r->fields.clear();
+  r->fields.reserve(key_fields_.size() + aggs_.size() * (partial ? 4 : 1));
+  JARVIS_RETURN_IF_ERROR(DecodeKey(groups.key(g), &r->fields));
+  const Acc* accs = groups.accs.data() + g * aggs_.size();
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    if (partial) {
+      accs[i].AppendPartial(&r->fields);
+    } else {
+      r->fields.push_back(accs[i].Finalize(aggs_[i].kind));
+    }
+  }
+  return Status::OK();
+}
+
 Status GroupAggregateOp::EmitWindow(Micros window_start,
                                     const GroupTable& groups,
                                     RecordBatch* out) {
   GrowForAppend(out, groups.size());
-  const size_t arity =
-      key_fields_.size() + aggs_.size() * (emit_partials_ ? 4 : 1);
   ids_.resize(groups.size());
   std::iota(ids_.begin(), ids_.end(), uint32_t{0});
   SortByKey(groups, &ids_);
   for (const uint32_t g : ids_) {
     Record r;
-    r.event_time = window_start + window_width_;
-    r.window_start = window_start;
-    r.fields.reserve(arity);
-    JARVIS_RETURN_IF_ERROR(DecodeKey(groups.key(g), &r.fields));
-    const Acc* accs = groups.accs.data() + g * aggs_.size();
-    if (emit_partials_) {
-      r.kind = RecordKind::kPartial;
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        accs[i].AppendPartial(&r.fields);
-      }
-    } else {
-      r.kind = RecordKind::kData;
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        r.fields.push_back(accs[i].Finalize(aggs_[i].kind));
-      }
-    }
+    JARVIS_RETURN_IF_ERROR(
+        FillGroupRow(window_start, groups, g, emit_partials_, &r));
     out->push_back(std::move(r));
   }
   return Status::OK();
@@ -422,58 +426,15 @@ Status GroupAggregateOp::WriteWindowSection(ser::BufferWriter* w,
   }
   groups.dirty_ids.clear();
   SortByKey(groups, &ids_);
-  // Values go straight into the reused columns: building a Record per
-  // group for ColumnarBatch::AppendRow made a 3,000-group export ~2.5x
-  // slower (4-vCPU x86-64 guest). Only groups whose keys are off their
-  // declared types take that path.
-  section_.Reset(state_schema_);
-  const size_t nk = key_fields_.size();
-  for (const uint32_t g : ids_) {
-    key_values_.clear();
-    JARVIS_RETURN_IF_ERROR(DecodeKey(groups.key(g), &key_values_));
-    const Acc* accs = groups.accs.data() + g * aggs_.size();
-    bool dense = true;
-    for (size_t k = 0; k < nk; ++k) {
-      dense = dense && TypeOf(key_values_[k]) == state_schema_.field(k).type;
-    }
-    if (!dense) {
-      Record r;
-      r.event_time = window_start + window_width_;
-      r.window_start = window_start;
-      r.fields = std::move(key_values_);
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        accs[i].AppendPartial(&r.fields);
-      }
-      section_.AppendRow(std::move(r));
-      continue;
-    }
-    for (size_t k = 0; k < nk; ++k) {
-      Column& col = section_.column_mut(k);
-      Value& v = key_values_[k];
-      switch (col.type) {
-        case ValueType::kInt64:
-          col.i64.push_back(*std::get_if<int64_t>(&v));
-          break;
-        case ValueType::kDouble:
-          col.f64.push_back(*std::get_if<double>(&v));
-          break;
-        case ValueType::kString:
-          col.str.push_back(std::move(*std::get_if<std::string>(&v)));
-          break;
-      }
-    }
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      section_.column_mut(nk + 4 * i).i64.push_back(accs[i].count);
-      section_.column_mut(nk + 4 * i + 1).f64.push_back(accs[i].sum);
-      section_.column_mut(nk + 4 * i + 2).f64.push_back(accs[i].min);
-      section_.column_mut(nk + 4 * i + 3).f64.push_back(accs[i].max);
-    }
-    section_.event_times().push_back(window_start + window_width_);
-    section_.window_starts().push_back(window_start);
-    section_.CommitDenseRows(1);
+  const size_t n = ids_.size();
+  if (section_rows_.size() < n) section_rows_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    JARVIS_RETURN_IF_ERROR(FillGroupRow(window_start, groups, ids_[i],
+                                        /*partial=*/true, &section_rows_[i]));
   }
   section_buf_.Clear();
-  SerializeColumnar(section_, &section_buf_);
+  SerializeBatch(std::span<const Record>(section_rows_.data(), n),
+                 state_schema_, &section_buf_);
   w->PutVarI64(window_start);
   w->PutVarU64(section_buf_.size());
   w->PutBytes(section_buf_.data().data(), section_buf_.size());
@@ -518,17 +479,19 @@ Status GroupAggregateOp::ExportStateDelta(ser::BufferWriter* w,
 }
 
 Status GroupAggregateOp::RestoreWindowSection(Micros window_start) {
-  if (!(section_.schema() == state_schema_)) {
+  const std::vector<Schema::Field>& fields = state_schema_.fields();
+  if (!std::equal(section_tags_.begin(), section_tags_.end(), fields.begin(),
+                  fields.end(), [](ValueType t, const Schema::Field& f) {
+                    return t == f.type;
+                  })) {
     return Status::SerializationError(
         "checkpoint section does not match the group keys and aggregates");
   }
-  // Dense rows match state_schema_ by the check above; rows from the
+  // Conforming rows match state_schema_ by the check above; rows from the
   // inline-tagged lane are checked one by one.
-  RecordBatch rows;
-  section_.MoveToRows(&rows);
   const size_t nk = key_fields_.size();
   GroupTable& groups = windows_[window_start];
-  for (Record& rec : rows) {
+  for (const Record& rec : section_rows_) {
     if (rec.fields.size() != state_schema_.num_fields()) {
       return Status::SerializationError("group row arity mismatch");
     }
@@ -573,7 +536,8 @@ Status GroupAggregateOp::RestoreState(ser::BufferReader* r) {
     }
     ser::BufferReader section(r->cursor(), len);
     r->Advance(len);
-    JARVIS_RETURN_IF_ERROR(DeserializeColumnarBatch(&section, &section_));
+    JARVIS_RETURN_IF_ERROR(DeserializeBatch(&section, &section_rows_,
+                                            /*width=*/0, &section_tags_));
     if (!section.AtEnd()) {
       return Status::SerializationError("trailing bytes in window section");
     }

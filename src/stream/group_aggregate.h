@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "ser/buffer.h"
-#include "stream/columnar.h"
 #include "stream/operator.h"
+#include "stream/record.h"
 
 namespace jarvis::stream {
 
@@ -59,13 +59,14 @@ class GroupAggregateOp : public Operator {
   /// groups updated since then (a keyframe carries every group). Each group
   /// ships its whole accumulator, and restore overwrites the group with it:
   /// nothing is added in, so restored sums are bit-identical. A section is
-  /// one columnar frame (SerializeColumnar) laid out like a kPartial row:
-  /// one column per key field, then count/sum/min/max per aggregate.
-  /// Restore rejects a section whose column types are not this operator's.
-  /// Sections list their groups in emission order. Delta tracking starts
-  /// at the first export or restore — before that, a delta degenerates to a
-  /// full export, and non-checkpointed runs pay only the per-group dirty
-  /// flag.
+  /// one row batch (SerializeBatch with the state schema) of the groups'
+  /// kPartial rows: the key fields, then count/sum/min/max per aggregate.
+  /// Restore rejects a section whose header types are not this operator's;
+  /// a group whose key is off its declared type rides the batch's tagged
+  /// lane and is checked row by row. Sections list their groups in
+  /// emission order. Delta tracking starts at the first export or restore
+  /// — before that, a delta degenerates to a full export, and
+  /// non-checkpointed runs pay only the per-group dirty flag.
   Status ExportStateDelta(ser::BufferWriter* w, StateExport mode) override;
   Status RestoreState(ser::BufferReader* r) override;
 
@@ -149,16 +150,22 @@ class GroupAggregateOp : public Operator {
   Status MergeFromPartial(const Record& rec, WindowCursor* cursor);
   /// Points `cursor` at `window_start`'s table, creating it if absent.
   void SeekWindow(Micros window_start, WindowCursor* cursor);
+  /// Overwrites `r` with group `g`'s row, stamped with the window's close
+  /// time: its key fields, then per aggregate either count/sum/min/max (a
+  /// kPartial row, what partial mode emits and checkpoint sections hold)
+  /// or the finalized value (a kData row).
+  Status FillGroupRow(Micros window_start, const GroupTable& groups,
+                      uint32_t g, bool partial, Record* r) const;
   Status EmitWindow(Micros window_start, const GroupTable& groups,
                     RecordBatch* out);
 
   /// Appends one window's section ([zigzag window_start][varint len]
-  /// [columnar frame]) to `w`: every group, or only the dirty ones. Clears
+  /// [row batch]) to `w`: every group, or only the dirty ones. Clears
   /// every dirty flag and the dirty list.
   Status WriteWindowSection(ser::BufferWriter* w, Micros window_start,
                             GroupTable& groups, bool dirty_only);
-  /// Overwrites (or creates) the groups of `window_start` with the rows of
-  /// the decoded section in section_ (consuming them).
+  /// Overwrites (or creates) the groups of `window_start` with the decoded
+  /// section in section_rows_ and section_tags_.
   Status RestoreWindowSection(Micros window_start);
   /// Records that `window_start`'s contents changed (delta bookkeeping).
   void MarkDirty(Micros window_start) {
@@ -190,7 +197,6 @@ class GroupAggregateOp : public Operator {
     uint32_t group;
   };
   std::vector<SortKey> sort_keys_;  // reused by SortByKey
-  std::vector<Value> key_values_;  // reused decoded key (export)
 
   // Checkpoint delta bookkeeping, active only once ExportStateDelta or
   // RestoreState has been called (no cost and no unbounded growth in
@@ -198,11 +204,14 @@ class GroupAggregateOp : public Operator {
   bool delta_tracking_ = false;
   std::set<Micros> dirty_windows_;    // changed since the previous export
   std::set<Micros> flushed_windows_;  // discarded since the previous export
-  // Unnamed column types of a checkpoint section: the key fields' input
+  // Unnamed field types of a checkpoint section: the key fields' input
   // types, then i64 count and f64 sum/min/max per aggregate.
   Schema state_schema_;
-  ColumnarBatch section_;          // reused section rows (export and restore)
-  ser::BufferWriter section_buf_;  // reused encoded section
+  // Reused section rows. Export fills a prefix and never shrinks it, so
+  // each row keeps its field storage from one export to the next.
+  RecordBatch section_rows_;
+  std::vector<ValueType> section_tags_;  // a restored section's header types
+  ser::BufferWriter section_buf_;        // reused encoded section
 };
 
 }  // namespace jarvis::stream

@@ -1,5 +1,7 @@
 #include "stream/record.h"
 
+#include <array>
+#include <functional>
 #include <sstream>
 
 #include "ser/chunk_writer.h"
@@ -170,6 +172,85 @@ constexpr uint8_t kFlagPartial = 0x01;     // RecordKind::kPartial
 constexpr uint8_t kFlagConforming = 0x02;  // fields match the batch schema
 constexpr uint8_t kFlagKnownMask = kFlagPartial | kFlagConforming;
 
+// String column encodings (the byte each string column starts with).
+constexpr uint8_t kStrPlain = 0;
+constexpr uint8_t kStrDict = 1;
+
+/// Most entries a string column's dictionary holds: codes are one byte.
+constexpr size_t kMaxDictEntries = 255;
+
+/// First-occurrence dictionary of a string column, in fixed storage so
+/// building one allocates nothing. Entries are views into the batch's
+/// records; `slots_` is an open-addressing table (linear probing, at most
+/// half full) holding entry index + 1, 0 for empty.
+class StringDict {
+ public:
+  /// The code of `s`, added as the next entry if new; -1 when `s` would be
+  /// entry kMaxDictEntries + 1.
+  int Code(std::string_view s) {
+    // Sorted key columns repeat a value row after row: those skip the hash.
+    if (last_ >= 0 && s == entries_[last_]) return last_;
+    size_t i = std::hash<std::string_view>{}(s) & (kSlots - 1);
+    while (slots_[i] != 0 && entries_[slots_[i] - 1] != s) {
+      i = (i + 1) & (kSlots - 1);
+    }
+    if (slots_[i] == 0) {
+      if (size_ == kMaxDictEntries) return -1;
+      entries_[size_] = s;
+      slots_[i] = static_cast<uint8_t>(++size_);
+    }
+    last_ = slots_[i] - 1;
+    return last_;
+  }
+  size_t size() const { return size_; }
+  std::string_view entry(size_t e) const { return entries_[e]; }
+
+ private:
+  static constexpr size_t kSlots = 512;
+  std::array<std::string_view, kMaxDictEntries> entries_;
+  std::array<uint8_t, kSlots> slots_{};
+  size_t size_ = 0;
+  int last_ = -1;  // the previous lookup's code
+};
+
+/// Emits column `j` of the conforming rows: the dictionary layout when the
+/// column has at most 255 distinct values and that layout is smaller, the
+/// plain layout otherwise.
+void WriteStringColumn(std::span<const Record> batch,
+                       const std::vector<uint8_t>& conforming, size_t j,
+                       ser::ChunkWriter* w) {
+  const auto value = [&](size_t i) -> const std::string& {
+    return *std::get_if<std::string>(&batch[i].fields[j]);
+  };
+  StringDict dict;
+  size_t values = 0, plain_bytes = 0, entry_bytes = 0;
+  bool dict_fits = true;
+  for (size_t i = 0; i < batch.size() && dict_fits; ++i) {
+    if (!conforming[i]) continue;
+    const std::string& s = value(i);
+    const size_t bytes = VarIntSize(s.size()) + s.size();
+    const size_t entries = dict.size();
+    dict_fits = dict.Code(s) >= 0;
+    if (dict.size() > entries) entry_bytes += bytes;
+    plain_bytes += bytes;
+    ++values;
+  }
+  const size_t dict_bytes = VarIntSize(dict.size()) + entry_bytes + values;
+  if (dict_fits && dict_bytes < plain_bytes) {
+    w->Byte(kStrDict);
+    w->VarU64(dict.size());
+    for (size_t e = 0; e < dict.size(); ++e) w->String(dict.entry(e));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (conforming[i]) w->Byte(static_cast<uint8_t>(dict.Code(value(i))));
+    }
+    return;
+  }
+  w->Byte(kStrPlain);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (conforming[i]) w->String(value(i));
+  }
+}
+
 }  // namespace
 
 void WriteTaggedValue(const Value& v, ser::ChunkWriter* w) {
@@ -222,7 +303,7 @@ Schema FirstRowSchema(const RecordBatch& rows) {
   return Schema(std::move(fields));
 }
 
-size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
+size_t SerializeBatch(std::span<const Record> batch, const Schema& schema,
                       ser::BufferWriter* out) {
   const size_t start = out->size();
   const size_t n = batch.size();
@@ -232,7 +313,7 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
   out->Reserve(32 + nf + n * 8);
   out->PutU8(kBatchFormatVersion);
   // Integrity header: payload length + checksum, patched once the body is
-  // written (same framing as the columnar format).
+  // written (the encoder stays single-pass, no staging buffer).
   const size_t len_pos = out->size();
   out->PutU32(0);
   out->PutU32(0);
@@ -245,9 +326,8 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
 
   // Header rows: one flag byte plus two *delta-encoded* time varints per
   // record, in one pass; the payload follows as packed columns. Event times
-  // are near-monotone, so deltas keep the varints at one or two bytes; the
-  // shared ser::DeltaEncoder (also behind the columnar format and the SIMD
-  // kernel block steps) makes the wraparound arithmetic exact.
+  // are near-monotone, so deltas keep the varints at one or two bytes;
+  // ser::DeltaEncoder makes the wraparound arithmetic exact.
   std::vector<uint8_t> conforming(n);
   ser::ChunkWriter w(out);
   ser::DeltaEncoder et_enc, ws_enc;
@@ -274,11 +354,7 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
         }
         break;
       case ValueType::kString:
-        for (size_t i = 0; i < n; ++i) {
-          if (conforming[i]) {
-            w.String(*std::get_if<std::string>(&batch[i].fields[j]));
-          }
-        }
+        WriteStringColumn(batch, conforming, j, &w);
         break;
     }
   }
@@ -300,9 +376,54 @@ size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
 
 namespace {
 
-/// Decodes the batch body (everything after the integrity header). Each row
-/// reserves room for max(its arity, `width`) fields.
-Status DecodeBatchBody(ser::BufferReader* in, RecordBatch* out, size_t width) {
+/// Decodes one string column (its encoding byte, then the values) onto the
+/// conforming rows of `out`. A dictionary's entry count and codes are
+/// outside input: the count is checked against the bytes left (one length
+/// byte at least per entry) before any entry is read, and every code
+/// against the count.
+Status ReadStringColumn(ser::BufferReader* in,
+                        const std::vector<uint8_t>& flags, RecordBatch* out) {
+  uint8_t encoding;
+  JARVIS_RETURN_IF_ERROR(in->GetU8(&encoding));
+  const size_t n = out->size();
+  if (encoding == kStrPlain) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!(flags[i] & kFlagConforming)) continue;
+      std::string v;
+      JARVIS_RETURN_IF_ERROR(in->GetString(&v));
+      (*out)[i].fields.emplace_back(std::move(v));
+    }
+    return Status::OK();
+  }
+  if (encoding != kStrDict) {
+    return Status::SerializationError("bad string column encoding");
+  }
+  uint64_t size;
+  JARVIS_RETURN_IF_ERROR(in->GetVarU64(&size));
+  if (size == 0 || size > kMaxDictEntries || size > in->remaining()) {
+    return Status::SerializationError("bad string dictionary size");
+  }
+  std::array<std::string_view, kMaxDictEntries> entries;
+  for (uint64_t e = 0; e < size; ++e) {
+    JARVIS_RETURN_IF_ERROR(in->GetStringView(&entries[e]));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!(flags[i] & kFlagConforming)) continue;
+    uint8_t code;
+    JARVIS_RETURN_IF_ERROR(in->GetU8(&code));
+    if (code >= size) {
+      return Status::SerializationError("bad string dictionary code");
+    }
+    (*out)[i].fields.emplace_back(std::string(entries[code]));
+  }
+  return Status::OK();
+}
+
+/// Decodes the batch body (everything after the integrity header) and its
+/// header's type tags. Each row reserves room for max(its arity, `width`)
+/// fields.
+Status DecodeBatchBody(ser::BufferReader* in, RecordBatch* out, size_t width,
+                       std::vector<ValueType>* tags) {
   uint64_t n;
   JARVIS_RETURN_IF_ERROR(in->GetVarU64(&n));
   // Every record costs at least a flag byte plus two time varints, so a
@@ -316,14 +437,14 @@ Status DecodeBatchBody(ser::BufferReader* in, RecordBatch* out, size_t width) {
   if (nf > in->remaining()) {
     return Status::SerializationError("implausible schema field count");
   }
-  std::vector<ValueType> tags(nf);
+  tags->resize(nf);
   for (uint64_t j = 0; j < nf; ++j) {
     uint8_t tag;
     JARVIS_RETURN_IF_ERROR(in->GetU8(&tag));
     if (tag > static_cast<uint8_t>(ValueType::kString)) {
       return Status::SerializationError("bad schema type tag");
     }
-    tags[j] = static_cast<ValueType>(tag);
+    (*tags)[j] = static_cast<ValueType>(tag);
   }
 
   // Decoded rows are not recycled: callers clear the batch first, and the
@@ -362,7 +483,7 @@ Status DecodeBatchBody(ser::BufferReader* in, RecordBatch* out, size_t width) {
     }
   }
   for (uint64_t j = 0; j < nf; ++j) {
-    switch (tags[j]) {
+    switch ((*tags)[j]) {
       case ValueType::kInt64:
         for (uint64_t i = 0; i < n; ++i) {
           if (!(flags[i] & kFlagConforming)) continue;
@@ -380,12 +501,7 @@ Status DecodeBatchBody(ser::BufferReader* in, RecordBatch* out, size_t width) {
         }
         break;
       case ValueType::kString:
-        for (uint64_t i = 0; i < n; ++i) {
-          if (!(flags[i] & kFlagConforming)) continue;
-          std::string v;
-          JARVIS_RETURN_IF_ERROR(in->GetString(&v));
-          (*out)[i].fields.emplace_back(std::move(v));
-        }
+        JARVIS_RETURN_IF_ERROR(ReadStringColumn(in, flags, out));
         break;
     }
   }
@@ -413,7 +529,7 @@ Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out) {
 }
 
 Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out,
-                        size_t width) {
+                        size_t width, std::vector<ValueType>* tags) {
   uint8_t version;
   JARVIS_RETURN_IF_ERROR(in->GetU8(&version));
   if (version != kBatchFormatVersion) {
@@ -431,7 +547,9 @@ Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out,
   // Bounded body decode: corruption can never read past the frame, and a
   // short decode (trailing garbage inside the frame) is itself corruption.
   ser::BufferReader body(in->cursor(), body_len);
-  JARVIS_RETURN_IF_ERROR(DecodeBatchBody(&body, out, width));
+  std::vector<ValueType> header_tags;
+  JARVIS_RETURN_IF_ERROR(DecodeBatchBody(
+      &body, out, width, tags != nullptr ? tags : &header_tags));
   if (!body.AtEnd()) {
     return Status::SerializationError("batch frame payload length mismatch");
   }

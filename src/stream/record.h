@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -146,21 +147,27 @@ Status DeserializeRecord(ser::BufferReader* in, Record* out);
 // The record-at-a-time format repeats a type tag per field per record even
 // though the schema is fixed at query-compile time. The batch format writes
 // the schema's type tags once per batch and the payload as packed columns
-// (zigzag varints for int64, 8-byte LE doubles, length-prefixed strings), so
-// the per-record overhead drops to one flag byte plus the two time varints.
+// (zigzag varints for int64, 8-byte LE doubles, strings as below), so the
+// per-record overhead drops to one flag byte plus the two time varints.
 // Records that do not match the schema — a kPartial accumulator row among
 // raw rows has a different arity — are flagged and serialized with inline
 // tags after the columns, so any batch round-trips losslessly.
 //
-// Version 2 wraps the body in the same integrity header as the columnar
-// format — [u8 version=2][u32 payload_len][u32 FrameChecksum(payload)] — so
-// every drain wire frame is corruption-checked before decode. It is the only
-// version the decoder accepts.
+// A string column starts with an encoding byte: 0, then each value
+// length-prefixed; or 1, a first-occurrence dictionary (a varint entry
+// count of at most 255, the length-prefixed entries, then one u8 code per
+// value). The encoder picks whichever is smaller, so low-cardinality
+// columns (hosts, tenants, stat names) ship a byte per value.
+//
+// The body sits behind an integrity header — [u8 version=3][u32
+// payload_len][u32 FrameChecksum(payload)] — so every drain wire frame and
+// checkpoint section is corruption-checked before decode. Version 3 is the
+// only version the decoder accepts.
 
-inline constexpr uint8_t kBatchFormatVersion = 2;
+inline constexpr uint8_t kBatchFormatVersion = 3;
 
 /// True when the record's fields match the schema's arity and types exactly
-/// (such records serialize tag-free in the columnar section). Inline: called
+/// (such records serialize tag-free in the column section). Inline: called
 /// once per record on the drain serialization path.
 inline bool ConformsToSchema(const Record& rec, const Schema& schema) {
   if (rec.fields.size() != schema.num_fields()) return false;
@@ -178,8 +185,9 @@ Schema FirstRowSchema(const RecordBatch& rows);
 
 /// Serializes a whole batch in the schema-elided format and returns the
 /// number of bytes written, so callers get network-byte accounting from the
-/// serialization pass itself instead of a separate WireSize walk.
-size_t SerializeBatch(const RecordBatch& batch, const Schema& schema,
+/// serialization pass itself instead of a separate WireSize walk. Takes a
+/// span so a caller can serialize the prefix of a reused row vector.
+size_t SerializeBatch(std::span<const Record> batch, const Schema& schema,
                       ser::BufferWriter* out);
 
 /// Decodes a batch previously written by SerializeBatch. The format is
@@ -190,12 +198,14 @@ Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out);
 /// The same decode, with room reserved for max(arity, `width`) fields in
 /// every row: a consumer whose operators append fields in place (the SP's
 /// Joins) passes the widest arity its rows reach, so no append reallocates.
+/// When `tags` is non-null it receives the header's schema type tags, so a
+/// reader that expects one schema can reject a batch written by another.
 Status DeserializeBatch(ser::BufferReader* in, RecordBatch* out,
-                        size_t width);
+                        size_t width, std::vector<ValueType>* tags = nullptr);
 
 /// Writes one value with its inline type tag (the record-format payload
-/// encoding). Shared by the batch and columnar formats' fallback sections so
-/// the three wire formats agree on tagged-value bytes.
+/// encoding). The batch format's non-conforming rows use it, so the two
+/// wire formats agree on tagged-value bytes.
 void WriteTaggedValue(const Value& v, ser::ChunkWriter* w);
 
 /// Decodes one inline-tagged value written by WriteTaggedValue (or the

@@ -22,7 +22,6 @@
 #include "core/sp_executor.h"
 #include "query/compile.h"
 #include "query/query_builder.h"
-#include "stream/columnar.h"
 #include "stream/group_aggregate.h"
 #include "stream/join.h"
 #include "stream/ops.h"
@@ -36,7 +35,6 @@
 namespace jarvis::stream {
 namespace {
 
-using jarvis::testing::ToColumns;
 using OpFactory = std::function<std::unique_ptr<Operator>()>;
 
 Value RandomValueOfType(Rng& rng, ValueType t) {
@@ -427,13 +425,12 @@ TEST_P(BatchEquivalenceTest, BatchSerdeRoundTripsFuzzedBatches) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed filters, and the columnar checkpoint-section container: kPartial and
-// schema-divergent rows ride its fallback lane and must round-trip
-// losslessly through conversion and serde.
+// Typed filters: kPartial and schema-divergent rows must fail the typed
+// leaves closed, exactly as the function form does.
 // ---------------------------------------------------------------------------
 
 /// kData record that does NOT conform to KvSchema: randomized arity (at
-/// least `min_fields`) and types, so it must take the row-fallback path.
+/// least `min_fields`) and types, so typed leaves see mismatched fields.
 Record RandomDivergentData(Rng& rng, size_t min_fields) {
   Record r;
   r.event_time = static_cast<Micros>(rng.NextBounded(1 << 20)) * 100;
@@ -509,73 +506,6 @@ TEST_P(BatchEquivalenceTest, TypedFilterMatchesEquivalentFunctionFilter) {
     EXPECT_EQ(out_a, out_b);
     ExpectStatsEq(typed->stats(), fn->stats(), "typed vs function stats");
     (void)chunk;
-  }
-}
-
-TEST_P(BatchEquivalenceTest, ColumnarConversionIsLossless) {
-  Rng rng(GetParam() * 601);
-  for (int round = 0; round < 8; ++round) {
-    const Schema schema = RandomSchema(rng);
-    RecordBatch batch;
-    const size_t n = rng.NextBounded(60);
-    for (size_t i = 0; i < n; ++i) {
-      batch.push_back(RandomRecordForSchema(rng, schema));
-    }
-    const RecordBatch original = batch;
-    ColumnarBatch cb = ToColumns(std::move(batch), schema);
-    EXPECT_EQ(cb.num_rows(), original.size());
-    RecordBatch back;
-    cb.MoveToRows(&back);
-    EXPECT_EQ(back, original);
-  }
-}
-
-TEST_P(BatchEquivalenceTest, ColumnarSerdeRoundTripsFuzzedBatches) {
-  Rng rng(GetParam() * 613);
-  ColumnarBatch decoded;  // reused across rounds to exercise buffer reuse
-  for (int round = 0; round < 8; ++round) {
-    const Schema schema = RandomSchema(rng);
-    RecordBatch batch;
-    const size_t n = rng.NextBounded(60);  // 0 == empty batch
-    for (size_t i = 0; i < n; ++i) {
-      batch.push_back(RandomRecordForSchema(rng, schema));
-    }
-    const RecordBatch original = batch;
-    ColumnarBatch cb = ToColumns(std::move(batch), schema);
-    ser::BufferWriter w;
-    w.PutU8(0xEE);  // leading sentinel: bytes must be position-exact
-    const size_t before = w.size();
-    const size_t bytes = SerializeColumnar(cb, &w);
-    EXPECT_EQ(bytes, w.size() - before);
-
-    ser::BufferReader r(w.data());
-    uint8_t sentinel = 0;
-    ASSERT_TRUE(r.GetU8(&sentinel).ok());
-    EXPECT_EQ(sentinel, 0xEE);
-    ASSERT_TRUE(DeserializeColumnarBatch(&r, &decoded).ok());
-    EXPECT_TRUE(r.AtEnd());
-    RecordBatch rows;
-    decoded.MoveToRows(&rows);
-    EXPECT_EQ(rows, original);
-  }
-}
-
-TEST_P(BatchEquivalenceTest, TruncatedColumnarFailsCleanly) {
-  Rng rng(GetParam() * 617);
-  const Schema schema = RandomSchema(rng);
-  RecordBatch batch;
-  for (size_t i = 0; i < 20; ++i) {
-    batch.push_back(RandomRecordForSchema(rng, schema));
-  }
-  ColumnarBatch cb = ToColumns(std::move(batch), schema);
-  ser::BufferWriter w;
-  SerializeColumnar(cb, &w);
-  ASSERT_GT(w.size(), 4u);
-  ColumnarBatch decoded;
-  for (int i = 0; i < 16; ++i) {
-    const size_t cut = rng.NextBounded(w.size());
-    ser::BufferReader r(w.data().data(), cut);
-    EXPECT_FALSE(DeserializeColumnarBatch(&r, &decoded).ok());
   }
 }
 

@@ -1,5 +1,5 @@
 // The centralized JARVIS_* knob parser: every runtime environment variable
-// goes through env::{Int,Flag,Enum}, so a typo'd knob is one loud startup
+// goes through env::{Int,Flag}, so a typo'd knob is one loud startup
 // error naming the variable and the accepted form — never a silent fallback.
 // Also covers the BuildingBlock contract: a malformed JARVIS_TRAFFIC or
 // JARVIS_OVERLOAD surfaces as an Init() error, not a quietly unshaped run.
@@ -76,26 +76,6 @@ TEST(EnvTest, FlagAcceptsSpellingsRejectsNoise) {
     ScopedEnv e(kVar, bad);
     EXPECT_FALSE(env::Flag(kVar, false).ok()) << bad;
   }
-}
-
-TEST(EnvTest, EnumMatchesSetAndListsItOnError) {
-  ::unsetenv(kVar);
-  auto unset = env::Enum(kVar, 2, {"scalar", "avx2", "neon"});
-  ASSERT_TRUE(unset.ok());
-  EXPECT_EQ(*unset, 2u);
-
-  {
-    ScopedEnv e(kVar, "avx2");
-    auto v = env::Enum(kVar, 0, {"scalar", "avx2", "neon"});
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(*v, 1u);
-  }
-  ScopedEnv e(kVar, "sse9");
-  auto v = env::Enum(kVar, 0, {"scalar", "avx2", "neon"});
-  ASSERT_FALSE(v.ok());
-  // The accepted set is part of the diagnostic.
-  EXPECT_NE(v.status().message().find("scalar"), std::string::npos);
-  EXPECT_NE(v.status().message().find("neon"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -213,6 +213,34 @@ TEST(GroupAggregateTest, NoAggregatesEmitsDistinctKeys) {
   }
 }
 
+TEST(GroupAggregateTest, SectionWithOffTypeKeyRoundTrips) {
+  // The key is declared int64, but two groups' keys are a double and a
+  // string: their rows ride the section's inline-tagged lane, restore
+  // checks them row by row, and the restored operator emits what the
+  // original does.
+  auto make = [] {
+    return GroupAggregateOp("g", InSchema(), {0}, AllAggs(), Seconds(10),
+                            /*emit_partials=*/false);
+  };
+  GroupAggregateOp op = make();
+  RecordBatch sink;
+  ASSERT_TRUE(op.Process(MakeWindowedRecord(1, 0, 1, 2.0), &sink).ok());
+  ASSERT_TRUE(op.Process(MakeWindowedRecord(2, 0, 2.5, 4.0), &sink).ok());
+  ASSERT_TRUE(op.Process(MakeWindowedRecord(3, 0, "x", 8.0), &sink).ok());
+  ser::BufferWriter w;
+  ASSERT_TRUE(op.ExportStateDelta(&w, StateExport::kFull).ok());
+  GroupAggregateOp restored = make();
+  ser::BufferReader r(w.data().data(), w.size());
+  ASSERT_TRUE(restored.RestoreState(&r).ok());
+  EXPECT_TRUE(r.AtEnd());
+
+  RecordBatch want, got;
+  ASSERT_TRUE(op.OnWatermark(Seconds(10), &want).ok());
+  ASSERT_TRUE(restored.OnWatermark(Seconds(10), &got).ok());
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_EQ(got, want);
+}
+
 std::string Hex(const std::vector<uint8_t>& bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string s;
@@ -229,7 +257,8 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
 // order, so a table that iterates in hash or insertion order fails here:
 // 256 (00 01 ..) sorts before 1 (01 00 ..) and -1 (ff ff ..) last; "b"
 // (length 1) sorts before "ab" (length 2); 0.0 sorts before -0.0 (sign
-// bit in the last byte). The keyframe and delta bytes are pinned too.
+// bit in the last byte). The keyframe and delta bytes are pinned too: each
+// window section is one row batch of the groups' kPartial rows.
 struct OrderCase {
   ValueType type;
   std::vector<Value> inserted;  // first-touch order
@@ -247,13 +276,13 @@ TEST(GroupAggregateTest, EmitsGroupsInEncodedKeyOrder) {
        {Value(int64_t{256}), Value(int64_t{1}), Value(int64_t{255}),
         Value(int64_t{-1})},
        {Value(int64_t{-1}), Value(int64_t{1})},
-       "00010089010380000000f386275b04050000010101020480dac4090000000000"
-       "00008004fd03fc03ff0302000000000000000000104000000000000008400000"
+       "00010089010380000000f21974a2040500000101010380dac409000300000300"
+       "00030000800402fe030102020202000000000000104000000000000008400000"
        "000000000040000000000000f03f000000000000104000000000000008400000"
        "000000000040000000000000f03f000000000000104000000000000008400000"
        "000000000040000000000000f03f",
-       "0001004d034400000017917c5602050000010101020280dac409000000020304"
-       "00000000000000224000000000000018400000000000000840000000000000f0"
+       "0001004d03440000007ca2bffe020500000101010380dac40900030000020104"
+       "04000000000000224000000000000018400000000000000840000000000000f0"
        "3f00000000000018400000000000001440"},
       {ValueType::kString,
        {Value(std::string("ab")), Value(std::string("b")),
@@ -261,22 +290,22 @@ TEST(GroupAggregateTest, EmitsGroupsInEncodedKeyOrder) {
        {Value(std::string("a")), Value(std::string("b")),
         Value(std::string("ab"))},
        {Value(std::string("ab")), Value(std::string("a"))},
-       "0001006e03650000000a45ad6303050200010101020380dac409000000000000"
-       "0161016202616202000000000000000008400000000000000040000000000000"
-       "f03f00000000000008400000000000000040000000000000f03f000000000000"
-       "08400000000000000040000000000000f03f",
-       "00010051034800000076e1657802050200010101020280dac409000000000161"
-       "0261620400000000000000204000000000000014400000000000000840000000"
+       "0001006f036600000013368f48030502000101010380dac40900030000030000"
+       "0001610162026162020202000000000000084000000000000000400000000000"
+       "00f03f00000000000008400000000000000040000000000000f03f0000000000"
+       "0008400000000000000040000000000000f03f",
+       "000100510348000000cb6b5716020502000101010380dac40900030000000161"
+       "0261620404000000000000204000000000000014400000000000000840000000"
        "000000f03f00000000000014400000000000001040"},
       {ValueType::kDouble,
        {Value(-0.0), Value(0.0)},
        {Value(0.0), Value(-0.0)},
        {Value(-0.0)},
-       "0001005b0352000000bdabf40f02050100010101020280dac409000000000000"
-       "0000000000000000000000008002000000000000000040000000000000f03f00"
+       "0001005b0352000000ecd9219d020501000101010380dac40900030000000000"
+       "0000000000000000000000008002020000000000000040000000000000f03f00"
        "00000000000040000000000000f03f0000000000000040000000000000f03f",
-       "00010038032f000000c5e51c1701050100010101020180dac409000000000000"
-       "000080040000000000001040000000000000f03f0000000000000840"},
+       "00010037032e00000009aa2b4c010501000101010380dac40900000000000000"
+       "0080040000000000001040000000000000f03f0000000000000840"},
   };
   for (const OrderCase& c : cases) {
     SCOPED_TRACE(::testing::Message()

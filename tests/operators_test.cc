@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "stream/ops.h"
+#include "stream/predicate.h"
 #include "testing/test_util.h"
 
 namespace jarvis::stream {
@@ -195,6 +196,70 @@ TEST(OperatorTest, StatelessOpsExportNoPartialState) {
   EXPECT_TRUE(f.ExportPartialState(&out).ok());
   EXPECT_TRUE(p.ExportPartialState(&out).ok());
   EXPECT_TRUE(out.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Typed predicates
+// ---------------------------------------------------------------------------
+
+Schema KvsSchema() {
+  return Schema::Of({{"k", ValueType::kInt64},
+                     {"v", ValueType::kDouble},
+                     {"s", ValueType::kString}});
+}
+
+TEST(TypedPredicateTest, RowEvalComparisonSemantics) {
+  const Record r = MakeRecord(0, 5, 2.5, "m");
+  EXPECT_TRUE(EvalPredicate(PredI64(0, CmpOp::kEq, 5), r));
+  EXPECT_FALSE(EvalPredicate(PredI64(0, CmpOp::kNe, 5), r));
+  EXPECT_TRUE(EvalPredicate(PredI64(0, CmpOp::kLt, 6), r));
+  EXPECT_FALSE(EvalPredicate(PredI64(0, CmpOp::kLt, 5), r));
+  EXPECT_TRUE(EvalPredicate(PredI64(0, CmpOp::kLe, 5), r));
+  EXPECT_TRUE(EvalPredicate(PredI64(0, CmpOp::kGt, 4), r));
+  EXPECT_TRUE(EvalPredicate(PredI64(0, CmpOp::kGe, 5), r));
+  EXPECT_TRUE(EvalPredicate(PredF64(1, CmpOp::kLt, 3.0), r));
+  EXPECT_TRUE(EvalPredicate(PredStr(2, CmpOp::kGe, "a"), r));
+}
+
+TEST(TypedPredicateTest, MismatchedLeavesFailClosed) {
+  const Record r = MakeRecord(0, 5, 2.5, "m");
+  // Field index out of range and type mismatch both evaluate false, never
+  // error: divergent rows must fall out of a filter, not crash it.
+  EXPECT_FALSE(EvalPredicate(PredI64(9, CmpOp::kEq, 5), r));
+  EXPECT_FALSE(EvalPredicate(PredF64(0, CmpOp::kEq, 5.0), r));
+  EXPECT_FALSE(EvalPredicate(PredStr(0, CmpOp::kEq, "5"), r));
+}
+
+TEST(TypedPredicateTest, CompositionSemantics) {
+  const Record r = MakeRecord(0, 5, 2.5, "m");
+  EXPECT_TRUE(EvalPredicate(PredAnd({PredI64(0, CmpOp::kEq, 5),
+                                     PredF64(1, CmpOp::kLt, 3.0)}),
+                            r));
+  EXPECT_FALSE(EvalPredicate(PredAnd({PredI64(0, CmpOp::kEq, 5),
+                                      PredF64(1, CmpOp::kGt, 3.0)}),
+                             r));
+  EXPECT_TRUE(EvalPredicate(PredOr({PredI64(0, CmpOp::kEq, 7),
+                                    PredStr(2, CmpOp::kEq, "m")}),
+                            r));
+  EXPECT_TRUE(EvalPredicate(PredAnd({}), r));
+  EXPECT_FALSE(EvalPredicate(PredOr({}), r));
+}
+
+TEST(TypedPredicateTest, ValidateChecksFieldsAndTypes) {
+  const Schema schema = KvsSchema();
+  EXPECT_TRUE(ValidatePredicate(PredI64(0, CmpOp::kEq, 1), schema).ok());
+  EXPECT_TRUE(ValidatePredicate(
+                  PredAnd({PredF64(1, CmpOp::kLt, 1.0),
+                           PredOr({PredStr(2, CmpOp::kEq, "x")})}),
+                  schema)
+                  .ok());
+  EXPECT_EQ(ValidatePredicate(PredI64(3, CmpOp::kEq, 1), schema).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidatePredicate(PredF64(0, CmpOp::kEq, 1.0), schema).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ValidatePredicate(PredAnd({PredStr(1, CmpOp::kEq, "x")}), schema).code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

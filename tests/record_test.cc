@@ -279,6 +279,61 @@ TEST(BatchSerdeTest, FirstRowSchemaPacksPartialRowsWithoutTags) {
   EXPECT_EQ(out, batch);
 }
 
+/// A low-cardinality string column ships as a dictionary: each distinct
+/// string once, then one byte per value.
+TEST(BatchSerdeTest, DictionaryEncodingShrinksLowCardinalityStrings) {
+  const Schema schema =
+      Schema::Of({{"host", ValueType::kString}, {"k", ValueType::kInt64}});
+  // The same rows twice but for the strings, all six bytes long: four
+  // hosts, or 300 distinct ids (past the 255-entry cap, so plain).
+  RecordBatch hosts, ids;
+  for (int i = 0; i < 300; ++i) {
+    hosts.push_back(jarvis::testing::MakeRecord(
+        i * 100, std::string("host-").append(std::to_string(i % 4)), i));
+    ids.push_back(jarvis::testing::MakeRecord(
+        i * 100, std::string("h").append(std::to_string(100000 + i), 1), i));
+  }
+  ser::BufferWriter hosts_w, ids_w;
+  SerializeBatch(hosts, schema, &hosts_w);
+  SerializeBatch(ids, schema, &ids_w);
+  // Plain: a length byte and six bytes per row. Dictionary: the entry
+  // count, four length-prefixed entries, a code per row.
+  EXPECT_EQ(ids_w.size() - hosts_w.size(), 300u * 7 - (1 + 4 * 7 + 300));
+
+  ser::BufferReader r(hosts_w.data());
+  RecordBatch decoded;
+  ASSERT_TRUE(DeserializeBatch(&r, &decoded).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(decoded, hosts);
+}
+
+/// Distinct strings keep the plain layout, whether there are too many for
+/// a dictionary (400) or a dictionary would not be smaller (100).
+TEST(BatchSerdeTest, UniqueStringsUsePlainLayout) {
+  const Schema schema = Schema::Of({{"id", ValueType::kString}});
+  for (const int n : {100, 400}) {
+    RecordBatch rows;
+    size_t string_bytes = 0;
+    for (int i = 0; i < n; ++i) {
+      rows.push_back(jarvis::testing::MakeRecord(
+          i, std::string("unique-id-").append(std::to_string(i * 7919))));
+      string_bytes += 1 + rows.back().str(0).size();
+    }
+    ser::BufferWriter w;
+    SerializeBatch(rows, schema, &w);
+    // Integrity header, counts and the tag, a three-byte header row per
+    // record, the encoding byte, then each string after its length.
+    const size_t rows_n = static_cast<size_t>(n);
+    EXPECT_EQ(w.size(),
+              9 + ser::VarIntSize(n) + 2 + 3 * rows_n + 1 + string_bytes)
+        << n;
+    ser::BufferReader r(w.data());
+    RecordBatch decoded;
+    ASSERT_TRUE(DeserializeBatch(&r, &decoded).ok());
+    EXPECT_EQ(decoded, rows);
+  }
+}
+
 TEST(BatchSerdeTest, EmptyBatchRoundTrips) {
   const Schema schema = TestSchema();
   ser::BufferWriter w;

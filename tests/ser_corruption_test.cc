@@ -1,12 +1,13 @@
 // Adversarial decode hardening for the wire formats: every decode path must
 // return a Status — never assert, crash, over-read, or silently accept wrong
 // bytes — on truncated or bit-flipped input. The suite runs a corpus of
-// batch (v2, the drain's row lane) and columnar (v3, G+R checkpoint
-// sections) frames through exhaustive truncation and seeded bit-flips; the ASan/UBSan CI leg is the real judge of the "no UB"
-// half of the contract. Only the checksummed versions decode: a flipped
-// version byte is rejected outright. The header's length and checksum stop
-// those sweeps before the body decoder runs, so a further sweep re-seals
-// corrupt batch bodies to reach the decoder's own checks.
+// batch frames (v3: the drain's row lane and G+R checkpoint sections)
+// through exhaustive truncation and seeded bit-flips; the ASan/UBSan CI leg
+// is the real judge of the "no UB" half of the contract. Only the
+// checksummed version decodes: a flipped version byte is rejected outright.
+// The header's length and checksum stop those sweeps before the body
+// decoder runs, so a further sweep re-seals corrupt batch bodies to reach
+// the decoder's own checks.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,7 @@
 #include "query/compile.h"
 #include "query/query_builder.h"
 #include "ser/buffer.h"
-#include "stream/columnar.h"
+#include "ser/codec.h"
 #include "stream/group_aggregate.h"
 #include "stream/record.h"
 #include "testing/test_util.h"
@@ -37,7 +38,7 @@ using jarvis::testing::MakeRecord;
 using jarvis::testing::MakeWindowedRecord;
 using jarvis::testing::SealBatchBody;
 
-/// One corpus entry: a row batch plus the schema its columnar form uses.
+/// One corpus entry: a row batch plus the schema it is serialized by.
 struct Corpus {
   std::string name;
   RecordBatch rows;
@@ -54,15 +55,24 @@ std::vector<Corpus> BuildCorpus() {
   }
   corpus.push_back(std::move(kv));
 
-  Corpus strings{"strings",
-                 {},
-                 Schema::Of({{"host", ValueType::kString},
-                             {"lat", ValueType::kDouble}})};
+  const Schema host_lat =
+      Schema::Of({{"host", ValueType::kString}, {"lat", ValueType::kDouble}});
+  Corpus strings{"strings", {}, host_lat};
+  // Five hosts over 16 rows: the string column takes the dictionary layout.
   for (int i = 0; i < 16; ++i) {
     strings.rows.push_back(MakeRecord(
         Seconds(i), "host-" + std::string(1 + i % 5, 'x'), i * 1.25));
   }
   corpus.push_back(std::move(strings));
+
+  // Distinct ids: the dictionary would be larger, so the plain layout.
+  Corpus unique{"unique_strings", {}, host_lat};
+  for (int i = 0; i < 16; ++i) {
+    unique.rows.push_back(MakeRecord(
+        Seconds(i), std::string("id-").append(std::to_string(i * 7919)),
+        i * 0.75));
+  }
+  corpus.push_back(std::move(unique));
 
   Corpus mixed{"mixed", {}, KvSchema()};
   for (int i = 0; i < 12; ++i) {
@@ -71,7 +81,7 @@ std::vector<Corpus> BuildCorpus() {
     if (i % 4 == 0) r.kind = RecordKind::kPartial;
     mixed.rows.push_back(std::move(r));
   }
-  // Non-conforming rows exercise the columnar fallback lane.
+  // A non-conforming row exercises the inline-tagged lane.
   mixed.rows.push_back(MakeRecord(Seconds(99), "stray", int64_t{1}, 3.5));
   corpus.push_back(std::move(mixed));
   return corpus;
@@ -83,29 +93,9 @@ std::vector<uint8_t> EncodeBatch(const Corpus& c) {
   return w.Release();
 }
 
-std::vector<uint8_t> EncodeColumnar(const Corpus& c) {
-  ser::BufferWriter w;
-  SerializeColumnar(jarvis::testing::ToColumns(c.rows, c.schema), &w);
-  return w.Release();
-}
-
-/// The two wire formats under test, driven through one reader-level decode
-/// so the frame-boundary behavior (bounded consumption) is also covered.
-struct Format {
-  const char* name;
-  std::vector<uint8_t> (*encode)(const Corpus&);
-  Status (*decode)(ser::BufferReader*, RecordBatch*);
-};
-
-constexpr Format kFormats[] = {
-    {"batch", &EncodeBatch, &DeserializeBatch},
-    {"columnar", &EncodeColumnar, &jarvis::testing::DeserializeColumnarRows},
-};
-
-Status DecodeBytes(const Format& fmt, const std::vector<uint8_t>& bytes,
-                   RecordBatch* out) {
+Status DecodeBytes(const std::vector<uint8_t>& bytes, RecordBatch* out) {
   ser::BufferReader r(bytes.data(), bytes.size());
-  return fmt.decode(&r, out);
+  return DeserializeBatch(&r, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -114,21 +104,19 @@ Status DecodeBytes(const Format& fmt, const std::vector<uint8_t>& bytes,
 
 TEST(SerCorruptionTest, RoundTripsAndStopsAtFrameBoundary) {
   for (const Corpus& c : BuildCorpus()) {
-    for (const Format& fmt : kFormats) {
-      SCOPED_TRACE(c.name + std::string("/") + fmt.name);
-      std::vector<uint8_t> bytes = fmt.encode(c);
-      RecordBatch out;
-      ASSERT_TRUE(DecodeBytes(fmt, bytes, &out).ok());
-      EXPECT_EQ(out, c.rows);
-      // The checksummed frame knows its own length: trailing bytes after
-      // the frame belong to the next frame, not to this decode.
-      bytes.push_back(0xAB);
-      ser::BufferReader r(bytes.data(), bytes.size());
-      RecordBatch again;
-      ASSERT_TRUE(fmt.decode(&r, &again).ok());
-      EXPECT_EQ(again, c.rows);
-      EXPECT_EQ(r.remaining(), 1u);
-    }
+    SCOPED_TRACE(c.name);
+    std::vector<uint8_t> bytes = EncodeBatch(c);
+    RecordBatch out;
+    ASSERT_TRUE(DecodeBytes(bytes, &out).ok());
+    EXPECT_EQ(out, c.rows);
+    // The checksummed frame knows its own length: trailing bytes after the
+    // frame belong to the next frame, not to this decode.
+    bytes.push_back(0xAB);
+    ser::BufferReader r(bytes.data(), bytes.size());
+    RecordBatch again;
+    ASSERT_TRUE(DeserializeBatch(&r, &again).ok());
+    EXPECT_EQ(again, c.rows);
+    EXPECT_EQ(r.remaining(), 1u);
   }
 }
 
@@ -138,16 +126,14 @@ TEST(SerCorruptionTest, RoundTripsAndStopsAtFrameBoundary) {
 
 TEST(SerCorruptionTest, EveryTruncationFailsWithStatus) {
   for (const Corpus& c : BuildCorpus()) {
-    for (const Format& fmt : kFormats) {
-      SCOPED_TRACE(c.name + std::string("/") + fmt.name);
-      const std::vector<uint8_t> bytes = fmt.encode(c);
-      for (size_t len = 0; len < bytes.size(); ++len) {
-        const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
-        RecordBatch out;
-        const Status st = DecodeBytes(fmt, prefix, &out);
-        EXPECT_FALSE(st.ok()) << "prefix length " << len << " of "
-                              << bytes.size() << " decoded";
-      }
+    SCOPED_TRACE(c.name);
+    const std::vector<uint8_t> bytes = EncodeBatch(c);
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+      RecordBatch out;
+      const Status st = DecodeBytes(prefix, &out);
+      EXPECT_FALSE(st.ok()) << "prefix length " << len << " of "
+                            << bytes.size() << " decoded";
     }
   }
 }
@@ -158,23 +144,21 @@ TEST(SerCorruptionTest, EveryTruncationFailsWithStatus) {
 
 TEST(SerCorruptionTest, SingleBitFlipsNeverCrash) {
   for (const Corpus& c : BuildCorpus()) {
-    for (const Format& fmt : kFormats) {
-      SCOPED_TRACE(c.name + std::string("/") + fmt.name);
-      const std::vector<uint8_t> bytes = fmt.encode(c);
-      for (size_t i = 0; i < bytes.size(); ++i) {
-        for (const int bit : {0, 3, 7}) {
-          std::vector<uint8_t> bad = bytes;
-          bad[i] ^= static_cast<uint8_t>(1u << bit);
-          RecordBatch out;
-          // The contract under sanitizers: a Status comes back — ok only
-          // in the astronomically unlikely event of a checksum collision
-          // or when the flip lands in redundant header space — and the
-          // process neither crashes nor reads out of bounds. The version
-          // byte has no redundant space: every flip of it is rejected.
-          const Status st = DecodeBytes(fmt, bad, &out);
-          if (i == 0) {
-            EXPECT_FALSE(st.ok()) << "version flip bit " << bit << " decoded";
-          }
+    SCOPED_TRACE(c.name);
+    const std::vector<uint8_t> bytes = EncodeBatch(c);
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      for (const int bit : {0, 3, 7}) {
+        std::vector<uint8_t> bad = bytes;
+        bad[i] ^= static_cast<uint8_t>(1u << bit);
+        RecordBatch out;
+        // The contract under sanitizers: a Status comes back — ok only in
+        // the astronomically unlikely event of a checksum collision or when
+        // the flip lands in redundant header space — and the process
+        // neither crashes nor reads out of bounds. The version byte has no
+        // redundant space: every flip of it is rejected.
+        const Status st = DecodeBytes(bad, &out);
+        if (i == 0) {
+          EXPECT_FALSE(st.ok()) << "version flip bit " << bit << " decoded";
         }
       }
     }
@@ -196,14 +180,18 @@ Status DecodeResealed(const std::vector<uint8_t>& body, size_t width,
 }
 
 TEST(SerCorruptionTest, ResealedBodyCorruptionReachesTheDecoder) {
-  // Eleven continuation bytes, one more than any 64-bit varint holds, and a
+  // Eleven continuation bytes, one more than any 64-bit varint holds; a
   // string length of 2^64 - 3, which wraps `position + length` below the
-  // span end. Each decode below returns a Status or rows; a throw fails the
-  // test, and the sanitizer legs judge the rest.
+  // span end; a dictionary entry count of 256, one past the largest; and a
+  // dictionary code no dictionary reaches. Each decode below returns a
+  // Status or rows; a throw fails the test, and the sanitizer legs judge
+  // the rest.
   const std::vector<uint8_t> overlong(ser::kMaxVarIntBytes + 1, 0x80);
   ser::BufferWriter len_writer;
   len_writer.PutVarU64(~uint64_t{2});
   const std::vector<uint8_t> huge_len = len_writer.Release();
+  const std::vector<uint8_t> dict_count = {0x80, 0x02};
+  const std::vector<uint8_t> dict_code = {0xFF};
   for (const Corpus& c : BuildCorpus()) {
     SCOPED_TRACE(c.name);
     const std::vector<uint8_t> frame = EncodeBatch(c);
@@ -226,7 +214,8 @@ TEST(SerCorruptionTest, ResealedBodyCorruptionReachesTheDecoder) {
     // Splices at every offset, written over the body and clipped to it
     // (within ten bytes of the end only the byte-checked varint path can
     // read them) and inserted whole (the inline path).
-    for (const std::vector<uint8_t>* splice : {&overlong, &huge_len}) {
+    for (const std::vector<uint8_t>* splice :
+         {&overlong, &huge_len, &dict_count, &dict_code}) {
       for (size_t at = 0; at <= body.size(); ++at) {
         std::vector<uint8_t> over = body;
         for (size_t k = 0; k < splice->size() && at + k < over.size(); ++k) {
@@ -254,6 +243,66 @@ TEST(SerCorruptionTest, ResealedBodyCorruptionReachesTheDecoder) {
       (void)DecodeResealed(bad, rng.NextBounded(2) == 0 ? 0 : 8, &out);
     }
   }
+}
+
+/// Offset in an encoded frame of the first column's first byte: past the
+/// integrity header, the counts and type tags, and one header row (flag
+/// byte, two time-delta varints) per record.
+size_t FirstColumnOffset(const Corpus& c) {
+  size_t at = kBatchHeaderBytes + ser::VarIntSize(c.rows.size()) +
+              ser::VarIntSize(c.schema.num_fields()) + c.schema.num_fields();
+  ser::DeltaEncoder et, ws;
+  for (const Record& r : c.rows) {
+    at += 1 + ser::VarIntSize(ser::ZigZagEncode(et.Delta(r.event_time))) +
+          ser::VarIntSize(ser::ZigZagEncode(ws.Delta(r.window_start)));
+  }
+  return at;
+}
+
+TEST(SerCorruptionTest, StringDictionaryCountAndCodesAreOutsideInput) {
+  const std::vector<Corpus> corpus = BuildCorpus();
+  const Corpus& dict = corpus[2];
+  const Corpus& plain = corpus[3];
+  ASSERT_EQ(dict.name, "strings");
+  ASSERT_EQ(plain.name, "unique_strings");
+  // Both entries' first column is the string column: its encoding byte is
+  // 1 (dictionary) for five hosts and 0 (plain) for distinct ids.
+  EXPECT_EQ(EncodeBatch(plain)[FirstColumnOffset(plain)], 0);
+  const std::vector<uint8_t> frame = EncodeBatch(dict);
+  const std::vector<uint8_t> body(frame.begin() + kBatchHeaderBytes,
+                                  frame.end());
+  const size_t column = FirstColumnOffset(dict) - kBatchHeaderBytes;
+  ASSERT_EQ(body[column], 1);
+  ASSERT_EQ(body[column + 1], 5);  // entries, then one code per row
+  size_t codes = column + 2;
+  for (int e = 0; e < 5; ++e) codes += 1 + body[codes];
+  RecordBatch out;
+  ASSERT_TRUE(DecodeResealed(body, 0, &out).ok());
+
+  // 255 entries is a legal count, but more than the bytes left can hold:
+  // the decoder rejects it before reading an entry.
+  std::vector<uint8_t> too_many = body;
+  too_many[column + 1] = 0xFF;
+  too_many.insert(too_many.begin() + static_cast<ptrdiff_t>(column + 2), 0x01);
+  ASSERT_GT(255u, too_many.size() - (column + 3));
+  EXPECT_EQ(DecodeResealed(too_many, 0, &out).code(),
+            StatusCode::kSerializationError);
+  std::vector<uint8_t> empty = body;
+  empty[column + 1] = 0;
+  EXPECT_EQ(DecodeResealed(empty, 0, &out).code(),
+            StatusCode::kSerializationError);
+  // A code equal to the entry count names no entry, first row or last.
+  for (const size_t at : {codes, codes + dict.rows.size() - 1}) {
+    std::vector<uint8_t> bad_code = body;
+    bad_code[at] = 5;
+    EXPECT_EQ(DecodeResealed(bad_code, 0, &out).code(),
+              StatusCode::kSerializationError)
+        << at;
+  }
+  std::vector<uint8_t> bad_encoding = body;
+  bad_encoding[column] = 2;
+  EXPECT_EQ(DecodeResealed(bad_encoding, 0, &out).code(),
+            StatusCode::kSerializationError);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,8 +440,8 @@ TEST(SerCorruptionTest, GroupAggregateStateSurvivesTruncationAndFlips) {
           << "prefix length " << len << " of " << body.size() << " restored";
     }
     // Flips land in counts, window starts, section lengths or a section's
-    // checksummed columnar frame: a Status comes back, and sanitizers judge
-    // the no-UB half.
+    // checksummed row batch: a Status comes back, and sanitizers judge the
+    // no-UB half.
     for (size_t i = 0; i < body.size(); ++i) {
       for (const int bit : {0, 3, 7}) {
         std::vector<uint8_t> bad = body;
@@ -649,11 +698,11 @@ core::WireFrame FrameWithLane(uint8_t lane, const std::vector<uint8_t>& payload,
 
 TEST(SerCorruptionTest, RetiredLaneZeroIsRejected) {
   // Lane byte 0 named the retired columnar lane. A frame carrying it, with
-  // a valid header checksum and a well-formed columnar payload, must fail
-  // the header check and be NACKed as corrupt, never decoded.
+  // a valid header checksum and a well-formed payload, must fail the header
+  // check and be NACKed as corrupt, never decoded.
   const Corpus kv = BuildCorpus()[1];
   const auto n = static_cast<uint32_t>(kv.rows.size());
-  const core::WireFrame lane0 = FrameWithLane(0, EncodeColumnar(kv), n);
+  const core::WireFrame lane0 = FrameWithLane(0, EncodeBatch(kv), n);
   const Result<core::WireFrameHeader> hdr = core::PeekFrameHeader(lane0);
   ASSERT_FALSE(hdr.ok());
   EXPECT_EQ(hdr.status().code(), StatusCode::kSerializationError);
@@ -686,17 +735,14 @@ TEST(SerCorruptionTest, RandomMultiByteCorruptionIsSafe) {
   for (const uint64_t seed : FuzzSeeds()) {
     Rng rng(seed ^ 0xc0ffee);
     for (const Corpus& c : BuildCorpus()) {
-      for (const Format& fmt : kFormats) {
-        std::vector<uint8_t> bytes = fmt.encode(c);
-        if (bytes.empty()) continue;
-        const size_t flips = 1 + rng.NextBounded(8);
-        for (size_t f = 0; f < flips; ++f) {
-          bytes[rng.NextBounded(bytes.size())] ^=
-              static_cast<uint8_t>(1 + rng.NextBounded(255));
-        }
-        RecordBatch out;
-        (void)DecodeBytes(fmt, bytes, &out);  // Status; sanitizers judge
+      std::vector<uint8_t> bytes = EncodeBatch(c);
+      const size_t flips = 1 + rng.NextBounded(8);
+      for (size_t f = 0; f < flips; ++f) {
+        bytes[rng.NextBounded(bytes.size())] ^=
+            static_cast<uint8_t>(1 + rng.NextBounded(255));
       }
+      RecordBatch out;
+      (void)DecodeBytes(bytes, &out);  // Status; sanitizers judge
     }
   }
 }

@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "ser/buffer.h"
-#include "stream/columnar.h"
 #include "stream/record.h"
 
 namespace jarvis::testing {
@@ -94,25 +93,6 @@ inline stream::Schema KvSchema(const char* key_name = "k",
                                const char* val_name = "v") {
   return stream::Schema::Of({{key_name, stream::ValueType::kInt64},
                              {val_name, stream::ValueType::kDouble}});
-}
-
-/// A ColumnarBatch of `schema` holding `rows`, one AppendRow each.
-inline stream::ColumnarBatch ToColumns(stream::RecordBatch rows,
-                                       const stream::Schema& schema) {
-  stream::ColumnarBatch cb(schema);
-  for (stream::Record& r : rows) cb.AppendRow(std::move(r));
-  return cb;
-}
-
-/// Decodes one SerializeColumnar frame and materializes its rows into
-/// `out` (replacing its contents).
-inline Status DeserializeColumnarRows(ser::BufferReader* in,
-                                      stream::RecordBatch* out) {
-  stream::ColumnarBatch cb;
-  JARVIS_RETURN_IF_ERROR(stream::DeserializeColumnarBatch(in, &cb));
-  out->clear();
-  cb.MoveToRows(out);
-  return Status::OK();
 }
 
 /// Wraps a batch body in a fresh, valid integrity header

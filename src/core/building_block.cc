@@ -12,6 +12,15 @@
 
 namespace jarvis::core {
 
+namespace {
+
+/// Modeled exponential backoff base per retransmission, booked in
+/// FaultStats::backoff_ms_total: the in-process wire has no real latency to
+/// wait out, and sleeping would break determinism.
+constexpr uint64_t kBackoffBaseMs = 1;
+
+}  // namespace
+
 BuildingBlock::BuildingBlock(const query::CompiledQuery& query,
                              std::vector<SourceSpec> specs,
                              RuntimeConfig runtime_config, int threads)
@@ -139,46 +148,6 @@ void BuildingBlock::FoldWireRatios(const WireByteProfile& profile,
   }
 }
 
-Result<size_t> BuildingBlock::CheckpointSource(size_t source_id,
-                                               stream::RecordBatch* results) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  if (source_id >= sources_.size()) {
-    return Status::OutOfRange("unknown source");
-  }
-  JARVIS_ASSIGN_OR_RETURN(SourceEpochOutput out,
-                          sources_[source_id]->Checkpoint(now_));
-  const size_t shipped = out.DrainedRecords();
-  JARVIS_RETURN_IF_ERROR(sp_->Consume(source_id, std::move(out), results));
-  return shipped;
-}
-
-Status BuildingBlock::FailSource(size_t source_id) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  if (source_id >= sources_.size()) {
-    return Status::OutOfRange("unknown source");
-  }
-  PerSource& ps = state_[source_id];
-  // Permanent quarantine: an externally failed source never re-admits, and
-  // whatever it had in flight is gone with it.
-  ps.alive = false;
-  ps.health = SourceHealth::kQuarantined;
-  ps.readmit_at = -1;
-  for (const Delivery& d : ps.inbox) {
-    stats_.records_lost += d.records - d.delivered;
-  }
-  ps.inbox.clear();
-  ps.retained.clear();
-  // A pending checkpoint recovery dies with the source: its replayable
-  // in-flight becomes genuine loss.
-  stats_.records_lost += ps.replay_outstanding;
-  ps.replay_outstanding = 0;
-  ps.ckpt_recover = false;
-  ps.trace.clear();
-  // Remove its watermark input so surviving sources' windows are not held
-  // open forever.
-  return sp_->RemoveSource(source_id);
-}
-
 Result<size_t> BuildingBlock::AddSource(SourceSpec spec) {
   JARVIS_RETURN_IF_ERROR(init_status_);
   // Growing sources_/state_ reallocates vectors an in-flight epoch task
@@ -214,7 +183,7 @@ Status BuildingBlock::Finish(stream::RecordBatch* results) {
   // records_in_flight, not lost — nothing forced its loss).
   for (size_t s = 0; s < sources_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (!ps.alive || ps.health == SourceHealth::kQuarantined) continue;
+    if (ps.health == SourceHealth::kQuarantined) continue;
     if (ps.outstanding) {
       std::optional<EpochEnvelope> env = handoff_->TryTakeFor(
           s, std::chrono::milliseconds(std::max(1, ft_.take_deadline_ms) * 64));
@@ -235,7 +204,7 @@ Status BuildingBlock::Finish(stream::RecordBatch* results) {
   // windows missing records that replay can still deliver.
   for (size_t s = 0; s < sources_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (!ps.alive || !ps.ckpt_recover) continue;
+    if (!ps.ckpt_recover) continue;
     JARVIS_RETURN_IF_ERROR(RestoreAndReplay(s, epoch_, results));
     ps.health = SourceHealth::kHealthy;
     ps.misses = 0;
@@ -247,10 +216,7 @@ Status BuildingBlock::Finish(stream::RecordBatch* results) {
     PerSource& ps = state_[s];
     // A source whose task is still wedged keeps its executor and sequence
     // counter: flushing it here would race that task.
-    if (!ps.alive || ps.health == SourceHealth::kQuarantined ||
-        ps.outstanding) {
-      continue;
-    }
+    if (ps.health == SourceHealth::kQuarantined || ps.outstanding) continue;
     // Lift any standing ingress caps: the final flush must admit and drain
     // everything the throttle deferred — deferral is late, never lost.
     sources_[s]->SetIngressLimits(IngressLimits());
@@ -393,15 +359,12 @@ Status BuildingBlock::RunEpoch(stream::RecordBatch* results) {
   const bool parallel = threads_ > 1 && sources_.size() > 1;
   if (parallel && !pool_) pool_ = std::make_unique<ExecPool>(threads_);
 
-  // Schedule every live, non-quarantined source with no epoch still in
-  // flight. A wedged source's slot is left untouched so its eventual Put
-  // lands; everyone else's slot is recycled per key (no quiescent Reset).
+  // Schedule every non-quarantined source with no epoch still in flight.
+  // A wedged source's slot is left untouched so its eventual Put lands;
+  // everyone else's slot is recycled per key (no quiescent Reset).
   for (size_t s = 0; s < sources_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (!ps.alive || ps.health == SourceHealth::kQuarantined ||
-        ps.outstanding) {
-      continue;
-    }
+    if (ps.health == SourceHealth::kQuarantined || ps.outstanding) continue;
     handoff_->ClearSlot(s);
     ps.outstanding = true;
     const bool profile = ps.profile_next;
@@ -474,8 +437,7 @@ void BuildingBlock::TickOverload(int64_t e) {
   bool escalated = false;
   for (size_t s = 0; s < state_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (!ps.alive || ps.outstanding) continue;
-    if (ps.health == SourceHealth::kQuarantined) continue;
+    if (ps.outstanding || ps.health == SourceHealth::kQuarantined) continue;
     const IngressDirective dir = overload_->Tick(s, ps.sample);
     if (overload_->EscalatedLastTick()) escalated = true;
     ps.ingress_next = dir;
@@ -493,7 +455,7 @@ void BuildingBlock::TickOverload(int64_t e) {
   // needed. Same survivor rule as the quarantine replan.
   bool any = false;
   for (size_t x = 0; x < state_.size(); ++x) {
-    if (!state_[x].alive || state_[x].outstanding) continue;
+    if (state_[x].outstanding) continue;
     if (state_[x].health == SourceHealth::kQuarantined) continue;
     runtimes_[x]->TriggerReplan();
     state_[x].profile_next = true;
@@ -598,7 +560,7 @@ Status BuildingBlock::DeliverReleasable(size_t s, int64_t e,
     bool exhausted = false;
     JARVIS_RETURN_IF_ERROR(DeliverWire(s, &d, results, &exhausted));
     if (exhausted) {
-      if (CkptInterval() > 0) {
+      if (ZeroLossRecovery()) {
         // Zero-loss path: the interrupted delivery's remainder stays in
         // flight until checkpoint replay re-delivers it.
         ps.replay_outstanding += d.records - d.delivered;
@@ -632,8 +594,7 @@ Status BuildingBlock::DeliverWire(size_t s, Delivery* d,
     WireFrame copy = it->second;
     if (injector_) injector_->TamperRetransmit(s, want, &copy);
     ++stats_.retransmits;
-    stats_.backoff_ms_total += static_cast<uint64_t>(ft_.backoff_base_ms)
-                               << std::min(attempts - 1, 20);
+    stats_.backoff_ms_total += kBackoffBaseMs << std::min(attempts - 1, 20);
     *out_frame = std::move(copy);
     return true;
   };
@@ -744,8 +705,7 @@ void BuildingBlock::NoteMiss(size_t s) {
     // Straggler quarantine keeps the in-flight: the source is slow, not
     // gone, and its deliveries land after re-admission (late, not lost).
     pending_quarantine_.emplace_back(s, /*keep_inflight=*/true);
-  } else if (ps.misses >= ft_.suspect_after_misses &&
-             ps.health == SourceHealth::kHealthy) {
+  } else if (ps.health == SourceHealth::kHealthy) {
     ps.health = SourceHealth::kSuspect;
     ++stats_.suspects;
   }
@@ -758,7 +718,7 @@ void BuildingBlock::ApplyQuarantine(size_t s, int64_t e, bool keep_inflight) {
   // releasing it: replay will re-deliver every discarded record, and the
   // windows they belong to must not close without them. (The lossy path
   // trades exactly this — degraded mode keeps serving — for the loss.)
-  const bool ckpt_recovery = !keep_inflight && CkptInterval() > 0;
+  const bool ckpt_recovery = !keep_inflight && ZeroLossRecovery();
   if (!ckpt_recovery) sp_->RemoveSource(s);  // s < num_sources by construction
   ps.health = SourceHealth::kQuarantined;
   ps.misses = 0;
@@ -806,7 +766,7 @@ void BuildingBlock::ApplyQuarantine(size_t s, int64_t e, bool keep_inflight) {
   // bit-identical to a run without the fault.
   bool any_survivor = false;
   for (size_t x = 0; x < state_.size(); ++x) {
-    if (x == s || !state_[x].alive || state_[x].outstanding) continue;
+    if (x == s || state_[x].outstanding) continue;
     if (state_[x].health == SourceHealth::kQuarantined) continue;
     runtimes_[x]->TriggerReplan();
     state_[x].profile_next = true;
@@ -818,7 +778,7 @@ void BuildingBlock::ApplyQuarantine(size_t s, int64_t e, bool keep_inflight) {
 Status BuildingBlock::MaybeReadmit(int64_t e, stream::RecordBatch* results) {
   for (size_t s = 0; s < sources_.size(); ++s) {
     PerSource& ps = state_[s];
-    if (ps.health != SourceHealth::kQuarantined || !ps.alive) continue;
+    if (ps.health != SourceHealth::kQuarantined) continue;
     if (ps.readmit_at < 0 || e < ps.readmit_at) continue;
     std::optional<EpochEnvelope> stale;
     if (ps.outstanding) {

@@ -36,16 +36,13 @@ struct FaultToleranceOptions {
   /// Retransmission bound per delivery: a frame that cannot be delivered
   /// within this many NACK rounds quarantines its source.
   int max_retransmits = 3;
-  /// Modeled exponential backoff base per retransmission (accounted in
-  /// FaultStats::backoff_ms_total; the in-process wire has no real latency
-  /// to wait out, and sleeping would break determinism).
-  int backoff_base_ms = 1;
-  /// Consecutive missed epoch deadlines before a source is marked suspect /
-  /// quarantined.
-  int suspect_after_misses = 1;
+  /// Consecutive missed epoch deadlines before a source is quarantined; a
+  /// miss short of that marks it suspect.
   int quarantine_after_misses = 2;
   /// Epochs a quarantined source sits out before re-admission through the
-  /// AddSource join path; < 0 disables re-admission.
+  /// AddSource join path; < 0 disables re-admission, which makes a crash a
+  /// permanent failure: the source's watermark input is released and its
+  /// in-flight records are lost, checkpoints on or off.
   int readmit_after_epochs = 3;
   /// Wall-clock per-source epoch deadline in milliseconds; 0 keeps the
   /// deterministic barrier (scripted straggles only). When > 0, a source
@@ -167,19 +164,6 @@ class BuildingBlock {
   /// Runs one epoch across all sources and the stream processor; closed
   /// windows' results are appended to `results`.
   Status RunEpoch(stream::RecordBatch* results);
-
-  /// Checkpoints one source (Section IV-E fault tolerance): its accumulated
-  /// operator state and pending records travel the drain path to the stream
-  /// processor, which can then finalize current windows even if the source
-  /// subsequently fails. Returns the number of records shipped.
-  Result<size_t> CheckpointSource(size_t source_id,
-                                  stream::RecordBatch* results);
-
-  /// Simulates a data-source failure as a permanent quarantine: the source
-  /// stops contributing records, never re-admits, whatever it had in flight
-  /// is lost, and its watermark is released so the stream processor keeps
-  /// making progress for the surviving sources.
-  Status FailSource(size_t source_id);
 
   /// Adds a source mid-run (churn). It participates from the next epoch;
   /// until its first epoch output lands, the merged watermark holds — the
@@ -312,7 +296,6 @@ class BuildingBlock {
     std::shared_ptr<const CostModel> cost_model;
     SourceExecutorOptions options;
     bool profile_next = false;
-    bool alive = true;
     // --- failure-detector and wire state (consumer thread only, except
     // next_seq which the source's own serial task increments) ---
     SourceHealth health = SourceHealth::kHealthy;
@@ -424,7 +407,8 @@ class BuildingBlock {
   /// Failure-detector tick for a missed deadline or late delivery.
   void NoteMiss(size_t s);
   /// Removes a source from the barrier and the watermark merge, schedules
-  /// its re-admission, and triggers a re-plan on the survivors.
+  /// its re-admission, and triggers a re-plan on the survivors. The only
+  /// way a source leaves the block.
   void ApplyQuarantine(size_t s, int64_t epoch, bool keep_inflight);
   /// Lifts quarantines whose backoff expired (the AddSource join path:
   /// revived watermark input holds the merge until the first delivery).
@@ -440,6 +424,12 @@ class BuildingBlock {
   int CkptRetain() const {
     return ft_.checkpoint_retain > 0 ? ft_.checkpoint_retain
                                      : env_ckpt_retain_;
+  }
+  /// A crash recovers through checkpoint replay only when the source will
+  /// be re-admitted: holding a never-readmitted source's watermark input
+  /// would keep every window open until Finish.
+  bool ZeroLossRecovery() const {
+    return CkptInterval() > 0 && ft_.readmit_after_epochs >= 0;
   }
   struct CkptFrameOut {
     bool emitted = false;

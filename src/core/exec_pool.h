@@ -85,100 +85,6 @@ class ExecPool {
   bool stopped_ = false;
 };
 
-/// Bounded multi-producer single-consumer hand-off queue: the wire between N
-/// source threads and the stream-processor consumer. Push blocks while the
-/// queue is full — that is the backpressure a slow SP exerts on fast sources
-/// — and Pop blocks while it is empty. Close() wakes everyone; a closed,
-/// empty queue Pops nullopt. FIFO order is global across producers (single
-/// mutex), so per-producer order is preserved.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity ? capacity : 1) {}
-
-  /// Blocks until there is room or the queue is closed; returns false (and
-  /// drops `v`) if closed.
-  bool Push(T v) {
-    std::unique_lock<std::mutex> lk(mu_);
-    space_cv_.wait(lk, [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(v));
-    item_cv_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item arrives or the queue is closed and drained.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    item_cv_.wait(lk, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    space_cv_.notify_one();
-    return v;
-  }
-
-  /// Deadline-bounded Push: waits at most `timeout` for room. Returns false
-  /// (keeping `v` unconsumed only in the sense that nothing was enqueued) on
-  /// timeout or close. This is the failure-detector's tool against a stalled
-  /// consumer: a runtime path that must not block forever pushes with a
-  /// deadline and treats the timeout as a detection signal, not a deadlock.
-  template <typename Rep, typename Period>
-  bool TryPushFor(T v, std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!space_cv_.wait_for(lk, timeout, [&] {
-          return closed_ || items_.size() < capacity_;
-        })) {
-      return false;
-    }
-    if (closed_) return false;
-    items_.push_back(std::move(v));
-    item_cv_.notify_one();
-    return true;
-  }
-
-  /// Deadline-bounded Pop: waits at most `timeout` for an item. nullopt on
-  /// timeout or on closed-and-drained — the caller distinguishes via
-  /// closed() if it needs to.
-  template <typename Rep, typename Period>
-  std::optional<T> TryPopFor(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!item_cv_.wait_for(lk, timeout,
-                           [&] { return closed_ || !items_.empty(); })) {
-      return std::nullopt;
-    }
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    space_cv_.notify_one();
-    return v;
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return closed_;
-  }
-
-  void Close() {
-    std::lock_guard<std::mutex> lk(mu_);
-    closed_ = true;
-    item_cv_.notify_all();
-    space_cv_.notify_all();
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return items_.size();
-  }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable item_cv_, space_cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
 /// Mutex-sharded per-key hand-off of epoch outputs into the SP consumer: a
 /// producer Puts its key's value once per round, and the consumer Takes keys
 /// in a fixed order — the stable merge order that makes the epoch

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
-#include <iterator>
+#include <climits>
+#include <cstdint>
 #include <set>
 #include <utility>
 
@@ -17,118 +17,137 @@ namespace {
 constexpr std::string_view kKindNames[] = {"crash", "straggle", "drop",
                                            "dup",   "flip",     "stall"};
 
-Result<FaultKind> ParseKind(std::string_view s) {
-  for (size_t i = 0; i < std::size(kKindNames); ++i) {
-    if (s == kKindNames[i]) return static_cast<FaultKind>(i);
-  }
-  return Status::InvalidArgument("unknown fault kind: " + std::string(s));
-}
-
-Result<uint64_t> ParseU64(std::string_view s) {
-  uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    return Status::InvalidArgument("bad number in fault spec: " +
-                                   std::string(s));
-  }
-  return v;
-}
-
 uint64_t FlipKey(size_t source, uint32_t seq) {
   return (static_cast<uint64_t>(source) << 32) | seq;
 }
 
 }  // namespace
 
-std::string_view FaultKindToString(FaultKind k) {
-  return kKindNames[static_cast<size_t>(k)];
-}
-
-Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
-  FaultPlan plan;
+Result<PlanSpec> ParsePlanSpec(std::string_view spec,
+                               std::span<const std::string_view> kinds,
+                               std::string_view what, bool with_factor) {
+  PlanSpec plan;
+  std::string_view tok;  // the token being parsed, quoted by every error
+  const auto bad = [&](const std::string& why) {
+    return Status::InvalidArgument(std::string(what) + " spec: " + why +
+                                   " in '" + std::string(tok) + "'");
+  };
+  // A decimal number of at most `max`: digits only, no sign, no space.
+  const auto number = [&](std::string_view s,
+                          uint64_t max) -> Result<uint64_t> {
+    uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || ptr != s.data() + s.size() || v > max) {
+      return bad("bad number '" + std::string(s) + "'");
+    }
+    return v;
+  };
   while (!spec.empty()) {
     const size_t semi = spec.find(';');
-    std::string_view tok = spec.substr(0, semi);
-    spec = (semi == std::string_view::npos) ? std::string_view()
-                                            : spec.substr(semi + 1);
+    tok = spec.substr(0, semi);
+    spec = semi == std::string_view::npos ? "" : spec.substr(semi + 1);
     if (tok.empty()) continue;
-    if (tok.substr(0, 5) == "seed=") {
-      JARVIS_ASSIGN_OR_RETURN(plan.seed, ParseU64(tok.substr(5)));
+    if (tok.starts_with("seed=")) {
+      JARVIS_ASSIGN_OR_RETURN(plan.seed, number(tok.substr(5), UINT64_MAX));
       continue;
     }
-    // kind@epoch:source[#chunk][xcount]
+    // kind@epoch:source[#index][xcount][*factor]
     const size_t at = tok.find('@');
-    if (at == std::string_view::npos) {
-      return Status::InvalidArgument("fault event missing '@': " +
-                                     std::string(tok));
-    }
-    FaultEvent ev;
-    JARVIS_ASSIGN_OR_RETURN(ev.kind, ParseKind(tok.substr(0, at)));
-    std::string_view rest = tok.substr(at + 1);
-    const size_t colon = rest.find(':');
+    const size_t colon = tok.find(':', at);
     if (colon == std::string_view::npos) {
-      return Status::InvalidArgument("fault event missing ':': " +
-                                     std::string(tok));
+      return bad("event is not kind@epoch:source");
     }
-    JARVIS_ASSIGN_OR_RETURN(uint64_t epoch, ParseU64(rest.substr(0, colon)));
+    PlanEvent ev;
+    ev.kind = static_cast<size_t>(
+        std::find(kinds.begin(), kinds.end(), tok.substr(0, at)) -
+        kinds.begin());
+    if (ev.kind == kinds.size()) return bad("unknown kind");
+    JARVIS_ASSIGN_OR_RETURN(
+        const uint64_t epoch,
+        number(tok.substr(at + 1, colon - at - 1), INT64_MAX));
     ev.epoch = static_cast<int64_t>(epoch);
-    rest = rest.substr(colon + 1);
-    // Optional suffixes, in order: #chunk then xcount.
-    const size_t x = rest.find('x');
-    std::string_view count_part;
-    if (x != std::string_view::npos) {
-      count_part = rest.substr(x + 1);
-      rest = rest.substr(0, x);
-      if (count_part.empty()) {
-        return Status::InvalidArgument("fault event has 'x' but no count: " +
-                                       std::string(tok));
-      }
+    // The optional slots, cut from the outside in; an absent one reads as
+    // its default.
+    std::string_view rest = tok.substr(colon + 1);
+    std::string_view index = "0", count = "1", factor;
+    for (const auto& [mark, part] :
+         {std::pair{'*', &factor}, std::pair{'x', &count},
+          std::pair{'#', &index}}) {
+      const size_t cut = rest.find(mark);
+      if (cut == std::string_view::npos) continue;
+      *part = rest.substr(cut + 1);
+      rest = rest.substr(0, cut);
+      if (part->empty()) return bad(std::string("'") + mark + "' but no value");
     }
-    const size_t hash = rest.find('#');
-    std::string_view chunk_part;
-    if (hash != std::string_view::npos) {
-      chunk_part = rest.substr(hash + 1);
-      rest = rest.substr(0, hash);
-      if (chunk_part.empty()) {
-        return Status::InvalidArgument("fault event has '#' but no chunk: " +
-                                       std::string(tok));
-      }
+    JARVIS_ASSIGN_OR_RETURN(ev.source, number(rest, SIZE_MAX));
+    JARVIS_ASSIGN_OR_RETURN(ev.index, number(index, SIZE_MAX));
+    JARVIS_ASSIGN_OR_RETURN(const uint64_t n, number(count, INT_MAX));
+    if (n == 0) return bad("count must be positive");
+    ev.count = static_cast<int>(n);
+    // Every query tests epoch < ev.epoch + ev.count.
+    if (ev.epoch > INT64_MAX - ev.count) {
+      return bad("event ends past the last epoch");
     }
-    JARVIS_ASSIGN_OR_RETURN(uint64_t source, ParseU64(rest));
-    ev.source = static_cast<size_t>(source);
-    if (!chunk_part.empty()) {
-      JARVIS_ASSIGN_OR_RETURN(uint64_t chunk, ParseU64(chunk_part));
-      ev.chunk = static_cast<size_t>(chunk);
-    }
-    if (!count_part.empty()) {
-      JARVIS_ASSIGN_OR_RETURN(uint64_t count, ParseU64(count_part));
-      if (count == 0) {
-        return Status::InvalidArgument("fault count must be positive");
-      }
-      ev.count = static_cast<int>(count);
+    if (!factor.empty()) {
+      if (!with_factor) return bad("no '*factor' allowed");
+      JARVIS_ASSIGN_OR_RETURN(ev.factor, number(factor, UINT64_MAX));
+      if (ev.factor == 0) return bad("factor must be positive");
     }
     plan.events.push_back(ev);
   }
   return plan;
 }
 
-std::string FaultPlan::ToString() const {
-  std::string out = "seed=" + std::to_string(seed);
-  for (const FaultEvent& ev : events) {
+std::string FormatPlanSpec(const PlanSpec& plan,
+                           std::span<const std::string_view> kinds) {
+  std::string out = "seed=" + std::to_string(plan.seed);
+  for (const PlanEvent& ev : plan.events) {
     out += ';';
-    out += FaultKindToString(ev.kind);
+    out += kinds[ev.kind];
     out += '@' + std::to_string(ev.epoch) + ':' + std::to_string(ev.source);
-    if (ev.chunk != 0) out += '#' + std::to_string(ev.chunk);
+    if (ev.index != 0) out += '#' + std::to_string(ev.index);
     if (ev.count != 1) out += 'x' + std::to_string(ev.count);
+    if (ev.factor != 0) out += '*' + std::to_string(ev.factor);
   }
   return out;
+}
+
+std::string_view FaultKindToString(FaultKind k) {
+  return kKindNames[static_cast<size_t>(k)];
+}
+
+Result<FaultPlan> FaultPlan::Parse(std::string_view spec) {
+  JARVIS_ASSIGN_OR_RETURN(
+      PlanSpec parsed,
+      ParsePlanSpec(spec, kKindNames, "fault", /*with_factor=*/false));
+  FaultPlan plan;
+  plan.seed = parsed.seed;
+  for (const PlanEvent& ev : parsed.events) {
+    plan.events.push_back({static_cast<FaultKind>(ev.kind), ev.source,
+                           ev.epoch, ev.index, ev.count});
+  }
+  return plan;
+}
+
+std::string FaultPlan::ToString() const {
+  PlanSpec spec;
+  spec.seed = seed;
+  for (const FaultEvent& ev : events) {
+    spec.events.push_back({static_cast<size_t>(ev.kind), ev.source, ev.epoch,
+                           ev.chunk, ev.count, 0});
+  }
+  return FormatPlanSpec(spec, kKindNames);
 }
 
 Result<std::unique_ptr<FaultInjector>> FaultInjector::FromEnv() {
   std::optional<std::string> spec = env::Raw("JARVIS_FAULTS");
   if (!spec) return std::unique_ptr<FaultInjector>();
-  JARVIS_ASSIGN_OR_RETURN(FaultPlan plan, FaultPlan::Parse(*spec));
-  return std::make_unique<FaultInjector>(std::move(plan));
+  Result<FaultPlan> plan = FaultPlan::Parse(*spec);
+  if (!plan.ok()) {
+    return Status::InvalidArgument("JARVIS_FAULTS: " +
+                                   plan.status().message());
+  }
+  return std::make_unique<FaultInjector>(*std::move(plan));
 }
 
 bool FaultInjector::ShouldCrash(size_t source, int64_t epoch) const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,8 +50,46 @@ struct FaultEvent {
   bool operator==(const FaultEvent&) const = default;
 };
 
+// ---------------------------------------------------------------------------
+// Plan grammar, shared by fault plans (JARVIS_FAULTS) and traffic plans
+// (JARVIS_TRAFFIC):
+//
+//   seed=N;kind@epoch:source[#index][xcount][*factor];...
+//
+// Each plan names its kinds in a table (in enum order) and maps the parsed
+// fields onto its own event type.
+// ---------------------------------------------------------------------------
+
+/// One event as the grammar spells it.
+struct PlanEvent {
+  size_t kind = 0;  ///< index into the plan's kind table
+  size_t source = 0;
+  int64_t epoch = 0;
+  size_t index = 0;     ///< `#`: frame (faults) or field (traffic)
+  int count = 1;        ///< `x`: at least 1
+  uint64_t factor = 0;  ///< `*`: at least 1 when given, 0 when absent
+};
+
+struct PlanSpec {
+  uint64_t seed = 1;
+  std::vector<PlanEvent> events;
+};
+
+/// Parses a plan spec. `what` ("fault", "traffic") opens every error. A
+/// spec is rejected, never wrapped, when a number does not fit its field or
+/// an event's epoch + count passes INT64_MAX; `*factor` is rejected unless
+/// `with_factor`.
+Result<PlanSpec> ParsePlanSpec(std::string_view spec,
+                               std::span<const std::string_view> kinds,
+                               std::string_view what, bool with_factor);
+/// The spec ParsePlanSpec reads back to `plan`: `#0`, `x1` and an absent
+/// factor are left out.
+std::string FormatPlanSpec(const PlanSpec& plan,
+                           std::span<const std::string_view> kinds);
+
 /// A complete fault schedule plus the seed that derives every "random"
-/// choice (which bit flips). Spec grammar, round-tripped by Parse/ToString:
+/// choice (which bit flips). Spec grammar (ParsePlanSpec, without
+/// `*factor`), round-tripped by Parse/ToString:
 ///
 ///   seed=N;kind@epoch:source[#chunk][xcount];...
 ///

@@ -1,13 +1,12 @@
 #include "core/overload.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <iterator>
 #include <utility>
 
 #include "common/env.h"
 #include "common/rng.h"
+#include "core/fault.h"
 
 namespace jarvis::core {
 
@@ -19,23 +18,6 @@ constexpr std::string_view kTrafficKindNames[] = {"burst", "ramp", "skew",
 /// Multipliers beyond this are implausible and would only blow up memory;
 /// the shaper clamps rather than erroring so ramp endpoints stay scriptable.
 constexpr double kMaxRateMultiplier = 64.0;
-
-Result<TrafficKind> ParseTrafficKind(std::string_view s) {
-  for (size_t i = 0; i < std::size(kTrafficKindNames); ++i) {
-    if (s == kTrafficKindNames[i]) return static_cast<TrafficKind>(i);
-  }
-  return Status::InvalidArgument("unknown traffic kind: " + std::string(s));
-}
-
-Result<uint64_t> ParseTrafficU64(std::string_view s) {
-  uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc() || ptr != s.data() + s.size()) {
-    return Status::InvalidArgument("bad number in traffic spec: " +
-                                   std::string(s));
-  }
-  return v;
-}
 
 uint64_t DefaultFactor(TrafficKind kind) {
   switch (kind) {
@@ -65,6 +47,25 @@ double Hash01(uint64_t seed, size_t source, int64_t epoch, uint64_t index,
 constexpr uint64_t kReplicateSalt = 0x5eed;
 constexpr uint64_t kSkewSalt = 0xabcd;
 
+/// Pressure-score thresholds for the target rung (score 1.0 = at capacity).
+/// Escalation still walks one rung per epoch.
+constexpr double kThrottleAt = 1.5;
+constexpr double kShedAt = 3.0;
+constexpr double kQuarantineAt = 8.0;
+/// De-escalate one rung after kCalmEpochs consecutive epochs with score <
+/// kCalmBelow.
+constexpr double kCalmBelow = 1.2;
+constexpr int kCalmEpochs = 2;
+/// Throttled admission cap = capacity * kCatchup (> 1 so the deferred
+/// backlog drains once the burst passes instead of persisting forever).
+constexpr double kCatchup = 1.5;
+/// Defer buffer = capacity * kDeferEpochs before the shedder fires.
+constexpr double kDeferEpochs = 2.0;
+/// OperatorProfile::pressure contribution per rung (throttled = 1x,
+/// shedding = 2x, quarantined = 4x) — the degrade-before-drop signal the
+/// LP prices into its bandwidth term.
+constexpr double kPressureGain = 1.0;
+
 bool Active(const TrafficEvent& ev, size_t source, int64_t epoch) {
   return ev.source == source && epoch >= ev.epoch &&
          epoch < ev.epoch + ev.count;
@@ -77,105 +78,28 @@ std::string_view TrafficKindToString(TrafficKind k) {
 }
 
 Result<TrafficPlan> TrafficPlan::Parse(std::string_view spec) {
+  JARVIS_ASSIGN_OR_RETURN(
+      PlanSpec parsed,
+      ParsePlanSpec(spec, kTrafficKindNames, "traffic", /*with_factor=*/true));
   TrafficPlan plan;
-  while (!spec.empty()) {
-    const size_t semi = spec.find(';');
-    std::string_view tok = spec.substr(0, semi);
-    spec = (semi == std::string_view::npos) ? std::string_view()
-                                            : spec.substr(semi + 1);
-    if (tok.empty()) continue;
-    if (tok.substr(0, 5) == "seed=") {
-      JARVIS_ASSIGN_OR_RETURN(plan.seed, ParseTrafficU64(tok.substr(5)));
-      continue;
-    }
-    // kind@epoch:source[#field][xcount][*factor]
-    const size_t at = tok.find('@');
-    if (at == std::string_view::npos) {
-      return Status::InvalidArgument("traffic event missing '@': " +
-                                     std::string(tok));
-    }
-    TrafficEvent ev;
-    JARVIS_ASSIGN_OR_RETURN(ev.kind, ParseTrafficKind(tok.substr(0, at)));
-    std::string_view rest = tok.substr(at + 1);
-    const size_t colon = rest.find(':');
-    if (colon == std::string_view::npos) {
-      return Status::InvalidArgument("traffic event missing ':': " +
-                                     std::string(tok));
-    }
-    JARVIS_ASSIGN_OR_RETURN(uint64_t epoch,
-                            ParseTrafficU64(rest.substr(0, colon)));
-    ev.epoch = static_cast<int64_t>(epoch);
-    rest = rest.substr(colon + 1);
-    // Optional suffixes, innermost-last: #field, then xcount, then *factor.
-    const size_t star = rest.find('*');
-    std::string_view factor_part;
-    if (star != std::string_view::npos) {
-      factor_part = rest.substr(star + 1);
-      rest = rest.substr(0, star);
-      if (factor_part.empty()) {
-        return Status::InvalidArgument(
-            "traffic event has '*' but no factor: " + std::string(tok));
-      }
-    }
-    const size_t x = rest.find('x');
-    std::string_view count_part;
-    if (x != std::string_view::npos) {
-      count_part = rest.substr(x + 1);
-      rest = rest.substr(0, x);
-      if (count_part.empty()) {
-        return Status::InvalidArgument("traffic event has 'x' but no count: " +
-                                       std::string(tok));
-      }
-    }
-    const size_t hash = rest.find('#');
-    std::string_view field_part;
-    if (hash != std::string_view::npos) {
-      field_part = rest.substr(hash + 1);
-      rest = rest.substr(0, hash);
-      if (field_part.empty()) {
-        return Status::InvalidArgument("traffic event has '#' but no field: " +
-                                       std::string(tok));
-      }
-    }
-    JARVIS_ASSIGN_OR_RETURN(uint64_t source, ParseTrafficU64(rest));
-    ev.source = static_cast<size_t>(source);
-    if (!field_part.empty()) {
-      JARVIS_ASSIGN_OR_RETURN(uint64_t field, ParseTrafficU64(field_part));
-      ev.field = static_cast<size_t>(field);
-    }
-    if (!count_part.empty()) {
-      JARVIS_ASSIGN_OR_RETURN(uint64_t count, ParseTrafficU64(count_part));
-      if (count == 0) {
-        return Status::InvalidArgument("traffic count must be positive");
-      }
-      ev.count = static_cast<int>(count);
-    }
-    if (!factor_part.empty()) {
-      JARVIS_ASSIGN_OR_RETURN(ev.factor, ParseTrafficU64(factor_part));
-      if (ev.factor == 0) {
-        return Status::InvalidArgument("traffic factor must be positive");
-      }
-    } else {
-      ev.factor = DefaultFactor(ev.kind);
-    }
-    plan.events.push_back(ev);
+  plan.seed = parsed.seed;
+  for (const PlanEvent& ev : parsed.events) {
+    const auto kind = static_cast<TrafficKind>(ev.kind);
+    plan.events.push_back({kind, ev.source, ev.epoch, ev.index, ev.count,
+                           ev.factor != 0 ? ev.factor : DefaultFactor(kind)});
   }
   return plan;
 }
 
 std::string TrafficPlan::ToString() const {
-  std::string out = "seed=" + std::to_string(seed);
+  PlanSpec spec;
+  spec.seed = seed;
   for (const TrafficEvent& ev : events) {
-    out += ';';
-    out += TrafficKindToString(ev.kind);
-    out += '@' + std::to_string(ev.epoch) + ':' + std::to_string(ev.source);
-    if (ev.field != 0) out += '#' + std::to_string(ev.field);
-    if (ev.count != 1) out += 'x' + std::to_string(ev.count);
-    if (ev.factor != DefaultFactor(ev.kind)) {
-      out += '*' + std::to_string(ev.factor);
-    }
+    spec.events.push_back(
+        {static_cast<size_t>(ev.kind), ev.source, ev.epoch, ev.field,
+         ev.count, ev.factor != DefaultFactor(ev.kind) ? ev.factor : 0});
   }
-  return out;
+  return FormatPlanSpec(spec, kTrafficKindNames);
 }
 
 Result<std::unique_ptr<TrafficShaper>> TrafficShaper::FromEnv() {
@@ -321,14 +245,14 @@ IngressDirective OverloadController::DirectiveFor(const SourceState& st,
     case OverloadLevel::kSteady:
       break;
     case OverloadLevel::kThrottled:
-      d.admit_cap = records(cap * opts_.catchup);
-      d.defer_cap = records(cap * opts_.defer_epochs);
-      d.pressure = opts_.pressure_gain;
+      d.admit_cap = records(cap * kCatchup);
+      d.defer_cap = records(cap * kDeferEpochs);
+      d.pressure = kPressureGain;
       break;
     case OverloadLevel::kShedding:
-      d.admit_cap = records(cap * opts_.catchup);
-      d.defer_cap = records(cap * opts_.defer_epochs);
-      d.pressure = 2.0 * opts_.pressure_gain;
+      d.admit_cap = records(cap * kCatchup);
+      d.defer_cap = records(cap * kDeferEpochs);
+      d.pressure = 2.0 * kPressureGain;
       break;
     case OverloadLevel::kQuarantined:
       // Ingress blackout: nothing admitted, nothing deferred — everything
@@ -336,7 +260,7 @@ IngressDirective OverloadController::DirectiveFor(const SourceState& st,
       // sits out the storm.
       d.admit_cap = 0;
       d.defer_cap = 0;
-      d.pressure = 4.0 * opts_.pressure_gain;
+      d.pressure = 4.0 * kPressureGain;
       break;
   }
   return d;
@@ -367,14 +291,14 @@ IngressDirective OverloadController::Tick(size_t source,
   // Learn capacity only from calm epochs, so a burst never inflates the
   // baseline it is judged against.
   if (opts_.source_capacity_records == 0 && offered > 0.0 &&
-      score < opts_.throttle_at) {
+      score < kThrottleAt) {
     st.baseline = 0.7 * st.baseline + 0.3 * offered;
   }
   const OverloadLevel target =
-      score >= opts_.quarantine_at  ? OverloadLevel::kQuarantined
-      : score >= opts_.shed_at      ? OverloadLevel::kShedding
-      : score >= opts_.throttle_at  ? OverloadLevel::kThrottled
-                                    : OverloadLevel::kSteady;
+      score >= kQuarantineAt ? OverloadLevel::kQuarantined
+      : score >= kShedAt     ? OverloadLevel::kShedding
+      : score >= kThrottleAt ? OverloadLevel::kThrottled
+                             : OverloadLevel::kSteady;
   if (target > st.level) {
     // Escalate one rung per epoch: throttle (and let the re-plan move
     // operators toward the source) before shedding, shed before blackout.
@@ -382,9 +306,8 @@ IngressDirective OverloadController::Tick(size_t source,
     st.calm_streak = 0;
     ++stats_.escalations;
     escalated_last_tick_ = true;
-  } else if (score < opts_.calm_below) {
-    if (++st.calm_streak >= opts_.calm_epochs &&
-        st.level > OverloadLevel::kSteady) {
+  } else if (score < kCalmBelow) {
+    if (++st.calm_streak >= kCalmEpochs && st.level > OverloadLevel::kSteady) {
       st.level =
           static_cast<OverloadLevel>(static_cast<uint8_t>(st.level) - 1);
       st.calm_streak = 0;

@@ -67,7 +67,8 @@ struct TrafficEvent {
 
 /// A complete traffic schedule plus the seed deriving every "random" choice
 /// (which records replicate on a fractional multiplier, which rewrite to the
-/// hot key). Spec grammar, round-tripped by Parse/ToString:
+/// hot key). Spec grammar (ParsePlanSpec, core/fault.h), round-tripped by
+/// Parse/ToString:
 ///
 ///   seed=N;kind@epoch:source[#field][xcount][*factor];...
 ///
@@ -154,35 +155,16 @@ struct IngressDirective {
   bool operator==(const IngressDirective&) const = default;
 };
 
-/// Tuning for the controller. Defaults are conservative enough that steady
-/// traffic (score ~1) never leaves kSteady, so enabling overload control on
-/// a benign run is a no-op.
+/// Capacities the controller judges pressure against. The ladder's
+/// thresholds are fixed (overload.cc) and steady traffic (score ~1) never
+/// leaves kSteady, so enabling overload control on a benign run is a no-op.
 struct OverloadOptions {
-  uint64_t seed = 1;
   /// Per-source per-epoch record capacity. 0 = learn an EWMA baseline from
   /// calm epochs (initialized from the first epoch's offered load).
   uint64_t source_capacity_records = 0;
   /// Modeled SP consume capacity (records/epoch) shared by all sources.
   /// 0 disables the SP-side pressure signal.
   uint64_t sp_capacity_records = 0;
-  /// Pressure-score thresholds for the target rung (score 1.0 = at
-  /// capacity). Escalation still walks one rung per epoch.
-  double throttle_at = 1.5;
-  double shed_at = 3.0;
-  double quarantine_at = 8.0;
-  /// De-escalate one rung after `calm_epochs` consecutive epochs with
-  /// score < calm_below.
-  double calm_below = 1.2;
-  int calm_epochs = 2;
-  /// Throttled admission cap = capacity * catchup (> 1 so the deferred
-  /// backlog drains once the burst passes instead of persisting forever).
-  double catchup = 1.5;
-  /// Defer buffer = capacity * defer_epochs before the shedder fires.
-  double defer_epochs = 2.0;
-  /// OperatorProfile::pressure contribution per rung (throttled = 1x,
-  /// shedding = 2x, quarantined = 4x) — the degrade-before-drop signal the
-  /// LP prices into its bandwidth term.
-  double pressure_gain = 1.0;
 };
 
 /// Aggregate overload accounting; compared across thread counts alongside

@@ -175,23 +175,6 @@ void SourceExecutor::DrainPendingStage(size_t i, SourceEpochOutput* out) {
   }
 }
 
-Result<SourceEpochOutput> SourceExecutor::Checkpoint(Micros watermark) {
-  JARVIS_RETURN_IF_ERROR(init_status_);
-  SourceEpochOutput out;
-  out.watermark = watermark;
-  // Pending (unprocessed) records resume at their own operator.
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    DrainPendingStage(i, &out);
-  }
-  // Accumulated operator state merges into the replicated operator.
-  for (size_t i = 0; i < proxies_.size(); ++i) {
-    stream::RecordBatch state;
-    JARVIS_RETURN_IF_ERROR(pipeline_->op(i).ExportPartialState(&state));
-    DrainBatch(i, std::move(state), &out);
-  }
-  return out;
-}
-
 Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,
                                                    bool profile_mode) {
   JARVIS_RETURN_IF_ERROR(init_status_);

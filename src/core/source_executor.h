@@ -104,14 +104,6 @@ class SourceExecutor {
   /// at the start of the next epoch (plan reconfiguration flush).
   void RequestFlush() { flush_pending_ = true; }
 
-  /// Section IV-E checkpoint: immediately exports all pending records *and*
-  /// all accumulated operator state (as mergeable kPartial records) over the
-  /// drain path. After a subsequent source failure the stream processor can
-  /// still finalize the current windows. State ownership transfers: local
-  /// accumulators restart empty, which is correct because partial-state
-  /// merging is additive.
-  Result<SourceEpochOutput> Checkpoint(Micros watermark);
-
   /// Serializes the executor's recoverable state as an epoch-aligned
   /// checkpoint body (core/checkpoint.h): the routing entry conditions
   /// (pending-flush flag, per-proxy load factors), then per stage the

@@ -136,10 +136,6 @@ class Operator {
   /// accumulated build sides).
   virtual bool IsStateful() const { return false; }
 
-  /// True when the operator's aggregation state can be updated incrementally
-  /// and merged across partial executions (rule R-1 in Section IV-B).
-  virtual bool IsIncremental() const { return true; }
-
   const std::string& name() const { return name_; }
   const Schema& output_schema() const { return output_schema_; }
   const OperatorStats& stats() const { return stats_; }

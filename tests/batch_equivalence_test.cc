@@ -635,9 +635,10 @@ core::BuildingBlock::SourceSpec PingmeshSpec(uint64_t seed, int pairs,
 }
 
 /// Runs the full scripted workload (tight budgets => backpressure and drain;
-/// default RuntimeConfig => profile epochs and adaptation flushes; one
-/// mid-run checkpoint) at the given thread count. Returns the final results
-/// and fills `trace` with each (epoch, source) fingerprint in consume order.
+/// default RuntimeConfig => profile epochs and adaptation flushes; on even
+/// seeds, an epoch-aligned checkpoint frame every second epoch) at the given
+/// thread count. Returns the final results and fills `trace` with each
+/// (epoch, source) fingerprint in consume order.
 RecordBatch RunWorkloadAt(int threads, uint64_t seed, size_t num_sources,
                           int epochs, std::vector<EpochFingerprint>* trace,
                           bool compress = false) {
@@ -657,6 +658,13 @@ RecordBatch RunWorkloadAt(int threads, uint64_t seed, size_t num_sources,
                             threads);
   EXPECT_TRUE(block.Init().ok());
   EXPECT_EQ(block.threads(), threads);
+  if (seed % 2 == 0) {
+    // Checkpoint frames are wire frames like any other: they enter the
+    // fingerprint through the wire tap.
+    core::FaultToleranceOptions ft;
+    ft.checkpoint_interval = 2;
+    block.EnableFaultTolerance(ft);
+  }
   // Pin the codec explicitly so the test means the same thing whether or
   // not the environment (CI's compression-on leg) sets JARVIS_WIRE_COMPRESS.
   block.SetWireCodec(core::WireCodecOptions{.compress = compress});
@@ -675,9 +683,6 @@ RecordBatch RunWorkloadAt(int threads, uint64_t seed, size_t num_sources,
   RecordBatch results;
   for (int e = 0; e < epochs; ++e) {
     EXPECT_TRUE(block.RunEpoch(&results).ok()) << "epoch " << e;
-    if (e == epochs / 2) {
-      EXPECT_TRUE(block.CheckpointSource(0, &results).ok());
-    }
   }
   EXPECT_TRUE(block.Finish(&results).ok());
   return results;

@@ -67,82 +67,38 @@ TEST(BuildingBlockTest, MultipleSourcesMergeAtTheStreamProcessor) {
   EXPECT_EQ(pairs.size(), 150u);
 }
 
-TEST(BuildingBlockTest, CheckpointShipsStateToStreamProcessor) {
-  query::CompiledQuery q = CompileS2S();
-  std::vector<BuildingBlock::SourceSpec> specs;
-  specs.push_back(MakeSpec(7, 1.0));
-  BuildingBlock block(q, std::move(specs));
-  ASSERT_TRUE(block.Init().ok());
-  // Force everything local so the source holds aggregation state.
-  stream::RecordBatch results;
-  for (int e = 0; e < 4; ++e) {
-    block.source(0).SetLoadFactors({1, 1, 1});
-    ASSERT_TRUE(block.RunEpoch(&results).ok());
-  }
-  auto shipped = block.CheckpointSource(0, &results);
-  ASSERT_TRUE(shipped.ok()) << shipped.status().ToString();
-  EXPECT_GT(*shipped, 0u);
-}
-
-TEST(BuildingBlockTest, SourceFailureAfterCheckpointLosesNothing) {
-  // The Section IV-E fault-tolerance story: state checkpointed via the
-  // drain path lets the stream processor finalize the current window after
-  // the source dies.
-  query::CompiledQuery q = CompileS2S();
-
-  auto run = [&](bool fail_after_checkpoint) {
-    std::vector<BuildingBlock::SourceSpec> specs;
-    specs.push_back(MakeSpec(9, 1.0));
-    BuildingBlock block(q, std::move(specs));
-    stream::RecordBatch results;
-    for (int e = 0; e < 4; ++e) {
-      block.source(0).SetLoadFactors({1, 1, 1});
-      EXPECT_TRUE(block.RunEpoch(&results).ok());
-    }
-    EXPECT_TRUE(block.CheckpointSource(0, &results).ok());
-    if (fail_after_checkpoint) {
-      EXPECT_TRUE(block.FailSource(0).ok());
-    }
-    EXPECT_TRUE(block.Finish(&results).ok());
-    return results;
-  };
-
-  stream::RecordBatch with_failure = run(true);
-  stream::RecordBatch without_failure = run(false);
-  // The 4 epochs of probes before the checkpoint are fully represented in
-  // both runs: same groups, same counts for the first window.
-  ASSERT_FALSE(with_failure.empty());
-  std::multiset<std::string> a, b;
-  for (const auto& r : with_failure) {
-    if (r.window_start == 0) {
-      a.insert(stream::ValueToString(r.fields[0]) + "/" +
-               stream::ValueToString(r.fields[1]));
-    }
-  }
-  for (const auto& r : without_failure) {
-    if (r.window_start == 0) {
-      b.insert(stream::ValueToString(r.fields[0]) + "/" +
-               stream::ValueToString(r.fields[1]));
-    }
-  }
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a.empty());
-}
-
 TEST(BuildingBlockTest, FailedSourceDoesNotBlockSurvivors) {
+  // A permanent failure is a scripted crash with re-admission off. With
+  // checkpoints off or on, its quarantine releases the dead source's
+  // watermark input, so the survivor's windows keep closing.
   query::CompiledQuery q = CompileS2S();
-  std::vector<BuildingBlock::SourceSpec> specs;
-  specs.push_back(MakeSpec(11, 1.0, 30));
-  specs.push_back(MakeSpec(12, 1.0, 30));
-  BuildingBlock block(q, std::move(specs));
-  stream::RecordBatch results;
-  for (int e = 0; e < 3; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
-  ASSERT_TRUE(block.FailSource(0).ok());
-  // The surviving source's windows keep closing (the dead source's
-  // watermark was released).
-  const size_t before = results.size();
-  for (int e = 3; e < 15; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
-  EXPECT_GT(results.size(), before);
+  for (const int ckpt_interval : {-1, 1}) {
+    SCOPED_TRACE(ckpt_interval);
+    std::vector<BuildingBlock::SourceSpec> specs;
+    specs.push_back(MakeSpec(11, 1.0, 30));
+    specs.push_back(MakeSpec(12, 1.0, 30));
+    BuildingBlock block(q, std::move(specs));
+    ASSERT_TRUE(block.Init().ok());
+    FaultToleranceOptions ft;
+    ft.readmit_after_epochs = -1;
+    ft.checkpoint_interval = ckpt_interval;
+    block.EnableFaultTolerance(ft);
+    auto plan = FaultPlan::Parse("crash@3:0");
+    ASSERT_TRUE(plan.ok());
+    block.SetFaultPlan(*plan);
+    stream::RecordBatch results;
+    for (int e = 0; e < 4; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
+    ASSERT_EQ(block.health(0), SourceHealth::kQuarantined);
+    const size_t before = results.size();
+    for (int e = 4; e < 15; ++e) ASSERT_TRUE(block.RunEpoch(&results).ok());
+    EXPECT_GT(results.size(), before);
+    EXPECT_EQ(block.health(0), SourceHealth::kQuarantined);
+    const FaultStats& st = block.fault_stats();
+    EXPECT_EQ(st.crashes, 1u);
+    EXPECT_EQ(st.readmissions, 0u);
+    EXPECT_EQ(st.records_sent, st.records_delivered + st.records_lost +
+                                   st.records_shed + block.records_in_flight());
+  }
 }
 
 TEST(BuildingBlockTest, PlainBlockBooksItsWire) {
@@ -206,16 +162,6 @@ TEST(BuildingBlockTest, FinishBooksItsFlush) {
             st.records_sent - before.records_sent);
   EXPECT_EQ(st.records_sent, st.records_delivered + st.records_lost +
                                  st.records_shed + block.records_in_flight());
-}
-
-TEST(BuildingBlockTest, InvalidSourceIdsRejected) {
-  query::CompiledQuery q = CompileS2S();
-  std::vector<BuildingBlock::SourceSpec> specs;
-  specs.push_back(MakeSpec(1, 1.0));
-  BuildingBlock block(q, std::move(specs));
-  stream::RecordBatch results;
-  EXPECT_FALSE(block.CheckpointSource(5, &results).ok());
-  EXPECT_FALSE(block.FailSource(5).ok());
 }
 
 }  // namespace

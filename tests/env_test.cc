@@ -1,8 +1,9 @@
 // The centralized JARVIS_* knob parser: every runtime environment variable
 // goes through env::{Int,Flag}, so a typo'd knob is one loud startup
 // error naming the variable and the accepted form — never a silent fallback.
-// Also covers the BuildingBlock contract: a malformed JARVIS_TRAFFIC or
-// JARVIS_OVERLOAD surfaces as an Init() error, not a quietly unshaped run.
+// Also covers the BuildingBlock contract: a malformed JARVIS_FAULTS,
+// JARVIS_TRAFFIC or JARVIS_OVERLOAD surfaces as an Init() error naming the
+// variable, not a quietly unshaped run.
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,16 @@ TEST(EnvTest, MalformedTrafficPlanFailsInit) {
   const Status s = block.Init();
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("JARVIS_TRAFFIC"), std::string::npos)
+      << s.message();
+}
+
+TEST(EnvTest, MalformedFaultPlanFailsInit) {
+  ScopedEnv e("JARVIS_FAULTS", "seed=5;meteor@1:0");
+  const query::CompiledQuery q = CompileS2S();
+  core::BuildingBlock block(q, MakeSpecs());
+  const Status s = block.Init();
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("JARVIS_FAULTS"), std::string::npos)
       << s.message();
 }
 

@@ -1,12 +1,12 @@
 // ExecPool determinism harness: pool lifecycle (start/stop/resize), strict
 // per-key task ordering, epoch-barrier semantics, shutdown with pending
-// work, and the hand-off primitives (BoundedQueue backpressure,
-// ShardedHandoff ordered takes) — each also fuzzed across JARVIS_FUZZ_ITERS
-// seeds with randomized keys, task counts, resizes, and barriers. The suite
-// carries the `concurrency` label so the TSan CI leg verifies that the
-// claimed serialization (per-key queues, barrier happens-before) is real
-// synchronization, not luck: per-key state below is deliberately accessed
-// without test-side locks wherever the pool's own guarantees make that safe.
+// work, and the ShardedHandoff's ordered takes — each also fuzzed across
+// JARVIS_FUZZ_ITERS seeds with randomized keys, task counts, resizes, and
+// barriers. The suite carries the `concurrency` label so the TSan CI leg
+// verifies that the claimed serialization (per-key queues, barrier
+// happens-before) is real synchronization, not luck: per-key state below is
+// deliberately accessed without test-side locks wherever the pool's own
+// guarantees make that safe.
 
 #include <gtest/gtest.h>
 
@@ -112,38 +112,6 @@ TEST(ExecPoolTest, DestructorDrainsPendingWork) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ExecPoolTest, BoundedQueueBackpressuresProducers) {
-  BoundedQueue<int> q(2);
-  std::atomic<int> produced{0};
-  std::thread producer([&] {
-    for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(q.Push(i));
-      ++produced;
-    }
-  });
-  SleepMs(10);
-  // The producer is stuck against the bound, not racing ahead.
-  EXPECT_LE(produced.load(), 2 + 1);
-  EXPECT_LE(q.size(), 2u);
-  for (int i = 0; i < 40; ++i) {
-    auto v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);  // single producer: strict FIFO
-  }
-  producer.join();
-  q.Close();
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(ExecPoolTest, BoundedQueueCloseWakesBlockedProducer) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(0));
-  std::thread producer([&] { EXPECT_FALSE(q.Push(1)); });
-  SleepMs(5);
-  q.Close();
-  producer.join();
-}
-
 TEST(ExecPoolTest, ShardedHandoffDeliversInTakeOrder) {
   constexpr size_t kKeys = 16;
   ShardedHandoff<int> handoff(kKeys, 4);
@@ -162,33 +130,6 @@ TEST(ExecPoolTest, ShardedHandoffDeliversInTakeOrder) {
     }
     pool.WaitIdle();
   }
-}
-
-TEST(ExecPoolTest, BoundedQueueDeadlineVariantsTimeOutAndRecover) {
-  BoundedQueue<int> q(1);
-  // Empty queue: TryPopFor times out without consuming anything.
-  EXPECT_FALSE(q.TryPopFor(std::chrono::milliseconds(1)).has_value());
-  ASSERT_TRUE(q.TryPushFor(7, std::chrono::milliseconds(1)));
-  // Full queue: TryPushFor times out and drops, leaving the queue intact.
-  EXPECT_FALSE(q.TryPushFor(8, std::chrono::milliseconds(1)));
-  EXPECT_EQ(q.size(), 1u);
-  auto v = q.TryPopFor(std::chrono::milliseconds(1));
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  // A blocked deadline pop is satisfied by a late producer within bound.
-  std::thread producer([&] {
-    SleepMs(5);
-    ASSERT_TRUE(q.Push(9));
-  });
-  auto late = q.TryPopFor(std::chrono::seconds(10));
-  producer.join();
-  ASSERT_TRUE(late.has_value());
-  EXPECT_EQ(*late, 9);
-  // Close wakes deadline waiters with nullopt / false.
-  q.Close();
-  EXPECT_FALSE(q.TryPopFor(std::chrono::milliseconds(1)).has_value());
-  EXPECT_FALSE(q.TryPushFor(1, std::chrono::milliseconds(1)));
-  EXPECT_TRUE(q.closed());
 }
 
 TEST(ExecPoolTest, ShardedHandoffTryTakeForMissesThenPicksUpLatePut) {

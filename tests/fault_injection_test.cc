@@ -12,16 +12,21 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/building_block.h"
 #include "core/fault.h"
+#include "core/overload.h"
 #include "stream/record.h"
 #include "stream/watermark.h"
 #include "testing/test_util.h"
@@ -168,6 +173,32 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
         "seed=;crash@1:0", "flip@2:1#zz", "@1:0"}) {
     EXPECT_FALSE(FaultPlan::Parse(bad).ok()) << bad;
   }
+}
+
+TEST(FaultPlanTest, RejectsNumbersThatDoNotFitTheirField) {
+  // Nothing wraps: an epoch past INT64_MAX, a count past INT_MAX, an event
+  // window ending past INT64_MAX or a number past UINT64_MAX is an error,
+  // not a different plan. Fault events take no factor.
+  for (const char* bad :
+       {"crash@18446744073709551615:0", "crash@9223372036854775808:0",
+        "straggle@1:0x4294967296", "straggle@1:0x2147483648",
+        "crash@9223372036854775807:0", "straggle@9223372036854775800:0x8",
+        "drop@1:18446744073709551616", "drop@1:0#18446744073709551616",
+        "seed=18446744073709551616;crash@1:0", "crash@1:0*2"}) {
+    EXPECT_EQ(FaultPlan::Parse(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // The largest numbers that fit still parse.
+  auto edge = FaultPlan::Parse(
+      "seed=18446744073709551615;crash@9223372036854775806:0;"
+      "flip@1:18446744073709551615#18446744073709551615x2147483647");
+  ASSERT_TRUE(edge.ok()) << edge.status().message();
+  EXPECT_EQ(edge->seed, UINT64_MAX);
+  EXPECT_EQ(edge->events[0].epoch, INT64_MAX - 1);
+  EXPECT_EQ(edge->events[1].source, SIZE_MAX);
+  EXPECT_EQ(edge->events[1].chunk, SIZE_MAX);
+  EXPECT_EQ(edge->events[1].count, INT_MAX);
 }
 
 TEST(FaultPlanTest, InjectorTamperingIsDeterministic) {
@@ -493,6 +524,167 @@ TEST(FaultInjectionTest, WallClockDeadlineSuspectsAndRecovers) {
   EXPECT_NE(block.stream_processor().merged_watermark(),
             stream::WatermarkMerger::kUninitialized);
 }
+
+// ---------------------------------------------------------------------------
+// Plan grammar fuzz: valid fault and traffic specs with flipped bytes,
+// spliced together, or with a boundary number in one numeric slot. Each
+// spec parses or fails with InvalidArgument under both plans; an accepted
+// plan round-trips through ToString, and the injector and shaper run on it
+// over epochs 0..64 (the sanitizer legs judge those queries).
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kFaultKinds[] = {"crash", "straggle", "drop",
+                                            "dup",   "flip",     "stall"};
+constexpr std::string_view kTrafficKinds[] = {"burst", "ramp", "skew",
+                                              "leave"};
+constexpr std::string_view kBoundaryNumbers[] = {
+    "0",
+    "1",
+    "2147483647",
+    "2147483648",
+    "4294967295",
+    "4294967296",
+    "9223372036854775806",
+    "9223372036854775807",
+    "9223372036854775808",
+    "18446744073709551615",
+    "18446744073709551616",
+    "99999999999999999999999"};
+
+std::string ValidSpec(Rng* rng, bool traffic) {
+  const std::span<const std::string_view> kinds =
+      traffic ? std::span<const std::string_view>(kTrafficKinds)
+              : std::span<const std::string_view>(kFaultKinds);
+  std::string spec = "seed=" + std::to_string(rng->NextBounded(1000));
+  const uint64_t events = 1 + rng->NextBounded(4);
+  for (uint64_t i = 0; i < events; ++i) {
+    spec += ';';
+    spec += kinds[rng->NextBounded(kinds.size())];
+    spec += '@' + std::to_string(rng->NextBounded(64)) + ':' +
+            std::to_string(rng->NextBounded(4));
+    if (rng->NextBounded(2)) spec += '#' + std::to_string(rng->NextBounded(3));
+    if (rng->NextBounded(2)) {
+      spec += 'x' + std::to_string(1 + rng->NextBounded(8));
+    }
+    if (traffic && rng->NextBounded(2)) {
+      spec += '*' + std::to_string(1 + rng->NextBounded(100));
+    }
+  }
+  return spec;
+}
+
+std::string Mutate(Rng* rng, std::string spec, const std::string& other) {
+  switch (rng->NextBounded(3)) {
+    case 0: {  // flip bytes, some into grammar characters
+      constexpr std::string_view kGrammar = "0123456789@:#x*;=-+ ";
+      const uint64_t flips = 1 + rng->NextBounded(3);
+      for (uint64_t i = 0; i < flips && !spec.empty(); ++i) {
+        char& c = spec[rng->NextBounded(spec.size())];
+        c = rng->NextBounded(2)
+                ? kGrammar[rng->NextBounded(kGrammar.size())]
+                : static_cast<char>(c ^ (1u << rng->NextBounded(8)));
+      }
+      return spec;
+    }
+    case 1:  // splice a prefix onto another spec's suffix
+      return spec.substr(0, rng->NextBounded(spec.size() + 1)) +
+             other.substr(rng->NextBounded(other.size() + 1));
+    default: {  // one numeric slot takes a boundary number
+      std::vector<std::pair<size_t, size_t>> slots;
+      for (size_t i = 0; i < spec.size();) {
+        if (spec[i] < '0' || spec[i] > '9') {
+          ++i;
+          continue;
+        }
+        size_t j = i;
+        while (j < spec.size() && spec[j] >= '0' && spec[j] <= '9') ++j;
+        slots.emplace_back(i, j - i);
+        i = j;
+      }
+      const auto [at, len] = slots[rng->NextBounded(slots.size())];
+      return spec.replace(
+          at, len,
+          kBoundaryNumbers[rng->NextBounded(std::size(kBoundaryNumbers))]);
+    }
+  }
+}
+
+/// Runs every injector query over epochs 0..64 for the plan's sources.
+void DriveInjector(const FaultPlan& plan) {
+  FaultInjector injector(plan);
+  std::vector<size_t> sources = {0};
+  for (const FaultEvent& ev : plan.events) sources.push_back(ev.source);
+  for (const size_t s : sources) {
+    for (int64_t e = 0; e <= 64; ++e) {
+      injector.ShouldCrash(s, e);
+      injector.StraggleEpochs(s, e);
+      injector.ShouldStall(s, e);
+      WireDrain wire;
+      for (uint32_t f = 0; f < 3; ++f) {
+        wire.frames.push_back(
+            {static_cast<uint32_t>(e) * 3 + f, 1, {1, 2, 3, 4}});
+      }
+      injector.TamperTransmission(s, e, &wire);
+      for (WireFrame& f : wire.frames) injector.TamperRetransmit(s, f.seq, &f);
+    }
+  }
+}
+
+/// Runs every shaper query over epochs 0..64 for the plan's sources.
+void DriveShaper(const TrafficPlan& plan) {
+  TrafficShaper shaper(plan);
+  std::vector<size_t> sources = {0};
+  for (const TrafficEvent& ev : plan.events) sources.push_back(ev.source);
+  for (const size_t s : sources) {
+    for (int64_t e = 0; e <= 64; ++e) {
+      const double m = shaper.RateMultiplier(s, e);
+      EXPECT_GE(m, 1.0);
+      EXPECT_LE(m, 64.0);
+      shaper.Suppressed(s, e);
+      stream::RecordBatch batch = {stream::Record(Seconds(e), {int64_t{7}, 1.5})};
+      shaper.Shape(s, e, &batch);
+      EXPECT_LE(batch.size(), 64u);
+    }
+  }
+}
+
+class PlanGrammarFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PlanGrammarFuzzTest, SpecsParseOrFailCleanlyAndRoundTrip) {
+  Rng rng(GetParam() * 6151);
+  for (int round = 0; round < 4; ++round) {
+    const bool traffic = round % 2 == 1;
+    // Drawn in sequence: argument evaluation order is unspecified, and a
+    // seed must name the same spec under every compiler.
+    const std::string valid = ValidSpec(&rng, traffic);
+    const std::string other = ValidSpec(&rng, !traffic);
+    const std::string spec = Mutate(&rng, valid, other);
+    SCOPED_TRACE(spec);
+    const Result<FaultPlan> fault = FaultPlan::Parse(spec);
+    if (fault.ok()) {
+      const Result<FaultPlan> again = FaultPlan::Parse(fault->ToString());
+      ASSERT_TRUE(again.ok()) << fault->ToString();
+      EXPECT_EQ(again->seed, fault->seed);
+      EXPECT_EQ(again->events, fault->events);
+      DriveInjector(*fault);
+    } else {
+      EXPECT_EQ(fault.status().code(), StatusCode::kInvalidArgument);
+    }
+    const Result<TrafficPlan> shaped = TrafficPlan::Parse(spec);
+    if (shaped.ok()) {
+      const Result<TrafficPlan> again = TrafficPlan::Parse(shaped->ToString());
+      ASSERT_TRUE(again.ok()) << shaped->ToString();
+      EXPECT_EQ(again->seed, shaped->seed);
+      EXPECT_EQ(again->events, shaped->events);
+      DriveShaper(*shaped);
+    } else {
+      EXPECT_EQ(shaped.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlanGrammarFuzzTest,
+                         ::testing::ValuesIn(jarvis::testing::FuzzSeeds()));
 
 }  // namespace
 }  // namespace jarvis::core

@@ -79,10 +79,12 @@ std::multiset<std::string> ExecuteRun(
     EXPECT_TRUE(sp.Consume(0, std::move(out).value(), &results).ok());
     EXPECT_TRUE(sp.EndEpoch(&results).ok());
   }
-  // Final flush: ship all remaining source state, then close all windows.
-  auto ckpt = source.Checkpoint(Seconds(epochs + 3600));
-  EXPECT_TRUE(ckpt.ok());
-  EXPECT_TRUE(sp.Consume(0, std::move(ckpt).value(), &results).ok());
+  // Final flush: ship the stage queues, close every window at the source,
+  // then close all windows at the SP.
+  source.RequestFlush();
+  auto flush = source.RunEpoch(Seconds(epochs + 3600), false);
+  EXPECT_TRUE(flush.ok());
+  EXPECT_TRUE(sp.Consume(0, std::move(flush).value(), &results).ok());
   EXPECT_TRUE(sp.EndEpoch(&results).ok());
   return Canonical(results);
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -72,6 +73,28 @@ TEST(TrafficPlanTest, RejectsMalformedSpecs) {
         "seed=;burst@1:0", "skew@2:1#zz", "@1:0", "burst@1:0*abc"}) {
     EXPECT_FALSE(TrafficPlan::Parse(bad).ok()) << bad;
   }
+}
+
+TEST(TrafficPlanTest, RejectsNumbersThatDoNotFitTheirField) {
+  // Wrapped, the first spec's epoch would read INT64_MIN and its count
+  // INT_MIN, and the first RateMultiplier call would overflow a signed add.
+  for (const char* bad :
+       {"burst@9223372036854775808:0x2147483648", "burst@1:0x2147483648",
+        "burst@1:0x4294967296", "burst@9223372036854775807:0",
+        "ramp@9223372036854775800:0x8", "skew@1:0#18446744073709551616",
+        "burst@1:0*18446744073709551616", "leave@18446744073709551615:0"}) {
+    EXPECT_EQ(TrafficPlan::Parse(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  auto edge = TrafficPlan::Parse(
+      "burst@9223372036854775806:0;ramp@1:0x2147483647*18446744073709551615");
+  ASSERT_TRUE(edge.ok()) << edge.status().message();
+  EXPECT_EQ(edge->events[0].epoch, INT64_MAX - 1);
+  EXPECT_EQ(edge->events[1].count, INT_MAX);
+  EXPECT_EQ(edge->events[1].factor, UINT64_MAX);
+  TrafficShaper shaper(*edge);
+  EXPECT_DOUBLE_EQ(shaper.RateMultiplier(0, INT64_MAX - 1), 4.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,8 +221,8 @@ TEST(OverloadControllerTest, WalksTheLadderOneRungPerEpoch) {
   // one rung per epoch — degrade (re-plan) gets its chance before drop.
   d = ctl.Tick(0, Offered(1000));
   EXPECT_EQ(d.level, OverloadLevel::kThrottled);
-  EXPECT_EQ(d.admit_cap, 150u);  // cap * catchup
-  EXPECT_EQ(d.defer_cap, 200u);  // cap * defer_epochs
+  EXPECT_EQ(d.admit_cap, 150u);  // cap * kCatchup
+  EXPECT_EQ(d.defer_cap, 200u);  // cap * kDeferEpochs
   EXPECT_GT(d.pressure, 0.0);
   EXPECT_TRUE(ctl.EscalatedLastTick());
 
@@ -219,7 +242,7 @@ TEST(OverloadControllerTest, WalksTheLadderOneRungPerEpoch) {
   EXPECT_FALSE(ctl.EscalatedLastTick());
   EXPECT_EQ(ctl.stats().escalations, 3u);
 
-  // Calm must be sustained: one quiet epoch is not enough (calm_epochs=2),
+  // Calm must be sustained: one quiet epoch is not enough (kCalmEpochs = 2),
   // then each pair of calm epochs steps one rung down.
   d = ctl.Tick(0, Offered(50));
   EXPECT_EQ(d.level, OverloadLevel::kQuarantined);
@@ -411,7 +434,7 @@ TEST(OverloadEndToEndTest, FlashBurstShedsReconvergesAndConserves) {
   EXPECT_EQ(run.levels.front(), OverloadLevel::kSteady);
 
   // Bounded queues: the deferred backlog never exceeded the defer cap the
-  // directives imposed (EWMA baseline * defer_epochs, with headroom for the
+  // directives imposed (EWMA baseline * kDeferEpochs, with headroom for the
   // baseline's drift).
   EXPECT_GT(run.overload.max_deferred, 0u);
 }

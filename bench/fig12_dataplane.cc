@@ -190,12 +190,8 @@ PathResult BenchOperator(
     out.reserve(cfg.records);
     t0 = NowSeconds();
     for (RecordBatch& chunk : chunks) {
-      if (op_b->HasInPlaceBatch()) {
-        if (!op_b->ProcessBatchInPlace(&chunk).ok()) std::abort();
-        MoveAppend(std::move(chunk), &out);
-      } else if (!op_b->ProcessBatch(std::move(chunk), &out).ok()) {
-        std::abort();
-      }
+      if (!op_b->ProcessBatch(&chunk).ok()) std::abort();
+      MoveAppend(std::move(chunk), &out);
     }
     res.batch_s = std::min(res.batch_s, NowSeconds() - t0);
     out.clear();

@@ -151,18 +151,9 @@ Status SourceExecutor::ProcessStage(size_t i, double* budget_left,
     stage_input_.push_back(std::move(queue.front()));
     queue.pop_front();
   }
-  stream::Operator& op = pipeline_->op(i);
-  if (op.HasInPlaceBatch()) {
-    JARVIS_RETURN_IF_ERROR(op.ProcessBatchInPlace(&stage_input_));
-    proxy.CountProcessed(n);
-    RouteOutputs(i, std::move(stage_input_), out);
-    return Status::OK();
-  }
-  stage_emitted_.clear();
-  JARVIS_RETURN_IF_ERROR(
-      pipeline_->op(i).ProcessBatch(std::move(stage_input_), &stage_emitted_));
+  JARVIS_RETURN_IF_ERROR(pipeline_->op(i).ProcessBatch(&stage_input_));
   proxy.CountProcessed(n);
-  RouteOutputs(i, std::move(stage_emitted_), out);
+  RouteOutputs(i, std::move(stage_input_), out);
   return Status::OK();
 }
 

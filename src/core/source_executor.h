@@ -170,8 +170,8 @@ class SourceExecutor {
   // Ingress-admission scratch (throttled epochs only): the admitted prefix
   // peeled off the epoch buffer.
   stream::RecordBatch row_admit_;
-  // Hot-loop scratch, reused every epoch so the steady state allocates
-  // nothing: stage input, operator emissions, and proxy-drained records.
+  // Hot-loop scratch, reused every epoch: stage input (rewritten in place by
+  // its operator), window-close emissions, and proxy-drained records.
   stream::RecordBatch stage_input_;
   stream::RecordBatch stage_emitted_;
   stream::RecordBatch drained_scratch_;

@@ -316,24 +316,15 @@ Status GroupAggregateOp::DoProcess(Record&& rec, RecordBatch* out) {
   return UpdateFromData(rec, &cursor);
 }
 
-Status GroupAggregateOp::DoProcessBatch(RecordBatch&& batch,
-                                        RecordBatch* out) {
-  (void)out;  // G+R emits on window close, not per record.
+Status GroupAggregateOp::DoProcessBatch(RecordBatch* batch) {
   WindowCursor cursor;
-  for (const Record& rec : batch) {
+  for (const Record& rec : *batch) {
     if (rec.kind == RecordKind::kPartial) {
       JARVIS_RETURN_IF_ERROR(MergeFromPartial(rec, &cursor));
     } else {
       JARVIS_RETURN_IF_ERROR(UpdateFromData(rec, &cursor));
     }
   }
-  return Status::OK();
-}
-
-Status GroupAggregateOp::DoProcessBatchInPlace(RecordBatch* batch) {
-  // G+R consumes the whole batch into accumulator state; nothing flows on.
-  RecordBatch sink;
-  JARVIS_RETURN_IF_ERROR(DoProcessBatch(std::move(*batch), &sink));
   batch->clear();
   return Status::OK();
 }
@@ -435,9 +426,7 @@ Status GroupAggregateOp::WriteWindowSection(ser::BufferWriter* w,
   section_buf_.Clear();
   SerializeBatch(std::span<const Record>(section_rows_.data(), n),
                  state_schema_, &section_buf_);
-  w->PutVarI64(window_start);
-  w->PutVarU64(section_buf_.size());
-  w->PutBytes(section_buf_.data().data(), section_buf_.size());
+  WriteStateSection(w, window_start, section_buf_);
   return Status::OK();
 }
 
@@ -478,7 +467,10 @@ Status GroupAggregateOp::ExportStateDelta(ser::BufferWriter* w,
   return Status::OK();
 }
 
-Status GroupAggregateOp::RestoreWindowSection(Micros window_start) {
+Status GroupAggregateOp::RestoreWindowSection(Micros window_start,
+                                              ser::BufferReader* section) {
+  JARVIS_RETURN_IF_ERROR(DeserializeBatch(section, &section_rows_,
+                                          /*width=*/0, &section_tags_));
   const std::vector<Schema::Field>& fields = state_schema_.fields();
   if (!std::equal(section_tags_.begin(), section_tags_.end(), fields.begin(),
                   fields.end(), [](ValueType t, const Schema::Field& f) {
@@ -515,37 +507,20 @@ Status GroupAggregateOp::RestoreWindowSection(Micros window_start) {
 Status GroupAggregateOp::RestoreState(ser::BufferReader* r) {
   // The restored state is what the exporter's next delta is taken against.
   delta_tracking_ = true;
-  uint64_t n_tombstones = 0;
-  JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_tombstones));
-  for (uint64_t i = 0; i < n_tombstones; ++i) {
-    int64_t start = 0;
-    JARVIS_RETURN_IF_ERROR(r->GetVarI64(&start));
-    windows_.erase(start);
-    dirty_windows_.erase(start);
-    flushed_windows_.erase(start);
-  }
-  uint64_t n_sections = 0;
-  JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_sections));
-  for (uint64_t i = 0; i < n_sections; ++i) {
-    int64_t start = 0;
-    JARVIS_RETURN_IF_ERROR(r->GetVarI64(&start));
-    uint64_t len = 0;
-    JARVIS_RETURN_IF_ERROR(r->GetVarU64(&len));
-    if (len > r->remaining()) {
-      return Status::SerializationError("window section overruns checkpoint");
-    }
-    ser::BufferReader section(r->cursor(), len);
-    r->Advance(len);
-    JARVIS_RETURN_IF_ERROR(DeserializeBatch(&section, &section_rows_,
-                                            /*width=*/0, &section_tags_));
-    if (!section.AtEnd()) {
-      return Status::SerializationError("trailing bytes in window section");
-    }
-    JARVIS_RETURN_IF_ERROR(RestoreWindowSection(start));
-    dirty_windows_.erase(start);
-    flushed_windows_.erase(start);
-  }
-  return Status::OK();
+  return ReadStateDelta(
+      r,
+      [this](int64_t start) {
+        windows_.erase(start);
+        dirty_windows_.erase(start);
+        flushed_windows_.erase(start);
+        return Status::OK();
+      },
+      [this](int64_t start, ser::BufferReader* section) {
+        JARVIS_RETURN_IF_ERROR(RestoreWindowSection(start, section));
+        dirty_windows_.erase(start);
+        flushed_windows_.erase(start);
+        return Status::OK();
+      });
 }
 
 }  // namespace jarvis::stream

@@ -49,7 +49,6 @@ class GroupAggregateOp : public Operator {
 
   OpKind kind() const override { return OpKind::kGroupAggregate; }
   bool IsStateful() const override { return true; }
-  bool HasInPlaceBatch() const override { return true; }
 
   Status OnWatermark(Micros wm, RecordBatch* out) override;
   Status ExportPartialState(RecordBatch* out) override;
@@ -80,8 +79,9 @@ class GroupAggregateOp : public Operator {
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  /// Consumes the whole batch into accumulator state and clears it: G+R
+  /// emits on window close, not per record.
+  Status DoProcessBatch(RecordBatch* batch) override;
 
  private:
   /// Mergeable accumulator: enough to finalize any AggKind.
@@ -159,14 +159,14 @@ class GroupAggregateOp : public Operator {
   Status EmitWindow(Micros window_start, const GroupTable& groups,
                     RecordBatch* out);
 
-  /// Appends one window's section ([zigzag window_start][varint len]
-  /// [row batch]) to `w`: every group, or only the dirty ones. Clears
-  /// every dirty flag and the dirty list.
+  /// Appends one window's section (key window_start, body a row batch) to
+  /// `w`: every group, or only the dirty ones. Clears every dirty flag and
+  /// the dirty list.
   Status WriteWindowSection(ser::BufferWriter* w, Micros window_start,
                             GroupTable& groups, bool dirty_only);
-  /// Overwrites (or creates) the groups of `window_start` with the decoded
-  /// section in section_rows_ and section_tags_.
-  Status RestoreWindowSection(Micros window_start);
+  /// Overwrites (or creates) the groups of `window_start` with the row
+  /// batch in `section`.
+  Status RestoreWindowSection(Micros window_start, ser::BufferReader* section);
   /// Records that `window_start`'s contents changed (delta bookkeeping).
   void MarkDirty(Micros window_start) {
     if (delta_tracking_) dirty_windows_.insert(window_start);

@@ -11,7 +11,7 @@ JoinOp::JoinOp(std::string name, const Schema& input_schema,
       table_(std::move(table)),
       stream_key_field_(stream_key_field) {}
 
-Status JoinOp::JoinOne(Record&& rec, RecordBatch* out) {
+Status JoinOp::DoProcess(Record&& rec, RecordBatch* out) {
   if (rec.kind == RecordKind::kPartial) {
     out->push_back(std::move(rec));
     return Status::OK();
@@ -29,19 +29,7 @@ Status JoinOp::JoinOne(Record&& rec, RecordBatch* out) {
   return Status::OK();
 }
 
-Status JoinOp::DoProcess(Record&& rec, RecordBatch* out) {
-  return JoinOne(std::move(rec), out);
-}
-
-Status JoinOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  GrowForAppend(out, batch.size());
-  for (Record& rec : batch) {
-    JARVIS_RETURN_IF_ERROR(JoinOne(std::move(rec), out));
-  }
-  return Status::OK();
-}
-
-Status JoinOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status JoinOp::DoProcessBatch(RecordBatch* batch) {
   // Stable compaction over table misses; hits grow by the table value.
   size_t w = 0;
   for (size_t r = 0; r < batch->size(); ++r) {
@@ -66,50 +54,27 @@ Status JoinOp::DoProcessBatchInPlace(RecordBatch* batch) {
 
 Status JoinOp::ExportStateDelta(ser::BufferWriter* w, StateExport mode) {
   w->PutVarU64(0);  // no tombstones: the counter is replaced, never dropped
-  if (mode == StateExport::kFull || misses_ != exported_misses_) {
-    w->PutVarU64(1);
-    w->PutVarI64(0);  // section key 0: the miss counter
+  const bool changed = mode == StateExport::kFull || misses_ != exported_misses_;
+  w->PutVarU64(changed ? 1 : 0);
+  if (changed) {
     ser::BufferWriter section;
     section.PutVarU64(misses_);
-    w->PutVarU64(section.size());
-    w->PutBytes(section.data().data(), section.size());
-  } else {
-    w->PutVarU64(0);
+    WriteStateSection(w, 0, section);  // section key 0: the miss counter
   }
   exported_misses_ = misses_;
   return Status::OK();
 }
 
 Status JoinOp::RestoreState(ser::BufferReader* r) {
-  uint64_t n_tombstones = 0;
-  JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_tombstones));
-  if (n_tombstones != 0) {
-    return Status::SerializationError("join state has no tombstones");
-  }
-  uint64_t n_sections = 0;
-  JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_sections));
-  for (uint64_t i = 0; i < n_sections; ++i) {
-    int64_t key = 0;
-    JARVIS_RETURN_IF_ERROR(r->GetVarI64(&key));
-    uint64_t len = 0;
-    JARVIS_RETURN_IF_ERROR(r->GetVarU64(&len));
-    if (len > r->remaining()) {
-      return Status::SerializationError("join state section overruns");
-    }
-    if (key != 0) {
-      return Status::SerializationError("unknown join state section");
-    }
-    ser::BufferReader section(r->cursor(), len);
-    r->Advance(len);
-    uint64_t misses = 0;
-    JARVIS_RETURN_IF_ERROR(section.GetVarU64(&misses));
-    if (!section.AtEnd()) {
-      return Status::SerializationError("trailing bytes in join state");
-    }
-    misses_ = misses;
-    exported_misses_ = misses;
-  }
-  return Status::OK();
+  return ReadStateDelta(
+      r, nullptr, [this](int64_t key, ser::BufferReader* section) {
+        if (key != 0) {
+          return Status::SerializationError("unknown join state section");
+        }
+        JARVIS_RETURN_IF_ERROR(section->GetVarU64(&misses_));
+        exported_misses_ = misses_;
+        return Status::OK();
+      });
 }
 
 }  // namespace jarvis::stream

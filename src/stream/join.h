@@ -50,7 +50,6 @@ class JoinOp : public Operator {
 
   uint64_t misses() const { return misses_; }
   const StaticTable& table() const { return *table_; }
-  bool HasInPlaceBatch() const override { return true; }
 
   /// The build side is immutable (why this op is replicable, rule R-3), so
   /// the only recoverable state is the miss counter: exported as a single
@@ -60,13 +59,9 @@ class JoinOp : public Operator {
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  Status DoProcessBatch(RecordBatch* batch) override;
 
  private:
-  /// Non-virtual per-record body shared by both process paths.
-  Status JoinOne(Record&& rec, RecordBatch* out);
-
   std::shared_ptr<const StaticTable> table_;
   size_t stream_key_field_;
   uint64_t misses_ = 0;

@@ -31,21 +31,11 @@ Status Operator::Process(Record&& rec, RecordBatch* out) {
   return Status::OK();
 }
 
-Status Operator::ProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  stats_.records_in += batch.size();
-  if (count_bytes_) stats_.bytes_in += BatchBytes(batch);
-  const size_t first = out->size();
-  JARVIS_RETURN_IF_ERROR(DoProcessBatch(std::move(batch), out));
-  CountOutputs(*out, first);
-  return Status::OK();
-}
-
-Status Operator::ProcessBatchInPlace(RecordBatch* batch) {
+Status Operator::ProcessBatch(RecordBatch* batch) {
   stats_.records_in += batch->size();
   if (count_bytes_) stats_.bytes_in += BatchBytes(*batch);
-  JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(batch));
-  stats_.records_out += batch->size();
-  if (count_bytes_) stats_.bytes_out += BatchBytes(*batch);
+  JARVIS_RETURN_IF_ERROR(DoProcessBatch(batch));
+  CountOutputs(*batch, 0);
   return Status::OK();
 }
 
@@ -61,32 +51,55 @@ Status Operator::ExportStateDelta(ser::BufferWriter* w, StateExport mode) {
 }
 
 Status Operator::RestoreState(ser::BufferReader* r) {
+  if (IsStateful()) {
+    return Status::Unimplemented(name_ +
+                                 ": stateful operator without RestoreState");
+  }
+  return ReadStateDelta(r, nullptr, nullptr);
+}
+
+Status Operator::ReadStateDelta(ser::BufferReader* r,
+                                const TombstoneFn& tombstone,
+                                const SectionFn& section) const {
   uint64_t n_tombstones = 0;
   JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_tombstones));
-  int64_t key = 0;
   for (uint64_t i = 0; i < n_tombstones; ++i) {
+    int64_t key = 0;
     JARVIS_RETURN_IF_ERROR(r->GetVarI64(&key));
+    if (!tombstone) {
+      return Status::SerializationError(name_ + ": unexpected state tombstone");
+    }
+    JARVIS_RETURN_IF_ERROR(tombstone(key));
   }
   uint64_t n_sections = 0;
   JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_sections));
   for (uint64_t i = 0; i < n_sections; ++i) {
+    int64_t key = 0;
     JARVIS_RETURN_IF_ERROR(r->GetVarI64(&key));
     uint64_t len = 0;
     JARVIS_RETURN_IF_ERROR(r->GetVarU64(&len));
     if (len > r->remaining()) {
       return Status::SerializationError(name_ + ": state section overruns");
     }
+    if (!section) {
+      return Status::SerializationError(name_ + ": unexpected state section");
+    }
+    ser::BufferReader body(r->cursor(), len);
     r->Advance(len);
-  }
-  if (IsStateful()) {
-    return Status::Unimplemented(name_ +
-                                 ": stateful operator without RestoreState");
-  }
-  if (n_tombstones != 0 || n_sections != 0) {
-    return Status::SerializationError(name_ +
-                                      ": state delta for a stateless operator");
+    JARVIS_RETURN_IF_ERROR(section(key, &body));
+    if (!body.AtEnd()) {
+      return Status::SerializationError(name_ +
+                                        ": trailing bytes in state section");
+    }
   }
   return Status::OK();
+}
+
+void Operator::WriteStateSection(ser::BufferWriter* w, int64_t key,
+                                 const ser::BufferWriter& body) {
+  w->PutVarI64(key);
+  w->PutVarU64(body.size());
+  w->PutBytes(body.data().data(), body.size());
 }
 
 uint64_t Operator::BatchBytes(const RecordBatch& batch) {

@@ -1,6 +1,7 @@
 #ifndef JARVIS_STREAM_OPERATOR_H_
 #define JARVIS_STREAM_OPERATOR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,7 +63,7 @@ struct OperatorStats {
 /// (ProcessBatch); control proxies apportion whole record runs between the
 /// local copy and the replicated copy on the stream processor, so batching
 /// does not change what the control plane can express. Process remains as
-/// the record-at-a-time compatibility path.
+/// the record-at-a-time reference the batch path is checked against.
 class Operator {
  public:
   Operator(std::string name, Schema output_schema)
@@ -77,27 +78,16 @@ class Operator {
   /// Processes one record, appending any outputs to `out`. Updates stats.
   Status Process(Record&& rec, RecordBatch* out);
 
-  /// Processes a whole batch, appending outputs to `out` in order. Produces
+  /// Rewrites a whole batch in place into its outputs, in order. Produces
   /// exactly the outputs and stats of calling Process on each record in
-  /// order, but with one stats pass and (for operators that override
-  /// DoProcessBatch) no per-record virtual dispatch.
-  Status ProcessBatch(RecordBatch&& batch, RecordBatch* out);
-
-  /// True when this operator can rewrite a batch in place (1:1 transforms,
-  /// in-place compaction, or full consumption). In-place stages cost zero
-  /// inter-stage record moves in Pipeline::PushBatch.
-  virtual bool HasInPlaceBatch() const { return false; }
-
-  /// Rewrites `batch` in place; only valid when HasInPlaceBatch(). Output
-  /// records (and stats) are identical to the copying paths.
-  Status ProcessBatchInPlace(RecordBatch* batch);
+  /// order, but with one stats pass and no per-record virtual dispatch.
+  Status ProcessBatch(RecordBatch* batch);
 
   /// Toggles byte-level stats accounting (records are always counted).
   /// Walking every record's WireSize costs more than most operators
   /// themselves; the source executor enables it only for profiling epochs,
   /// where relay-byte ratios actually feed the LP. Defaults to on.
   void set_byte_accounting(bool enabled) { count_bytes_ = enabled; }
-  bool byte_accounting() const { return count_bytes_; }
 
   /// Advances event time. Stateful operators flush windows closed by `wm`.
   virtual Status OnWatermark(Micros wm, RecordBatch* out) {
@@ -129,7 +119,7 @@ class Operator {
   /// Applies one exported delta on top of current state: tombstones erase by
   /// key, sections overwrite by key. Restoring a checkpoint chain applies
   /// the full keyframe and then each delta in order onto a freshly built
-  /// operator. The base implementation parses (and requires) an empty delta.
+  /// operator. The base implementation requires an empty delta.
   virtual Status RestoreState(ser::BufferReader* r);
 
   /// True when this operator keeps cross-record state (grouping, joins with
@@ -142,22 +132,24 @@ class Operator {
   void ResetStats() { stats_.Reset(); }
 
  protected:
+  using TombstoneFn = std::function<Status(int64_t key)>;
+  using SectionFn = std::function<Status(int64_t key, ser::BufferReader* body)>;
+
   virtual Status DoProcess(Record&& rec, RecordBatch* out) = 0;
 
-  /// Batch hook with a per-record fallback; operators with tight-loop
-  /// implementations (Filter, Project, GroupAggregate, ...) override this.
-  virtual Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-    for (Record& rec : batch) {
-      JARVIS_RETURN_IF_ERROR(DoProcess(std::move(rec), out));
-    }
-    return Status::OK();
-  }
+  /// Batch hook: rewrites `batch` in place into this operator's outputs.
+  virtual Status DoProcessBatch(RecordBatch* batch) = 0;
 
-  /// In-place hook; implemented by operators that report HasInPlaceBatch().
-  virtual Status DoProcessBatchInPlace(RecordBatch* batch) {
-    (void)batch;
-    return Status::Internal("operator has no in-place batch path");
-  }
+  /// Reads one state delta (the grammar above) from `r`, handing each
+  /// tombstone key to `tombstone` and each section to `section` with a
+  /// reader over exactly its bytes, which it must consume. A null callback
+  /// rejects any tombstone or section.
+  Status ReadStateDelta(ser::BufferReader* r, const TombstoneFn& tombstone,
+                        const SectionFn& section) const;
+
+  /// Appends one section of the grammar above: `key`, then `body`'s bytes.
+  static void WriteStateSection(ser::BufferWriter* w, int64_t key,
+                                const ser::BufferWriter& body);
 
   /// Lets subclasses account records emitted from OnWatermark /
   /// ExportPartialState in the output-side stats.

@@ -18,7 +18,7 @@ Status WindowOp::DoProcess(Record&& rec, RecordBatch* out) {
   return Status::OK();
 }
 
-Status WindowOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status WindowOp::DoProcessBatch(RecordBatch* batch) {
   if (width_ <= 0) {
     return Status::InvalidArgument("window width must be positive");
   }
@@ -30,59 +30,33 @@ Status WindowOp::DoProcessBatchInPlace(RecordBatch* batch) {
   return Status::OK();
 }
 
-Status WindowOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(&batch));
-  MoveAppend(std::move(batch), out);
-  return Status::OK();
-}
-
 Status WindowOp::ExportStateDelta(ser::BufferWriter* w, StateExport mode) {
   w->PutVarU64(0);  // no tombstones
+  // Width never changes, so deltas are empty; a keyframe carries it as
+  // section 0, the config guard.
+  w->PutVarU64(mode == StateExport::kFull ? 1 : 0);
   if (mode == StateExport::kFull) {
-    w->PutVarU64(1);
-    w->PutVarI64(0);  // section key 0: the configured width guard
     ser::BufferWriter section;
     section.PutVarU64(static_cast<uint64_t>(width_));
-    w->PutVarU64(section.size());
-    w->PutBytes(section.data().data(), section.size());
-  } else {
-    w->PutVarU64(0);  // width never changes: deltas are empty
+    WriteStateSection(w, 0, section);
   }
   return Status::OK();
 }
 
 Status WindowOp::RestoreState(ser::BufferReader* r) {
-  uint64_t n_tombstones = 0;
-  JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_tombstones));
-  if (n_tombstones != 0) {
-    return Status::SerializationError("window state has no tombstones");
-  }
-  uint64_t n_sections = 0;
-  JARVIS_RETURN_IF_ERROR(r->GetVarU64(&n_sections));
-  for (uint64_t i = 0; i < n_sections; ++i) {
-    int64_t key = 0;
-    JARVIS_RETURN_IF_ERROR(r->GetVarI64(&key));
-    uint64_t len = 0;
-    JARVIS_RETURN_IF_ERROR(r->GetVarU64(&len));
-    if (len > r->remaining()) {
-      return Status::SerializationError("window state section overruns");
-    }
-    if (key != 0) {
-      return Status::SerializationError("unknown window state section");
-    }
-    ser::BufferReader section(r->cursor(), len);
-    r->Advance(len);
-    uint64_t width = 0;
-    JARVIS_RETURN_IF_ERROR(section.GetVarU64(&width));
-    if (!section.AtEnd()) {
-      return Status::SerializationError("trailing bytes in window state");
-    }
-    if (width != static_cast<uint64_t>(width_)) {
-      return Status::SerializationError(
-          "checkpoint window width does not match the deployed plan");
-    }
-  }
-  return Status::OK();
+  return ReadStateDelta(
+      r, nullptr, [this](int64_t key, ser::BufferReader* section) {
+        if (key != 0) {
+          return Status::SerializationError("unknown window state section");
+        }
+        uint64_t width = 0;
+        JARVIS_RETURN_IF_ERROR(section->GetVarU64(&width));
+        if (width != static_cast<uint64_t>(width_)) {
+          return Status::SerializationError(
+              "checkpoint window width does not match the deployed plan");
+        }
+        return Status::OK();
+      });
 }
 
 FilterOp::FilterOp(std::string name, Schema schema, Predicate pred)
@@ -105,7 +79,7 @@ Status FilterOp::DoProcess(Record&& rec, RecordBatch* out) {
   return Status::OK();
 }
 
-Status FilterOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status FilterOp::DoProcessBatch(RecordBatch* batch) {
   // Stable in-place compaction: survivors slide down over dropped slots.
   size_t w = 0;
   for (size_t r = 0; r < batch->size(); ++r) {
@@ -116,16 +90,6 @@ Status FilterOp::DoProcessBatchInPlace(RecordBatch* batch) {
     }
   }
   batch->resize(w);
-  return Status::OK();
-}
-
-Status FilterOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  GrowForAppend(out, batch.size());
-  for (Record& rec : batch) {
-    if (rec.kind == RecordKind::kPartial || pred_(rec)) {
-      out->push_back(std::move(rec));
-    }
-  }
   return Status::OK();
 }
 
@@ -145,11 +109,13 @@ Status MapOp::DoProcess(Record&& rec, RecordBatch* out) {
   return MapOne(std::move(rec), out);
 }
 
-Status MapOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  GrowForAppend(out, batch.size());
-  for (Record& rec : batch) {
-    JARVIS_RETURN_IF_ERROR(MapOne(std::move(rec), out));
+Status MapOp::DoProcessBatch(RecordBatch* batch) {
+  RecordBatch out;
+  out.reserve(batch->size());
+  for (Record& rec : *batch) {
+    JARVIS_RETURN_IF_ERROR(MapOne(std::move(rec), &out));
   }
+  batch->swap(out);
   return Status::OK();
 }
 
@@ -158,7 +124,7 @@ ProjectOp::ProjectOp(std::string name, const Schema& input_schema,
     : Operator(std::move(name), input_schema.Select(keep)),
       keep_(std::move(keep)) {}
 
-Status ProjectOp::ProjectOne(Record&& rec, RecordBatch* out) {
+Status ProjectOp::DoProcess(Record&& rec, RecordBatch* out) {
   if (rec.kind == RecordKind::kPartial) {
     out->push_back(std::move(rec));
     return Status::OK();
@@ -178,11 +144,7 @@ Status ProjectOp::ProjectOne(Record&& rec, RecordBatch* out) {
   return Status::OK();
 }
 
-Status ProjectOp::DoProcess(Record&& rec, RecordBatch* out) {
-  return ProjectOne(std::move(rec), out);
-}
-
-Status ProjectOp::DoProcessBatchInPlace(RecordBatch* batch) {
+Status ProjectOp::DoProcessBatch(RecordBatch* batch) {
   // The scratch vector and each record's field vector swap roles every
   // iteration, so the steady state allocates nothing: a record's projected
   // fields land in the buffer freed by the previous record.
@@ -197,12 +159,6 @@ Status ProjectOp::DoProcessBatchInPlace(RecordBatch* batch) {
     }
     std::swap(rec.fields, field_scratch_);
   }
-  return Status::OK();
-}
-
-Status ProjectOp::DoProcessBatch(RecordBatch&& batch, RecordBatch* out) {
-  JARVIS_RETURN_IF_ERROR(DoProcessBatchInPlace(&batch));
-  MoveAppend(std::move(batch), out);
   return Status::OK();
 }
 

@@ -20,7 +20,6 @@ class WindowOp : public Operator {
 
   OpKind kind() const override { return OpKind::kWindow; }
   Micros width() const { return width_; }
-  bool HasInPlaceBatch() const override { return true; }
 
   /// The stamper holds no record state; a full export carries the window
   /// width as a config guard so restore onto a differently-shaped plan is
@@ -30,8 +29,7 @@ class WindowOp : public Operator {
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  Status DoProcessBatch(RecordBatch* batch) override;
 
  private:
   Micros width_;
@@ -53,7 +51,6 @@ class FilterOp : public Operator {
   FilterOp(std::string name, Schema schema, TypedPredicate pred);
 
   OpKind kind() const override { return OpKind::kFilter; }
-  bool HasInPlaceBatch() const override { return true; }
 
   /// The typed form when this filter was built from one (else nullptr).
   const TypedPredicate* typed_predicate() const {
@@ -62,8 +59,7 @@ class FilterOp : public Operator {
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  Status DoProcessBatch(RecordBatch* batch) override;
 
  private:
   Predicate pred_;
@@ -83,7 +79,8 @@ class MapOp : public Operator {
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
+  /// Builds the outputs in a batch local to the call, then swaps it in.
+  Status DoProcessBatch(RecordBatch* batch) override;
 
  private:
   /// Non-virtual per-record body shared by both process paths.
@@ -99,17 +96,12 @@ class ProjectOp : public Operator {
             std::vector<size_t> keep);
 
   OpKind kind() const override { return OpKind::kProject; }
-  bool HasInPlaceBatch() const override { return true; }
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
-  Status DoProcessBatch(RecordBatch&& batch, RecordBatch* out) override;
-  Status DoProcessBatchInPlace(RecordBatch* batch) override;
+  Status DoProcessBatch(RecordBatch* batch) override;
 
  private:
-  /// Non-virtual per-record body shared by both process paths.
-  Status ProjectOne(Record&& rec, RecordBatch* out);
-
   std::vector<size_t> keep_;
   std::vector<Value> field_scratch_;  // in-place projection swap buffer
 };

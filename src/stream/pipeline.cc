@@ -32,21 +32,10 @@ Status Pipeline::PushBatch(RecordBatch&& batch, RecordBatch* out) {
 
 Status Pipeline::PushBatchFrom(size_t start, RecordBatch&& batch,
                                RecordBatch* out) {
-  // `cur` starts as the caller's batch: in-place stages rewrite it where it
-  // sits (zero record moves); only expanding stages (Map, per-record
-  // fallbacks) hop to a ping-pong scratch batch.
-  RecordBatch* cur = &batch;
-  for (size_t i = start; i < ops_.size() && !cur->empty(); ++i) {
-    if (ops_[i]->HasInPlaceBatch()) {
-      JARVIS_RETURN_IF_ERROR(ops_[i]->ProcessBatchInPlace(cur));
-    } else {
-      RecordBatch* next = (cur == &ping_) ? &pong_ : &ping_;
-      next->clear();
-      JARVIS_RETURN_IF_ERROR(ops_[i]->ProcessBatch(std::move(*cur), next));
-      cur = next;
-    }
+  for (size_t i = start; i < ops_.size() && !batch.empty(); ++i) {
+    JARVIS_RETURN_IF_ERROR(ops_[i]->ProcessBatch(&batch));
   }
-  MoveAppend(std::move(*cur), out);
+  MoveAppend(std::move(batch), out);
   return Status::OK();
 }
 
@@ -55,7 +44,7 @@ std::vector<size_t> Pipeline::InPlaceWidths() const {
   // what follows it, raised to its own output arity.
   std::vector<size_t> widths(ops_.size() + 1, 0);
   for (size_t i = ops_.size(); i-- > 0;) {
-    if (ops_[i]->HasInPlaceBatch() && !ops_[i]->IsStateful()) {
+    if (ops_[i]->kind() != OpKind::kMap && !ops_[i]->IsStateful()) {
       widths[i] =
           std::max(ops_[i]->output_schema().num_fields(), widths[i + 1]);
     }
@@ -64,16 +53,12 @@ std::vector<size_t> Pipeline::InPlaceWidths() const {
 }
 
 Status Pipeline::OnWatermark(Micros wm, RecordBatch* out) {
+  // `carried` holds the emissions of upstream window closures; each operator
+  // rewrites them in place, then appends its own.
   RecordBatch carried;
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    RecordBatch emitted;
-    // First process records emitted by upstream operators' window closures.
-    if (!carried.empty()) {
-      JARVIS_RETURN_IF_ERROR(
-          ops_[i]->ProcessBatch(std::move(carried), &emitted));
-    }
-    JARVIS_RETURN_IF_ERROR(ops_[i]->OnWatermark(wm, &emitted));
-    carried = std::move(emitted);
+  for (const OperatorPtr& op : ops_) {
+    if (!carried.empty()) JARVIS_RETURN_IF_ERROR(op->ProcessBatch(&carried));
+    JARVIS_RETURN_IF_ERROR(op->OnWatermark(wm, &carried));
   }
   MoveAppend(std::move(carried), out);
   return Status::OK();
@@ -81,14 +66,9 @@ Status Pipeline::OnWatermark(Micros wm, RecordBatch* out) {
 
 Status Pipeline::Flush(RecordBatch* out) {
   RecordBatch carried;
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    RecordBatch emitted;
-    if (!carried.empty()) {
-      JARVIS_RETURN_IF_ERROR(
-          ops_[i]->ProcessBatch(std::move(carried), &emitted));
-    }
-    JARVIS_RETURN_IF_ERROR(ops_[i]->ExportPartialState(&emitted));
-    carried = std::move(emitted);
+  for (const OperatorPtr& op : ops_) {
+    if (!carried.empty()) JARVIS_RETURN_IF_ERROR(op->ProcessBatch(&carried));
+    JARVIS_RETURN_IF_ERROR(op->ExportPartialState(&carried));
   }
   MoveAppend(std::move(carried), out);
   return Status::OK();

@@ -10,11 +10,10 @@ namespace jarvis::stream {
 
 /// A straight-line chain of operators (queries deployed on data sources are
 /// operator pipelines after the placement rules are applied, Section IV-B).
-/// The hot path is PushBatch(): a whole batch cascades through the chain
-/// stage by stage, ping-ponging between two reusable scratch batches so the
-/// steady state allocates nothing. Push() remains as the record-at-a-time
-/// compatibility path (one virtual hop and two scratch vectors per record
-/// per stage — the cost the batch API exists to amortize).
+/// The hot path is PushBatch(): a whole batch cascades through the chain,
+/// each stage rewriting it in place. Push() remains as the record-at-a-time
+/// reference (one virtual hop and two scratch vectors per record per stage
+/// — the cost the batch API exists to amortize).
 class Pipeline {
  public:
   Pipeline() = default;
@@ -37,8 +36,7 @@ class Pipeline {
 
   /// Pushes a whole batch through the chain; final outputs are appended to
   /// `out` in order. Identical outputs and operator stats to pushing each
-  /// record via Push(), but stage transitions reuse two ping-pong scratch
-  /// batches instead of allocating per record per stage.
+  /// record via Push(), but every stage rewrites the one batch in place.
   Status PushBatch(RecordBatch&& batch, RecordBatch* out);
 
   /// Batch analogue of PushFrom.
@@ -46,15 +44,15 @@ class Pipeline {
 
   /// For each start operator (and size(), which goes straight to the
   /// output): the most fields a row holds while PushBatchFrom rewrites it in
-  /// place from there. The walk covers operators that rewrite in place and
-  /// keep no state (Window, Filter, Join, Project) and ends at the first Map
-  /// or G+R, neither of which hands its input rows on; 0 where it ends at
-  /// once. A decoder that reserves this many fields per row lets the Joins
+  /// place from there. The walk covers operators that keep no state and
+  /// hand their input rows on (Window, Filter, Join, Project) and ends at
+  /// the first Map or G+R, neither of which does; 0 where it ends at once. A decoder that reserves this many fields per row lets the Joins
   /// append without reallocating.
   std::vector<size_t> InPlaceWidths() const;
 
   /// Advances the watermark through the chain; emissions from operator i are
-  /// processed by operators i+1..end before being appended to `out`.
+  /// processed in place by operators i+1..end before being appended to
+  /// `out`.
   Status OnWatermark(Micros wm, RecordBatch* out);
 
   /// Flushes all accumulated state (end of run / checkpoint): each stateful
@@ -77,10 +75,6 @@ class Pipeline {
 
  private:
   std::vector<OperatorPtr> ops_;
-  // Ping-pong stage scratch for PushBatch; cleared (not deallocated) between
-  // stages so capacity persists across pushes.
-  RecordBatch ping_;
-  RecordBatch pong_;
 };
 
 }  // namespace jarvis::stream

@@ -1,5 +1,5 @@
-// Batch-vs-record equivalence: for every operator kind, ProcessBatch and
-// ProcessBatchInPlace must produce exactly the outputs AND stats counters of
+// Batch-vs-record equivalence: for every operator kind, the in-place
+// ProcessBatch must produce exactly the outputs AND stats counters of
 // record-at-a-time Process, for fuzzed batches (including kPartial records
 // and awkward chunk boundaries); Pipeline::PushBatch must match Push; and
 // the schema-elided batch wire format must round-trip arbitrary batches —
@@ -133,30 +133,21 @@ void ExpectStatsEq(const OperatorStats& got, const OperatorStats& want,
   EXPECT_EQ(got.bytes_out, want.bytes_out) << what;
 }
 
-enum class Mode { kRecord, kBatch, kInPlace };
-
-/// Feeds `input` through a fresh operator in the given mode, then flushes
-/// via watermark + ExportPartialState; returns all outputs in order.
-RecordBatch RunOp(Operator& op, RecordBatch&& input, Mode mode,
+/// Feeds `input` through a fresh operator record by record, or in
+/// `chunk_size` batches, then flushes via watermark + ExportPartialState;
+/// returns all outputs in order.
+RecordBatch RunOp(Operator& op, RecordBatch&& input, bool batched,
                   size_t chunk_size) {
   RecordBatch out;
-  switch (mode) {
-    case Mode::kRecord:
-      for (Record& r : input) {
-        EXPECT_TRUE(op.Process(std::move(r), &out).ok());
-      }
-      break;
-    case Mode::kBatch:
-      for (RecordBatch& chunk : SliceInto(std::move(input), chunk_size)) {
-        EXPECT_TRUE(op.ProcessBatch(std::move(chunk), &out).ok());
-      }
-      break;
-    case Mode::kInPlace:
-      for (RecordBatch& chunk : SliceInto(std::move(input), chunk_size)) {
-        EXPECT_TRUE(op.ProcessBatchInPlace(&chunk).ok());
-        for (Record& r : chunk) out.push_back(std::move(r));
-      }
-      break;
+  if (batched) {
+    for (RecordBatch& chunk : SliceInto(std::move(input), chunk_size)) {
+      EXPECT_TRUE(op.ProcessBatch(&chunk).ok());
+      for (Record& r : chunk) out.push_back(std::move(r));
+    }
+  } else {
+    for (Record& r : input) {
+      EXPECT_TRUE(op.Process(std::move(r), &out).ok());
+    }
   }
   EXPECT_TRUE(op.OnWatermark(Seconds(1e9), &out).ok());
   EXPECT_TRUE(op.ExportPartialState(&out).ok());
@@ -167,25 +158,15 @@ void CheckOperatorEquivalence(const OpFactory& make, const RecordBatch& input,
                               size_t chunk_size) {
   auto ref_op = make();
   RecordBatch ref_in = input;
-  const RecordBatch ref_out = RunOp(*ref_op, std::move(ref_in), Mode::kRecord,
-                                    chunk_size);
+  const RecordBatch ref_out =
+      RunOp(*ref_op, std::move(ref_in), /*batched=*/false, chunk_size);
 
   auto batch_op = make();
   RecordBatch batch_in = input;
   const RecordBatch batch_out =
-      RunOp(*batch_op, std::move(batch_in), Mode::kBatch, chunk_size);
+      RunOp(*batch_op, std::move(batch_in), /*batched=*/true, chunk_size);
   EXPECT_EQ(batch_out, ref_out) << "ProcessBatch output diverges";
   ExpectStatsEq(batch_op->stats(), ref_op->stats(), "ProcessBatch stats");
-
-  if (ref_op->HasInPlaceBatch()) {
-    auto ip_op = make();
-    RecordBatch ip_in = input;
-    const RecordBatch ip_out =
-        RunOp(*ip_op, std::move(ip_in), Mode::kInPlace, chunk_size);
-    EXPECT_EQ(ip_out, ref_out) << "ProcessBatchInPlace output diverges";
-    ExpectStatsEq(ip_op->stats(), ref_op->stats(),
-                  "ProcessBatchInPlace stats");
-  }
 }
 
 Schema KvSchema() {
@@ -282,7 +263,7 @@ TEST_P(BatchEquivalenceTest, JoinMatchesRecordPath) {
     auto b = std::make_unique<JoinOp>("j", KvSchema(), table, 0);
     RecordBatch in_a = input, in_b = input, out;
     for (Record& r : in_a) ASSERT_TRUE(a->Process(std::move(r), &out).ok());
-    ASSERT_TRUE(b->ProcessBatch(std::move(in_b), &out).ok());
+    ASSERT_TRUE(b->ProcessBatch(&in_b).ok());
     EXPECT_EQ(a->misses(), b->misses());
   }
 }
@@ -325,7 +306,7 @@ TEST_P(BatchEquivalenceTest, PipelinePushBatchMatchesPush) {
     p->Add(std::make_unique<WindowOp>("w", schema, Seconds(1)));
     p->Add(std::make_unique<FilterOp>(
         "f", schema, [](const Record& r) { return r.i64(0) % 4 != 0; }));
-    // Map stage forces a hop off the in-place path mid-chain.
+    // Map stage swaps a fresh batch in mid-chain.
     p->Add(std::make_unique<MapOp>(
         "m", schema, [](Record&& r, RecordBatch* out) {
           r.fields[1] = Value(r.f64(1) + 1.0);
@@ -500,10 +481,10 @@ TEST_P(BatchEquivalenceTest, TypedFilterMatchesEquivalentFunctionFilter) {
     auto fn = std::make_unique<FilterOp>(
         "f", KvSchema(),
         [&pred](const Record& r) { return EvalPredicate(pred, r); });
-    RecordBatch in_a = input, in_b = input, out_a, out_b;
-    ASSERT_TRUE(typed->ProcessBatch(std::move(in_a), &out_a).ok());
-    ASSERT_TRUE(fn->ProcessBatch(std::move(in_b), &out_b).ok());
-    EXPECT_EQ(out_a, out_b);
+    RecordBatch in_a = input, in_b = input;
+    ASSERT_TRUE(typed->ProcessBatch(&in_a).ok());
+    ASSERT_TRUE(fn->ProcessBatch(&in_b).ok());
+    EXPECT_EQ(in_a, in_b);
     ExpectStatsEq(typed->stats(), fn->stats(), "typed vs function stats");
     (void)chunk;
   }

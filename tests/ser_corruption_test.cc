@@ -399,8 +399,8 @@ std::pair<std::vector<uint8_t>, std::vector<uint8_t>> HostAggBodies() {
   }
   rows.push_back(
       MakeWindowedRecord(Seconds(21), Seconds(20), "stray", 2.5, 1.0));
+  EXPECT_TRUE(op.ProcessBatch(&rows).ok());
   RecordBatch out;
-  EXPECT_TRUE(op.ProcessBatch(std::move(rows), &out).ok());
   ser::BufferWriter key;
   EXPECT_TRUE(op.ExportStateDelta(&key, StateExport::kFull).ok());
   EXPECT_TRUE(op.OnWatermark(Seconds(10), &out).ok());

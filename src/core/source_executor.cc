@@ -170,7 +170,6 @@ Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,
                                                    bool profile_mode) {
   JARVIS_RETURN_IF_ERROR(init_status_);
   SourceEpochOutput out;
-  out.watermark = watermark;
 
   for (ControlProxy& p : proxies_) p.BeginEpoch();
   pipeline_->ResetStats();
@@ -238,7 +237,6 @@ Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,
   if (out.ingress_deferred > 0) {
     const Micros oldest = OldestBufferedEventTime();
     if (oldest >= 0 && oldest < watermark) watermark = oldest;
-    out.watermark = watermark;
   }
 
   const double budget =
@@ -263,13 +261,23 @@ Result<SourceEpochOutput> SourceExecutor::RunEpoch(Micros watermark,
 
   // Advance event time: window closures cascade through downstream
   // operators. Emission volume is a handful of aggregate rows per window, so
-  // their processing cost is not accounted against the budget.
+  // their processing cost is not accounted against the budget. Records still
+  // queued hold event time back (MillWheel's low watermark): operator i
+  // advances only to the oldest event time queued at stages <= i, scanned
+  // after the earlier stages' emissions were routed, and the reported
+  // watermark is that minimum over every stage. Rule R-2 keeps G+R the last
+  // source operator, so a queued record is a kData row whose window follows
+  // from its event time.
   for (size_t i = 0; i < proxies_.size(); ++i) {
+    for (const stream::Record& rec : proxies_[i].queue()) {
+      watermark = std::min(watermark, rec.event_time);
+    }
     stage_emitted_.clear();
     JARVIS_RETURN_IF_ERROR(
         pipeline_->op(i).OnWatermark(watermark, &stage_emitted_));
     RouteOutputs(i, std::move(stage_emitted_), &out);
   }
+  out.watermark = watermark;
 
   // Control-plane observation.
   EpochObservation& obs = out.observation;

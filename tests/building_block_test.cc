@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "core/building_block.h"
+#include "workloads/loganalytics.h"
 #include "workloads/pingmesh.h"
 #include "workloads/queries.h"
 
@@ -98,6 +102,52 @@ TEST(BuildingBlockTest, FailedSourceDoesNotBlockSurvivors) {
     EXPECT_EQ(st.readmissions, 0u);
     EXPECT_EQ(st.records_sent, st.records_delivered + st.records_lost +
                                    st.records_shed + block.records_in_flight());
+  }
+}
+
+TEST(BuildingBlockTest, BindingBudgetMatchesUnboundBudget) {
+  // Under a binding budget, records a stage could not afford wait in its
+  // queue across epochs. No window may close at the source ahead of them,
+  // or they reach the stream processor after it and emit a second row.
+  auto plan = workloads::MakeLogAnalyticsQuery();
+  ASSERT_TRUE(plan.ok());
+  auto q = query::Compile(std::move(plan).value());
+  ASSERT_TRUE(q.ok());
+  std::vector<double> costs(q->num_source_ops());
+  for (size_t i = 0; i < costs.size(); ++i) costs[i] = 4e-4 * (1 + i % 3);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    auto run = [&](double budget) {
+      std::vector<BuildingBlock::SourceSpec> specs(2);
+      for (size_t s = 0; s < specs.size(); ++s) {
+        specs[s].cost_model = std::make_shared<FixedCostModel>(costs);
+        specs[s].options.cpu_budget_fraction = budget;
+        workloads::LogAnalyticsConfig cfg;
+        cfg.seed = 2 * seed + s;
+        cfg.lines_per_sec = 150;
+        cfg.num_tenants = 6;
+        auto gen = std::make_shared<workloads::LogAnalyticsGenerator>(cfg);
+        specs[s].generate = [gen](Micros from, Micros to) {
+          return gen->Generate(from, to);
+        };
+      }
+      BuildingBlock block(*q, std::move(specs));
+      EXPECT_TRUE(block.Init().ok());
+      stream::RecordBatch results;
+      for (int e = 0; e < 33; ++e) EXPECT_TRUE(block.RunEpoch(&results).ok());
+      EXPECT_TRUE(block.Finish(&results).ok());
+      std::sort(results.begin(), results.end(),
+                [](const stream::Record& a, const stream::Record& b) {
+                  return std::tie(a.window_start, a.fields) <
+                         std::tie(b.window_start, b.fields);
+                });
+      return results;
+    };
+    const stream::RecordBatch unbound = run(1e9);
+    ASSERT_FALSE(unbound.empty());
+    const stream::RecordBatch bound = run(0.35);
+    EXPECT_EQ(bound.size(), unbound.size());
+    EXPECT_TRUE(bound == unbound);
   }
 }
 

@@ -41,15 +41,20 @@ std::multiset<std::string> Canonical(const stream::RecordBatch& results) {
   return out;
 }
 
+/// Per-record cost multiplier of the binding-budget cases: drawn costs of
+/// 0.1-1.1 us become 0.2-2.2 ms, so the 0.2-1.2 core budgets bind and
+/// records wait in stage queues across epochs.
+constexpr double kBindingCostScale = 2000.0;
+
 /// Runs `epochs` one-second epochs with the given plan; mid-run the plan is
 /// re-randomized and a flush is requested (mimicking live adaptation).
 std::multiset<std::string> ExecuteRun(
     const query::CompiledQuery& q,
     const std::function<stream::RecordBatch(Micros, Micros)>& gen,
-    Rng* rng, bool centralized, int epochs) {
+    Rng* rng, bool centralized, int epochs, double cost_scale) {
   const size_t m = q.num_source_ops();
   std::vector<double> costs(m);
-  for (double& c : costs) c = 1e-7 + rng->NextDouble() * 1e-6;
+  for (double& c : costs) c = (1e-7 + rng->NextDouble() * 1e-6) * cost_scale;
   SourceExecutorOptions opts;
   opts.cpu_budget_fraction = centralized ? 1e9 : 0.2 + rng->NextDouble();
   SourceExecutor source(q, std::make_shared<FixedCostModel>(costs), opts);
@@ -89,28 +94,28 @@ std::multiset<std::string> ExecuteRun(
   return Canonical(results);
 }
 
-class FuzzEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(FuzzEquivalenceTest, S2SProbeAnyPlanMatchesCentralized) {
-  Rng rng(GetParam());
+void CheckS2SProbe(uint64_t seed, double cost_scale) {
+  Rng rng(seed);
   auto plan = workloads::MakeS2SProbeQuery();
   ASSERT_TRUE(plan.ok());
   auto q = query::Compile(std::move(plan).value());
   ASSERT_TRUE(q.ok());
   workloads::PingmeshConfig cfg;
-  cfg.seed = GetParam();
+  cfg.seed = seed;
   cfg.num_pairs = 25;
   cfg.probe_interval = Seconds(1);
   auto gen = std::make_shared<workloads::PingmeshGenerator>(cfg);
   auto source = [gen](Micros a, Micros b) { return gen->Generate(a, b); };
-  auto reference = ExecuteRun(*q, source, &rng, /*centralized=*/true, 23);
+  auto reference = ExecuteRun(*q, source, &rng, /*centralized=*/true, 23,
+                              cost_scale);
   for (int trial = 0; trial < 3; ++trial) {
-    EXPECT_EQ(reference, ExecuteRun(*q, source, &rng, false, 23)) << trial;
+    EXPECT_EQ(reference, ExecuteRun(*q, source, &rng, false, 23, cost_scale))
+        << trial;
   }
 }
 
-TEST_P(FuzzEquivalenceTest, T2TProbeAnyPlanMatchesCentralized) {
-  Rng rng(GetParam() * 31);
+void CheckT2TProbe(uint64_t seed, double cost_scale) {
+  Rng rng(seed * 31);
   // Covers the generator's IP range (source_ip 5000, peers 5001..5030).
   auto src_table = workloads::MakeIpToTorTable(0, 10000, 10, "srcToR");
   auto dst_table = workloads::MakeIpToTorTable(0, 10000, 10, "dstToR");
@@ -119,36 +124,66 @@ TEST_P(FuzzEquivalenceTest, T2TProbeAnyPlanMatchesCentralized) {
   auto q = query::Compile(std::move(plan).value());
   ASSERT_TRUE(q.ok());
   workloads::PingmeshConfig cfg;
-  cfg.seed = GetParam() * 7;
+  cfg.seed = seed * 7;
   cfg.source_ip = 5000;
   cfg.num_pairs = 30;
   cfg.probe_interval = Seconds(1);
   auto gen = std::make_shared<workloads::PingmeshGenerator>(cfg);
   auto source = [gen](Micros a, Micros b) { return gen->Generate(a, b); };
-  auto reference = ExecuteRun(*q, source, &rng, true, 23);
+  auto reference = ExecuteRun(*q, source, &rng, true, 23, cost_scale);
   ASSERT_FALSE(reference.empty());
   for (int trial = 0; trial < 2; ++trial) {
-    EXPECT_EQ(reference, ExecuteRun(*q, source, &rng, false, 23)) << trial;
+    EXPECT_EQ(reference, ExecuteRun(*q, source, &rng, false, 23, cost_scale))
+        << trial;
   }
 }
 
-TEST_P(FuzzEquivalenceTest, LogAnalyticsAnyPlanMatchesCentralized) {
-  Rng rng(GetParam() * 1337);
+void CheckLogAnalytics(uint64_t seed, double cost_scale) {
+  Rng rng(seed * 1337);
   auto plan = workloads::MakeLogAnalyticsQuery();
   ASSERT_TRUE(plan.ok());
   auto q = query::Compile(std::move(plan).value());
   ASSERT_TRUE(q.ok());
   workloads::LogAnalyticsConfig cfg;
-  cfg.seed = GetParam();
+  cfg.seed = seed;
   cfg.lines_per_sec = 150;
   cfg.num_tenants = 6;
   auto gen = std::make_shared<workloads::LogAnalyticsGenerator>(cfg);
   auto source = [gen](Micros a, Micros b) { return gen->Generate(a, b); };
-  auto reference = ExecuteRun(*q, source, &rng, true, 23);
+  auto reference = ExecuteRun(*q, source, &rng, true, 23, cost_scale);
   ASSERT_FALSE(reference.empty());
   for (int trial = 0; trial < 2; ++trial) {
-    EXPECT_EQ(reference, ExecuteRun(*q, source, &rng, false, 23)) << trial;
+    EXPECT_EQ(reference, ExecuteRun(*q, source, &rng, false, 23, cost_scale))
+        << trial;
   }
+}
+
+class FuzzEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FuzzEquivalenceTest, S2SProbeAnyPlanMatchesCentralized) {
+  CheckS2SProbe(GetParam(), 1.0);
+}
+
+TEST_P(FuzzEquivalenceTest, T2TProbeAnyPlanMatchesCentralized) {
+  CheckT2TProbe(GetParam(), 1.0);
+}
+
+TEST_P(FuzzEquivalenceTest, LogAnalyticsAnyPlanMatchesCentralized) {
+  CheckLogAnalytics(GetParam(), 1.0);
+}
+
+// Binding budgets: records a stage could not afford wait in its queue
+// across epochs, and no window may close ahead of them.
+TEST_P(FuzzEquivalenceTest, S2SProbeBindingBudgetMatchesCentralized) {
+  CheckS2SProbe(GetParam(), kBindingCostScale);
+}
+
+TEST_P(FuzzEquivalenceTest, T2TProbeBindingBudgetMatchesCentralized) {
+  CheckT2TProbe(GetParam(), kBindingCostScale);
+}
+
+TEST_P(FuzzEquivalenceTest, LogAnalyticsBindingBudgetMatchesCentralized) {
+  CheckLogAnalytics(GetParam(), kBindingCostScale);
 }
 
 // Seeds are pinned (1..N) so every run and every CI shard sees the same

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "ser/buffer.h"
 #include "ser/codec.h"
 #include "stream/group_aggregate.h"
+#include "stream/join.h"
+#include "stream/ops.h"
 #include "stream/record.h"
 #include "testing/test_util.h"
 
@@ -371,17 +375,71 @@ TEST(SerCorruptionTest, CheckpointBitFlipsAreDetectedNeverUB) {
   }
 }
 
+using OpFactory = std::function<std::unique_ptr<Operator>()>;
+
+/// Restores the first `len` bytes of `body` into a fresh operator from
+/// `make`, after the whole of `base` when it is non-null.
+Status RestoreInto(const OpFactory& make, const std::vector<uint8_t>* base,
+                   const std::vector<uint8_t>& body, size_t len) {
+  std::unique_ptr<Operator> op = make();
+  if (base != nullptr) {
+    ser::BufferReader br(base->data(), base->size());
+    EXPECT_TRUE(op->RestoreState(&br).ok());
+  }
+  ser::BufferReader r(body.data(), len);
+  return op->RestoreState(&r);
+}
+
+/// The state-delta corruption sweep: `body` restores (after `base`), every
+/// strict prefix of it comes back as an error, and flipped bytes come back
+/// as a Status, never a crash.
+void SweepStateBody(const OpFactory& make, const std::vector<uint8_t>* base,
+                    const std::vector<uint8_t>& body) {
+  ASSERT_TRUE(RestoreInto(make, base, body, body.size()).ok());
+  for (size_t len = 0; len < body.size(); ++len) {
+    EXPECT_FALSE(RestoreInto(make, base, body, len).ok())
+        << "prefix length " << len << " of " << body.size() << " restored";
+  }
+  // Flips land in counts, keys, section lengths or a section's body (for
+  // G+R a checksummed row batch): a Status comes back, and sanitizers
+  // judge the no-UB half.
+  for (size_t i = 0; i < body.size(); ++i) {
+    for (const int bit : {0, 3, 7}) {
+      std::vector<uint8_t> bad = body;
+      bad[i] ^= static_cast<uint8_t>(1u << bit);
+      (void)RestoreInto(make, base, bad, bad.size());
+    }
+  }
+  for (const uint64_t seed : FuzzSeeds()) {
+    Rng rng(seed ^ 0x6a7e);
+    std::vector<uint8_t> bad = body;
+    const size_t flips = 1 + rng.NextBounded(8);
+    for (size_t f = 0; f < flips; ++f) {
+      bad[rng.NextBounded(bad.size())] ^=
+          static_cast<uint8_t>(1 + rng.NextBounded(255));
+    }
+    (void)RestoreInto(make, base, bad, bad.size());
+  }
+}
+
+std::vector<uint8_t> ExportState(Operator& op, StateExport mode) {
+  ser::BufferWriter w;
+  EXPECT_TRUE(op.ExportStateDelta(&w, mode).ok());
+  return w.Release();
+}
+
 /// G+R over (host, id) keys, whose checkpoint bodies the sweep below
 /// corrupts.
-GroupAggregateOp MakeHostAgg() {
-  return GroupAggregateOp(
+std::unique_ptr<GroupAggregateOp> MakeHostAgg() {
+  return std::make_unique<GroupAggregateOp>(
       "g",
       Schema::Of({{"host", ValueType::kString},
                   {"id", ValueType::kInt64},
                   {"v", ValueType::kDouble}}),
-      {0, 1},
-      {{AggKind::kCount, 0, "cnt"}, {AggKind::kSum, 2, "sum"},
-       {AggKind::kMax, 2, "max"}},
+      std::vector<size_t>{0, 1},
+      std::vector<AggSpec>{{AggKind::kCount, 0, "cnt"},
+                           {AggKind::kSum, 2, "sum"},
+                           {AggKind::kMax, 2, "max"}},
       Seconds(10), /*emit_partials=*/false);
 }
 
@@ -389,7 +447,7 @@ GroupAggregateOp MakeHostAgg() {
 /// a tombstone, a reopened window, a partly updated window, and a group
 /// whose id key is a double (it rides the section's inline-tagged lane).
 std::pair<std::vector<uint8_t>, std::vector<uint8_t>> HostAggBodies() {
-  GroupAggregateOp op = MakeHostAgg();
+  std::unique_ptr<GroupAggregateOp> op = MakeHostAgg();
   RecordBatch rows;
   for (int i = 0; i < 12; ++i) {
     const Micros ws = Seconds(10) * (i % 3);
@@ -399,66 +457,71 @@ std::pair<std::vector<uint8_t>, std::vector<uint8_t>> HostAggBodies() {
   }
   rows.push_back(
       MakeWindowedRecord(Seconds(21), Seconds(20), "stray", 2.5, 1.0));
-  EXPECT_TRUE(op.ProcessBatch(&rows).ok());
+  EXPECT_TRUE(op->ProcessBatch(&rows).ok());
+  std::vector<uint8_t> key = ExportState(*op, StateExport::kFull);
   RecordBatch out;
-  ser::BufferWriter key;
-  EXPECT_TRUE(op.ExportStateDelta(&key, StateExport::kFull).ok());
-  EXPECT_TRUE(op.OnWatermark(Seconds(10), &out).ok());
+  EXPECT_TRUE(op->OnWatermark(Seconds(10), &out).ok());
   EXPECT_TRUE(
-      op.Process(MakeWindowedRecord(5, 0, "late", int64_t{9}, 4.0), &out).ok());
-  EXPECT_TRUE(op.Process(MakeWindowedRecord(Seconds(11), Seconds(10), "host-1",
-                                            int64_t{1}, 8.0),
-                         &out)
+      op->Process(MakeWindowedRecord(5, 0, "late", int64_t{9}, 4.0), &out)
+          .ok());
+  EXPECT_TRUE(op->Process(MakeWindowedRecord(Seconds(11), Seconds(10),
+                                             "host-1", int64_t{1}, 8.0),
+                          &out)
                   .ok());
-  ser::BufferWriter delta;
-  EXPECT_TRUE(op.ExportStateDelta(&delta, StateExport::kDelta).ok());
-  return {key.Release(), delta.Release()};
-}
-
-/// Restores `body` into a fresh operator (after the pristine keyframe when
-/// `key` is non-null).
-Status RestoreHostAgg(const std::vector<uint8_t>* key,
-                      const std::vector<uint8_t>& body, size_t len) {
-  GroupAggregateOp op = MakeHostAgg();
-  if (key != nullptr) {
-    ser::BufferReader kr(key->data(), key->size());
-    EXPECT_TRUE(op.RestoreState(&kr).ok());
-  }
-  ser::BufferReader r(body.data(), len);
-  return op.RestoreState(&r);
+  return {std::move(key), ExportState(*op, StateExport::kDelta)};
 }
 
 TEST(SerCorruptionTest, GroupAggregateStateSurvivesTruncationAndFlips) {
   const auto [key, delta] = HostAggBodies();
-  for (const bool is_delta : {false, true}) {
-    SCOPED_TRACE(is_delta ? "delta" : "keyframe");
-    const std::vector<uint8_t>& body = is_delta ? delta : key;
-    const std::vector<uint8_t>* base = is_delta ? &key : nullptr;
-    ASSERT_TRUE(RestoreHostAgg(base, body, body.size()).ok());
-    for (size_t len = 0; len < body.size(); ++len) {
-      EXPECT_FALSE(RestoreHostAgg(base, body, len).ok())
-          << "prefix length " << len << " of " << body.size() << " restored";
-    }
-    // Flips land in counts, window starts, section lengths or a section's
-    // checksummed row batch: a Status comes back, and sanitizers judge the
-    // no-UB half.
-    for (size_t i = 0; i < body.size(); ++i) {
-      for (const int bit : {0, 3, 7}) {
-        std::vector<uint8_t> bad = body;
-        bad[i] ^= static_cast<uint8_t>(1u << bit);
-        (void)RestoreHostAgg(base, bad, bad.size());
-      }
-    }
-    for (const uint64_t seed : FuzzSeeds()) {
-      Rng rng(seed ^ 0x6a7e);
-      std::vector<uint8_t> bad = body;
-      const size_t flips = 1 + rng.NextBounded(8);
-      for (size_t f = 0; f < flips; ++f) {
-        bad[rng.NextBounded(bad.size())] ^=
-            static_cast<uint8_t>(1 + rng.NextBounded(255));
-      }
-      (void)RestoreHostAgg(base, bad, bad.size());
-    }
+  {
+    SCOPED_TRACE("keyframe");
+    SweepStateBody(MakeHostAgg, nullptr, key);
+  }
+  SCOPED_TRACE("delta");
+  SweepStateBody(MakeHostAgg, &key, delta);
+}
+
+TEST(SerCorruptionTest, WindowKeyframeSurvivesTruncationAndFlips) {
+  const OpFactory make = [] {
+    return std::make_unique<WindowOp>("w", KvSchema(), Seconds(10));
+  };
+  SweepStateBody(make, nullptr, ExportState(*make(), StateExport::kFull));
+}
+
+TEST(SerCorruptionTest, JoinMissCounterDeltaSurvivesTruncationAndFlips) {
+  auto table = std::make_shared<StaticTable>(
+      "k", Schema::Field{"t", ValueType::kInt64});
+  table->Insert(1, Value(int64_t{10}));
+  const OpFactory make = [table] {
+    return std::make_unique<JoinOp>("j", KvSchema(), table, 0);
+  };
+  std::unique_ptr<Operator> op = make();
+  const std::vector<uint8_t> key = ExportState(*op, StateExport::kFull);
+  RecordBatch rows;
+  for (int64_t k = 0; k < 300; ++k) {
+    rows.push_back(MakeRecord(Seconds(k), k, 1.0));
+  }
+  ASSERT_TRUE(op->ProcessBatch(&rows).ok());
+  // 299 misses: a two-byte varint in a one-section delta.
+  SweepStateBody(make, &key, ExportState(*op, StateExport::kDelta));
+}
+
+TEST(SerCorruptionTest, StatelessOperatorRefusesAnyStateButEmpty) {
+  const OpFactory make = [] {
+    return std::make_unique<FilterOp>(
+        "f", KvSchema(), [](const Record&) { return true; });
+  };
+  SweepStateBody(make, nullptr, ExportState(*make(), StateExport::kFull));
+  // A window keyframe (one section) and a lone tombstone are state a
+  // stateless operator does not have.
+  WindowOp window("w", KvSchema(), Seconds(10));
+  ser::BufferWriter tombstone;
+  tombstone.PutVarU64(1);
+  tombstone.PutVarI64(0);
+  tombstone.PutVarU64(0);
+  for (const std::vector<uint8_t>& body :
+       {ExportState(window, StateExport::kFull), tombstone.Release()}) {
+    EXPECT_FALSE(RestoreInto(make, nullptr, body, body.size()).ok());
   }
 }
 

@@ -32,6 +32,13 @@ uint64_t DefaultFactor(TrafficKind kind) {
   return 1;
 }
 
+TrafficPlan WithDefaultFactors(TrafficPlan plan) {
+  for (TrafficEvent& ev : plan.events) {
+    if (ev.factor == 0) ev.factor = DefaultFactor(ev.kind);
+  }
+  return plan;
+}
+
 /// Deterministic per-record coin in [0, 1): a pure function of the plan
 /// seed and the (source, epoch, record index, salt) coordinates, so shaped
 /// output is identical across thread counts and on crash replay.
@@ -101,6 +108,9 @@ std::string TrafficPlan::ToString() const {
   }
   return FormatPlanSpec(spec, kTrafficKindNames);
 }
+
+TrafficShaper::TrafficShaper(TrafficPlan plan)
+    : plan_(WithDefaultFactors(std::move(plan))) {}
 
 Result<std::unique_ptr<TrafficShaper>> TrafficShaper::FromEnv() {
   std::optional<std::string> spec = env::Raw("JARVIS_TRAFFIC");

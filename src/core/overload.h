@@ -87,7 +87,8 @@ struct TrafficPlan {
 /// epoch (crash recovery) reproduces the shaped batch bit for bit.
 class TrafficShaper {
  public:
-  explicit TrafficShaper(TrafficPlan plan) : plan_(std::move(plan)) {}
+  /// Events with factor 0 run at their kind's default factor.
+  explicit TrafficShaper(TrafficPlan plan);
 
   /// Builds a shaper from the JARVIS_TRAFFIC environment variable.
   /// Returns nullptr when unset, an error when set but unparsable.

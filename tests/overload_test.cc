@@ -127,6 +127,31 @@ TEST(TrafficShaperTest, BurstMultipliesAndPreservesEventTimeOrder) {
   EXPECT_EQ(calm.size(), 50u);
 }
 
+TEST(TrafficShaperTest, HandBuiltZeroFactorRunsAsTheKindDefault) {
+  // factor 0 is the kind's default, which ToString leaves out: a hand-built
+  // plan must shape exactly as its printed spec parses back.
+  TrafficPlan plan;
+  plan.events = {{.kind = TrafficKind::kBurst, .epoch = 2, .count = 3},
+                 {.kind = TrafficKind::kRamp, .source = 1, .count = 4},
+                 {.kind = TrafficKind::kSkew, .epoch = 1, .count = 2}};
+  auto printed = TrafficPlan::Parse(plan.ToString());
+  ASSERT_TRUE(printed.ok()) << printed.status().message();
+  TrafficShaper hand(plan);
+  TrafficShaper parsed(*printed);
+  for (size_t s = 0; s < 2; ++s) {
+    for (int64_t e = 0; e < 6; ++e) {
+      EXPECT_DOUBLE_EQ(hand.RateMultiplier(s, e), parsed.RateMultiplier(s, e))
+          << "source " << s << " epoch " << e;
+      stream::RecordBatch a = SteadyBatch(40), b = SteadyBatch(40);
+      hand.Shape(s, e, &a);
+      parsed.Shape(s, e, &b);
+      EXPECT_EQ(a.size(), b.size()) << "source " << s << " epoch " << e;
+      EXPECT_TRUE(a == b) << "source " << s << " epoch " << e;
+    }
+  }
+  EXPECT_DOUBLE_EQ(hand.RateMultiplier(0, 2), 4.0);
+}
+
 TEST(TrafficShaperTest, ShapingIsDeterministic) {
   auto plan = TrafficPlan::Parse("seed=11;burst@1:0x3*3;skew@1:0#0x3*60");
   ASSERT_TRUE(plan.ok());

@@ -199,7 +199,6 @@ class BuildingBlock {
     injector_ = std::make_unique<FaultInjector>(std::move(plan));
   }
 
-  const FaultToleranceOptions& fault_tolerance() const { return ft_; }
   const FaultStats& fault_stats() const { return stats_; }
   SourceHealth health(size_t i) const { return state_[i].health; }
 
@@ -250,7 +249,6 @@ class BuildingBlock {
   /// JARVIS_WIRE_COMPRESS environment variable). Call before the first
   /// epoch: frames already retained for retransmission keep their encoding.
   void SetWireCodec(const WireCodecOptions& codec) { wire_codec_ = codec; }
-  const WireCodecOptions& wire_codec() const { return wire_codec_; }
 
   size_t num_sources() const { return sources_.size(); }
   SourceExecutor& source(size_t i) { return *sources_[i]; }

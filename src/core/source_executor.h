@@ -127,7 +127,6 @@ class SourceExecutor {
   /// Installs the overload controller's admission limits for subsequent
   /// epochs (sticky). See IngressLimits.
   void SetIngressLimits(IngressLimits limits) { ingress_ = limits; }
-  const IngressLimits& ingress_limits() const { return ingress_; }
 
   /// Records currently deferred in the epoch input buffer.
   uint64_t buffered_input() const { return input_buffer_.size(); }

@@ -15,9 +15,8 @@ SpExecutor::SpExecutor(const query::CompiledQuery& query, size_t num_sources)
     return;
   }
   pipeline_ = std::move(pipeline).value();
-  // Relay-byte ratios of the replica chain feed nothing by default (the
-  // partitioning LP profiles on the source side); start with byte stats off
-  // and let profiling turn them on explicitly.
+  // Relay-byte ratios of the replica chain feed nothing (the partitioning
+  // LP profiles on the source side), so its byte stats stay off.
   pipeline_->SetByteAccounting(false);
   entry_width_ = pipeline_->InPlaceWidths();
 }

@@ -49,15 +49,6 @@ class SpExecutor {
   /// End-of-run flush of any remaining operator state.
   Status Flush(stream::RecordBatch* results);
 
-  /// Toggles byte-level stats on the replica pipeline. Off by default: the
-  /// control plane's LP consumes only source-side relay ratios, so the SP
-  /// replica was paying a per-record WireSize walk for counters nobody
-  /// read. Enable for profiling epochs (or diagnostics) the same way the
-  /// source executor does — byte ratios are exact whenever they're on.
-  void SetByteAccounting(bool enabled) {
-    if (pipeline_) pipeline_->SetByteAccounting(enabled);
-  }
-
   /// Registers one more source (join churn): returns its id. The merged
   /// watermark holds until the newcomer's first epoch output arrives.
   size_t AddSource() {

@@ -1,65 +1,8 @@
 #include "query/optimizer.h"
 
-#include <sstream>
-
 namespace jarvis::query {
 
 using stream::OpKind;
-
-Result<PlacementRules> ParsePlacementRules(const std::string& text) {
-  PlacementRules rules;
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    // Strip comments and whitespace.
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    const size_t begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) continue;
-    const size_t end = line.find_last_not_of(" \t\r");
-    line = line.substr(begin, end - begin + 1);
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument("rules line " + std::to_string(lineno) +
-                                     ": expected key=value");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    auto parse_bool = [&](bool* out) -> Status {
-      if (value == "1" || value == "true") {
-        *out = true;
-      } else if (value == "0" || value == "false") {
-        *out = false;
-      } else {
-        return Status::InvalidArgument("bad boolean for " + key + ": " +
-                                       value);
-      }
-      return Status::OK();
-    };
-    if (key == "allow_non_incremental") {
-      JARVIS_RETURN_IF_ERROR(parse_bool(&rules.allow_non_incremental));
-    } else if (key == "allow_after_stateful") {
-      JARVIS_RETURN_IF_ERROR(parse_bool(&rules.allow_after_stateful));
-    } else if (key == "allow_stream_stream_join") {
-      JARVIS_RETURN_IF_ERROR(parse_bool(&rules.allow_stream_stream_join));
-    } else if (key == "max_physical_per_logical") {
-      try {
-        rules.max_physical_per_logical = std::stoi(value);
-      } catch (...) {
-        return Status::InvalidArgument("bad integer for " + key);
-      }
-      if (rules.max_physical_per_logical < 1) {
-        return Status::InvalidArgument(
-            "max_physical_per_logical must be >= 1");
-      }
-    } else {
-      return Status::InvalidArgument("unknown placement rule key: " + key);
-    }
-  }
-  return rules;
-}
 
 namespace {
 

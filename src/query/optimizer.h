@@ -1,17 +1,15 @@
 #ifndef JARVIS_QUERY_OPTIMIZER_H_
 #define JARVIS_QUERY_OPTIMIZER_H_
 
-#include <string>
-#include <vector>
-
 #include "common/status.h"
 #include "query/logical_plan.h"
 
 namespace jarvis::query {
 
-/// Placement rules R-1..R-4 from Section IV-B, expressed as configuration so
-/// they can be extended. Defaults mirror the paper. Rules R-1..R-3 also apply
-/// to intermediate stream processors; R-4 applies only to data sources.
+/// Placement rules R-1..R-3 from Section IV-B, expressed as configuration so
+/// they can be extended. Defaults mirror the paper. R-4 (one physical
+/// operator per logical operator on a data source) is structural: a source
+/// runs its operator prefix as one serial pipeline.
 struct PlacementRules {
   /// R-1: non-incrementally-updatable aggregations (e.g. exact quantiles)
   /// may not run on data sources.
@@ -21,16 +19,7 @@ struct PlacementRules {
   bool allow_after_stateful = false;
   /// R-3: stateful stream-stream joins may not run on data sources.
   bool allow_stream_stream_join = false;
-  /// R-4: physical operators per logical operator on the data source
-  /// (intra-operator parallelism is not worthwhile under constrained
-  /// budgets).
-  int max_physical_per_logical = 1;
 };
-
-/// Parses "key=value" lines (comments start with '#'); unknown keys are an
-/// error. Accepted keys: allow_non_incremental, allow_after_stateful,
-/// allow_stream_stream_join (0/1/true/false), max_physical_per_logical (int).
-Result<PlacementRules> ParsePlacementRules(const std::string& text);
 
 /// The optimizer output: a (possibly rewritten) chain plus the data-level
 /// partitioning metadata. Operators [0, source_placeable_ops) are replicated
@@ -39,8 +28,6 @@ Result<PlacementRules> ParsePlacementRules(const std::string& text);
 struct OptimizedPlan {
   LogicalPlan plan;
   size_t source_placeable_ops = 0;
-
-  size_t num_proxies() const { return source_placeable_ops; }
 };
 
 /// Logical optimization + placement. Rewrites applied, in order:

@@ -48,8 +48,6 @@ class LinkSim {
     return total;
   }
 
-  double capacity_bytes_per_sec() const { return capacity_; }
-
  private:
   double capacity_;
   double bound_seconds_;

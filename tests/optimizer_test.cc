@@ -16,49 +16,6 @@ Schema S() {
   return Schema::Of({{"a", ValueType::kInt64}, {"b", ValueType::kDouble}});
 }
 
-TEST(PlacementRulesTest, ParseDefaults) {
-  auto rules = ParsePlacementRules("");
-  ASSERT_TRUE(rules.ok());
-  EXPECT_FALSE(rules->allow_non_incremental);
-  EXPECT_FALSE(rules->allow_after_stateful);
-  EXPECT_FALSE(rules->allow_stream_stream_join);
-  EXPECT_EQ(rules->max_physical_per_logical, 1);
-}
-
-TEST(PlacementRulesTest, ParseAllKeys) {
-  auto rules = ParsePlacementRules(
-      "# R-1 override\n"
-      "allow_non_incremental=true\n"
-      "allow_after_stateful = 1\n"  // will fail: spaces kept? no, trimmed
-      "allow_stream_stream_join=false\n"
-      "max_physical_per_logical=4\n");
-  // "allow_after_stateful = 1" contains spaces around '='; the parser trims
-  // only the line ends, so the key has a trailing space and should error.
-  EXPECT_FALSE(rules.ok());
-}
-
-TEST(PlacementRulesTest, ParseValidFile) {
-  auto rules = ParsePlacementRules(
-      "allow_non_incremental=1\n"
-      "max_physical_per_logical=2  # data sources stay serial\n");
-  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
-  EXPECT_TRUE(rules->allow_non_incremental);
-  EXPECT_EQ(rules->max_physical_per_logical, 2);
-}
-
-TEST(PlacementRulesTest, UnknownKeyRejected) {
-  EXPECT_FALSE(ParsePlacementRules("frobnicate=1").ok());
-}
-
-TEST(PlacementRulesTest, BadBooleanRejected) {
-  EXPECT_FALSE(ParsePlacementRules("allow_non_incremental=yes").ok());
-}
-
-TEST(PlacementRulesTest, BadIntRejected) {
-  EXPECT_FALSE(ParsePlacementRules("max_physical_per_logical=zero").ok());
-  EXPECT_FALSE(ParsePlacementRules("max_physical_per_logical=0").ok());
-}
-
 TEST(OptimizerTest, FusesAdjacentFilters) {
   QueryBuilder q(S());
   q.Filter("f1", [](const stream::Record& r) { return r.i64(0) > 0; })

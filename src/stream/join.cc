@@ -54,7 +54,8 @@ Status JoinOp::DoProcessBatch(RecordBatch* batch) {
 
 Status JoinOp::ExportStateDelta(ser::BufferWriter* w, StateExport mode) {
   w->PutVarU64(0);  // no tombstones: the counter is replaced, never dropped
-  const bool changed = mode == StateExport::kFull || misses_ != exported_misses_;
+  const bool changed =
+      mode == StateExport::kFull || misses_ != exported_misses_;
   w->PutVarU64(changed ? 1 : 0);
   if (changed) {
     ser::BufferWriter section;

@@ -46,8 +46,9 @@ class Pipeline {
   /// output): the most fields a row holds while PushBatchFrom rewrites it in
   /// place from there. The walk covers operators that keep no state and
   /// hand their input rows on (Window, Filter, Join, Project) and ends at
-  /// the first Map or G+R, neither of which does; 0 where it ends at once. A decoder that reserves this many fields per row lets the Joins
-  /// append without reallocating.
+  /// the first Map or G+R, neither of which does; 0 where it ends at once.
+  /// A decoder that reserves this many fields per row lets the Joins append
+  /// without reallocating.
   std::vector<size_t> InPlaceWidths() const;
 
   /// Advances the watermark through the chain; emissions from operator i are

@@ -79,7 +79,8 @@ class MapOp : public Operator {
 
  protected:
   Status DoProcess(Record&& rec, RecordBatch* out) override;
-  /// Builds the outputs in a batch local to the call, then swaps it in.
+  /// Builds the outputs in a batch local to the call, then swaps it in: a
+  /// member output batch would hold its peak capacity between calls.
   Status DoProcessBatch(RecordBatch* batch) override;
 
  private:

@@ -81,9 +81,15 @@ TEST(OptimizerTest, RuleR1StopsNonIncrementalAggregate) {
       .Aggregate({Count("cnt")}, /*incremental=*/false);
   auto plan = q.Build();
   ASSERT_TRUE(plan.ok());
-  auto optimized = Optimize(std::move(plan).value());
+  auto optimized = Optimize(*plan);
   ASSERT_TRUE(optimized.ok());
   EXPECT_EQ(optimized->source_placeable_ops, 1u);  // window only
+
+  PlacementRules relaxed;
+  relaxed.allow_non_incremental = true;
+  auto opt2 = Optimize(*plan, relaxed);
+  ASSERT_TRUE(opt2.ok());
+  EXPECT_EQ(opt2->source_placeable_ops, 2u);
 }
 
 TEST(OptimizerTest, RuleR3StopsStreamStreamJoin) {
